@@ -230,10 +230,6 @@ def _tn_hermitian_stack(x: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(x)).sum(axis=-1)
 
 
-def _tn_stack(x: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(x, compute_uv=False).sum(axis=-1)
-
-
 def _entropy_stack(x: np.ndarray) -> np.ndarray:
     w = np.linalg.eigvalsh(x)
     w = np.where(w < ENTROPY_CUTOFF, 0.0, w)
@@ -246,6 +242,32 @@ def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     c, da, _ = a.shape
     db = b.shape[1]
     return np.einsum("cad,cbe->cabde", a, b).reshape(c, da * db, da * db)
+
+
+def _compressed_hamiltonian(h: np.ndarray, q: np.ndarray, ds: int, de: int) -> np.ndarray:
+    """U_t^dagger H U_t for every U_t = I (x) Q_t of a (n, de, k) stack of Q_t.
+
+    One GEMM forms H U_t for all t: H read as rows (a, b, a') by columns
+    b' times the Q_t laid side by side. That (d * ds) x (n * k) product is
+    the largest intermediate of the kernel.
+    """
+    n, _, k = q.shape
+    hv = h.reshape(ds * de * ds, de) @ q.transpose(1, 0, 2).reshape(de, n * k)
+    # rows (a, b, a'), columns (t, m') -> (t, b, (a, a', m'))
+    hv = hv.reshape(ds, de, ds, n, k).transpose(3, 1, 0, 2, 4).reshape(n, de, ds * ds * k)
+    hc = q.conj().transpose(0, 2, 1) @ hv
+    # (t, m, a, a', m') -> rows (a, m), columns (a', m')
+    return hc.reshape(n, k, ds, ds, k).transpose(0, 2, 1, 3, 4).reshape(n, ds * k, ds * k)
+
+
+def _commutator_trace_norm(hc: np.ndarray, x: np.ndarray, ds: int, k: int) -> np.ndarray:
+    """|| Tr_E [H, X] ||_1 for Hermitian X = U x U^dagger, from compressed hc and x.
+
+    Tr_E[H, X] = M - M^dagger with M = Tr_E[H X] = Tr_k[hc x]; the
+    difference is anti-Hermitian, so its trace norm is that of i(M - M^dagger).
+    """
+    m = _ptrace_stack(hc @ x, ds, k, "system")
+    return _tn_hermitian_stack(1j * (m - m.conj().transpose(0, 2, 1)))
 
 
 def pair_step_series(
@@ -267,8 +289,25 @@ def pair_step_series(
     supplies per-basis-state total-magnetization values; otherwise the
     magnetization columns are NaN.
 
-    Work is chunked along the time axis so the stacked d x d
-    intermediates stay within a fixed memory budget.
+    Both joint states are pure, so at each time both environment
+    marginals live in W, the span of the rows of the two d_system x
+    d_environment coefficient matrices P_j, with k = dim W <= 2 d_system.
+    A QR factorization [P_1^T, P_2^T] = Q R gives an orthonormal basis Q
+    of W and compressed coefficients c_j = R_j^T, and every operator the
+    diagnostics need (joint states, marginals, correlation operators chi_j
+    and their difference, rho_S (x) Delta_E) lives on C^d_system (x) W.
+    All norms and entropies are eigenvalues of at most
+    (d_system * k)-square matrices, 8 x 8 for a qubit; the joint entropy
+    is computed from the compressed rank-one state, not assumed zero.
+    Each commutator term Tr_E[H, X] is M - M^dagger with M read off the
+    compressed Hamiltonian (I (x) Q)^dagger H (I (x) Q), so a step costs
+    O(d^2 * d_system * k) and no d x d matrix is formed. The
+    chi{j}_ptrace_* residuals are the largest entries of the partial
+    traces of chi_j in the compressed coordinates.
+
+    Work is chunked along the time axis so that the largest intermediate,
+    the (chunk, d, d_system * k) product H (I (x) Q), holds at most
+    chunk_elements entries (but always at least one time).
     """
     h = np.asarray(h, dtype=np.complex128)
     s1 = np.atleast_2d(np.asarray(states_1, dtype=np.complex128))
@@ -281,7 +320,7 @@ def pair_step_series(
         raise ValueError("state stacks must share shape (n_times, d_system*d_environment)")
     n_times = s1.shape[0]
     out = {key: np.empty(n_times, dtype=np.float64) for key in _SERIES_KEYS}
-    chunk = max(1, int(chunk_elements) // (d * d))
+    chunk = max(1, int(chunk_elements) // (d * ds * min(de, 2 * ds)))
     for a in range(0, n_times, chunk):
         b = min(n_times, a + chunk)
         _fill_chunk(out, slice(a, b), h, ds, de, s1[a:b], s2[a:b], sz_diagonal)
@@ -289,14 +328,20 @@ def pair_step_series(
 
 
 def _fill_chunk(out, sl, h, ds, de, s1, s2, sz_diagonal) -> None:
-    d = ds * de
+    n = s1.shape[0]
     psi = {1: s1, 2: s2}
+    # P_j^T = Q R_j with orthonormal Q spanning both environment supports
+    f = np.concatenate([psi[j].reshape(n, ds, de).transpose(0, 2, 1) for j in (1, 2)], axis=2)
+    q, r = np.linalg.qr(f)
+    k = q.shape[2]
+    hc = _compressed_hamiltonian(h, q, ds, de)
     rho_s, rho_e, chi = {}, {}, {}
     for j in (1, 2):
-        p = psi[j].reshape(-1, ds, de)
-        rho_s[j] = p @ p.conj().transpose(0, 2, 1)
-        rho_e[j] = p.transpose(0, 2, 1) @ p.conj()
-        rho_se = psi[j][:, :, None] * psi[j].conj()[:, None, :]
+        c = r[:, :, (j - 1) * ds : j * ds].transpose(0, 2, 1)
+        rho_s[j] = c @ c.conj().transpose(0, 2, 1)
+        rho_e[j] = c.transpose(0, 2, 1) @ c.conj()
+        v = c.reshape(n, ds * k)
+        rho_se = v[:, :, None] * v.conj()[:, None, :]
         chi[j] = rho_se - _kron_stack(rho_s[j], rho_e[j])
         out[f"svn_system_{j}"][sl] = _entropy_stack(rho_s[j])
         svn_env = _entropy_stack(rho_e[j])
@@ -309,8 +354,8 @@ def _fill_chunk(out, sl, h, ds, de, s1, s2, sz_diagonal) -> None:
         else:
             out[f"magnetization_{j}"][sl] = (np.abs(psi[j]) ** 2) @ sz_diagonal
         out[f"chi{j}_norm"][sl] = _tn_hermitian_stack(chi[j])
-        out[f"chi{j}_ptrace_sys"][sl] = np.abs(_ptrace_stack(chi[j], ds, de, "system")).max(axis=(1, 2))
-        out[f"chi{j}_ptrace_env"][sl] = np.abs(_ptrace_stack(chi[j], ds, de, "environment")).max(axis=(1, 2))
+        out[f"chi{j}_ptrace_sys"][sl] = np.abs(_ptrace_stack(chi[j], ds, k, "system")).max(axis=(1, 2))
+        out[f"chi{j}_ptrace_env"][sl] = np.abs(_ptrace_stack(chi[j], ds, k, "environment")).max(axis=(1, 2))
 
     out["d_system"][sl] = 0.5 * _tn_hermitian_stack(rho_s[1] - rho_s[2])
     delta_e = rho_e[1] - rho_e[2]
@@ -320,10 +365,7 @@ def _fill_chunk(out, sl, h, ds, de, s1, s2, sz_diagonal) -> None:
     out["x_corr"][sl] = 0.5 * _tn_hermitian_stack(dchi)
 
     for j in (1, 2):
-        p = _kron_stack(rho_s[j], delta_e)
-        comm = h[None] @ p - p @ h[None]
-        out[f"term1_branch{j}"][sl] = _tn_stack(_ptrace_stack(comm, ds, de, "system"))
-    comm2 = h[None] @ dchi - dchi @ h[None]
-    out["bound_term2"][sl] = _tn_stack(_ptrace_stack(comm2, ds, de, "system"))
+        out[f"term1_branch{j}"][sl] = _commutator_trace_norm(hc, _kron_stack(rho_s[j], delta_e), ds, k)
+    out["bound_term2"][sl] = _commutator_trace_norm(hc, dchi, ds, k)
     out["bound_term1"][sl] = np.minimum(out["term1_branch1"][sl], out["term1_branch2"][sl])
     out["bound_total"][sl] = 0.5 * (out["bound_term1"][sl] + out["bound_term2"][sl])

@@ -4,7 +4,8 @@ Two suites: a bound suite that stress-tests the sigma bound on random
 dense models, and a structural suite that replays chain trajectories
 and checks the conserved quantities, the vanishing partial traces of
 the correlation operators, agreement between the two routes to the
-first bound term, and dense/subspace agreement on every column.
+first bound term, the diagnostics kernel against the full-matrix
+oracles, and dense/subspace agreement on every column.
 """
 
 from __future__ import annotations
@@ -16,11 +17,14 @@ import numpy as np
 from .diagnostics import (
     bound_term1_branch,
     bound_term1_from_couplings,
+    correlation_distance,
+    correlation_operator,
     distinguishability_bound,
+    mutual_information,
     trace_distance,
 )
 from .evolution import TimeGrid, make_propagator, run_trajectory
-from .linalg import Bipartition, DensityMatrix, haar_random_state, partial_trace
+from .linalg import Bipartition, DensityMatrix, haar_random_state, partial_trace, trace_norm
 from .model import ChainParams, Model, build_chain_model
 
 __all__ = [
@@ -178,12 +182,16 @@ def _trajectory_checks(tag: str, model: Model, record) -> list[CheckResult]:
     return checks
 
 
-def _gamma_route_check(tag: str, model: Model, record, n_samples: int = 5) -> CheckResult:
+def _sample_indices(record) -> np.ndarray:
+    """Five evenly spaced sample indices, first and last included."""
+    return np.linspace(0, record.n_times - 1, 5).astype(int)
+
+
+def _gamma_route_check(tag: str, model: Model, record) -> CheckResult:
     """Both routes to the first bound term agree along the trajectory."""
     bp = model.bipartition
-    idx = np.linspace(0, record.n_times - 1, n_samples).astype(int)
     worst = 0.0
-    for i in idx:
+    for i in _sample_indices(record):
         rho_se = _joint_density(model, record, int(i))
         delta_env = partial_trace(rho_se[0], bp, "environment") - partial_trace(
             rho_se[1], bp, "environment"
@@ -194,6 +202,36 @@ def _gamma_route_check(tag: str, model: Model, record, n_samples: int = 5) -> Ch
             direct = bound_term1_branch(model, rho_s, delta_env)
             worst = max(worst, abs(via_couplings - float(branch[i])), abs(direct - float(branch[i])))
     return CheckResult(f"{tag}: coupling route", worst <= 1e-10, f"max mismatch {worst:.3e}")
+
+
+def _kernel_oracle_check(tag: str, model: Model, record) -> CheckResult:
+    """Kernel columns against the full-matrix oracles along the trajectory.
+
+    Both paths share the diagnostics kernel, so this is the comparison
+    with an independent implementation.
+    """
+    bp = model.bipartition
+    worst, worst_col = 0.0, ""
+    for i in _sample_indices(record):
+        rho_se = _joint_density(model, record, int(i))
+        chi = [correlation_operator(r, bp) for r in rho_se]
+        bound = distinguishability_bound(model, *rho_se)
+        expected = {
+            "x_corr": correlation_distance(*chi),
+            "chi1_norm": trace_norm(chi[0]),
+            "chi2_norm": trace_norm(chi[1]),
+            "bound_term2": bound.term2,
+            "bound_total": bound.total,
+            "mutual_info_1": mutual_information(rho_se[0], bp),
+            "mutual_info_2": mutual_information(rho_se[1], bp),
+        }
+        for col, value in expected.items():
+            gap = abs(float(getattr(record, col)[i]) - value)
+            if gap > worst:
+                worst, worst_col = gap, col
+    return CheckResult(
+        f"{tag}: kernel oracles", worst <= 1e-10, f"max gap {worst:.3e} ({worst_col})"
+    )
 
 
 def _joint_density(model: Model, record, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +255,7 @@ def structural_suite(
     n_steps: int = 300,
     b_field: float = 0.01,
 ) -> list[CheckResult]:
-    """Conservation, chi-trace, dual-route and cross-path checks on chains."""
+    """Conservation, chi-trace, dual-route, kernel-oracle and cross-path checks on chains."""
     checks: list[CheckResult] = []
 
     dense_params = ChainParams(n_total=n_total_dense, b_field=b_field)
@@ -227,6 +265,7 @@ def structural_suite(
     sub_rec = run_trajectory(dense_model, grid, path="subspace")
     checks += _trajectory_checks(f"dense n={n_total_dense}", dense_model, dense_rec)
     checks.append(_gamma_route_check(f"dense n={n_total_dense}", dense_model, dense_rec))
+    checks.append(_kernel_oracle_check(f"dense n={n_total_dense}", dense_model, dense_rec))
 
     worst_col = ""
     worst = 0.0

@@ -1,3 +1,6 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -19,10 +22,12 @@ from backflow.linalg import (
     Bipartition,
     haar_random_state,
     partial_trace,
+    purity,
+    state_vector_from_density,
     trace_norm,
     von_neumann_entropy,
 )
-from backflow.model import ChainParams, build_chain_model
+from backflow.model import ChainParams, build_chain_model, total_sz_diagonal
 
 
 def random_density(rng, d):
@@ -205,12 +210,47 @@ def test_coupling_route_needs_terms():
         bound_term1_from_couplings(Bare, np.eye(2) / 2, np.zeros((2, 2)))
 
 
+def assert_kernel_matches_oracles(h, bp, s1, s2, sz_diagonal=None, **kw):
+    """Every kernel column at every time against the full-matrix functions."""
+    model = SimpleNamespace(hamiltonian=h, bipartition=bp)
+    out = pair_step_series(h, bp.d_system, bp.d_environment, s1, s2, sz_diagonal=sz_diagonal, **kw)
+    for i in range(s1.shape[0]):
+        psi = (s1[i], s2[i])
+        rho = [np.outer(v, v.conj()) for v in psi]
+        rs = [partial_trace(r, bp, "system") for r in rho]
+        re = [partial_trace(r, bp, "environment") for r in rho]
+        chi = [correlation_operator(r, bp) for r in rho]
+        bound = distinguishability_bound(model, rho[0], rho[1])
+        expected = {
+            "d_system": trace_distance(rs[0], rs[1]),
+            "d_env": trace_distance(re[0], re[1]),
+            "e_indist": env_indistinguishability(re[0], re[1]),
+            "x_corr": correlation_distance(chi[0], chi[1]),
+            "bound_term1": bound.term1,
+            "bound_term2": bound.term2,
+            "bound_total": bound.total,
+        }
+        for j in (1, 2):
+            expected[f"chi{j}_norm"] = trace_norm(chi[j - 1])
+            expected[f"term1_branch{j}"] = bound_term1_branch(model, rs[j - 1], re[0] - re[1])
+            expected[f"svn_system_{j}"] = von_neumann_entropy(rs[j - 1])
+            expected[f"mutual_info_{j}"] = mutual_information(rho[j - 1], bp)
+            expected[f"purity_{j}"] = purity(rho[j - 1])
+            expected[f"chi{j}_ptrace_sys"] = 0.0
+            expected[f"chi{j}_ptrace_env"] = 0.0
+            if sz_diagonal is not None:
+                expected[f"magnetization_{j}"] = float(np.vdot(psi[j - 1], sz_diagonal * psi[j - 1]).real)
+        for key, value in expected.items():
+            assert abs(out[key][i] - value) < 1e-12, (key, i, out[key][i], value)
+    if sz_diagonal is None:
+        assert np.all(np.isnan(out["magnetization_1"]))
+        assert np.all(np.isnan(out["magnetization_2"]))
+
+
 def test_pair_step_series_matches_scalar_reference():
     # batched kernel against one-time scalar evaluations, full space
     model = build_chain_model(ChainParams(n_total=3, b_field=0.1))
     h = model.hamiltonian
-    bp = model.bipartition
-    rng = np.random.default_rng(7)
     n_times = 9
     w, v = np.linalg.eigh(h)
     psi1 = np.kron(np.array([1, 1]) / np.sqrt(2), [1, 0, 0, 0]).astype(complex)
@@ -219,32 +259,59 @@ def test_pair_step_series_matches_scalar_reference():
     phases = np.exp(-1j * np.outer(times, w))
     s1 = (v @ (phases * (v.conj().T @ psi1)).T).T
     s2 = (v @ (phases * (v.conj().T @ psi2)).T).T
+    assert_kernel_matches_oracles(h, model.bipartition, s1, s2, chunk_elements=64)
 
-    out = pair_step_series(h, 2, 4, s1, s2, sz_diagonal=None, chunk_elements=64)
-    for i in range(n_times):
-        r1 = np.outer(s1[i], s1[i].conj())
-        r2 = np.outer(s2[i], s2[i].conj())
-        r1s = partial_trace(r1, bp, "system")
-        r2s = partial_trace(r2, bp, "system")
-        r1e = partial_trace(r1, bp, "environment")
-        r2e = partial_trace(r2, bp, "environment")
-        chi1 = correlation_operator(r1, bp)
-        chi2 = correlation_operator(r2, bp)
-        bt = distinguishability_bound(model, r1, r2)
-        assert abs(out["d_system"][i] - trace_distance(r1s, r2s)) < 1e-10
-        assert abs(out["d_env"][i] - trace_distance(r1e, r2e)) < 1e-10
-        assert abs(out["e_indist"][i] - env_indistinguishability(r1e, r2e)) < 1e-10
-        assert abs(out["x_corr"][i] - correlation_distance(chi1, chi2)) < 1e-10
-        assert abs(out["chi1_norm"][i] - trace_norm(chi1)) < 1e-10
-        assert abs(out["chi2_norm"][i] - trace_norm(chi2)) < 1e-10
-        assert abs(out["bound_term1"][i] - bt.term1) < 1e-10
-        assert abs(out["bound_term2"][i] - bt.term2) < 1e-10
-        assert abs(out["bound_total"][i] - bt.total) < 1e-10
-        assert abs(out["svn_system_1"][i] - von_neumann_entropy(r1s)) < 1e-10
-        assert abs(out["svn_system_2"][i] - von_neumann_entropy(r2s)) < 1e-10
-        assert abs(out["mutual_info_1"][i] - mutual_information(r1, bp)) < 1e-10
-        assert abs(out["mutual_info_2"][i] - mutual_information(r2, bp)) < 1e-10
-    assert np.all(np.isnan(out["magnetization_1"]))
+
+def test_pair_step_series_matches_oracles_on_edge_shapes():
+    rng = np.random.default_rng(9)
+
+    def random_hamiltonian(d):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return (a + a.conj().T) / 2
+
+    def haar_stack(d, n_times=4):
+        return np.array([haar_random_state(d, rng) for _ in range(n_times)])
+
+    # a qutrit on a qubit environment (k = d_E < 2 d_S) and a trivial system
+    for ds, de in ((3, 2), (1, 5)):
+        d = ds * de
+        assert_kernel_matches_oracles(
+            random_hamiltonian(d), Bipartition(ds, de), haar_stack(d), haar_stack(d)
+        )
+
+    model = build_chain_model(ChainParams(n_total=4))
+    sz = total_sz_diagonal(4)
+
+    def env_rank(psi1, psi2):
+        # rank of [P_1^T, P_2^T], the span W the kernel compresses onto
+        return np.linalg.matrix_rank(np.concatenate([v.reshape(2, 8).T for v in (psi1, psi2)], axis=1))
+
+    # the canonical pair at t = 0 shares its environment factor
+    v1, v2 = (state_vector_from_density(r) for r in model.initial_pair)
+    assert env_rank(v1, v2) == 1
+    assert_kernel_matches_oracles(model.hamiltonian, model.bipartition, v1[None], v2[None], sz)
+    # Haar-random entangled states: k = 2 d_S
+    s1, s2 = haar_stack(16), haar_stack(16)
+    assert env_rank(s1[0], s2[0]) == 4
+    assert_kernel_matches_oracles(model.hamiltonian, model.bipartition, s1, s2, sz)
+
+
+def test_pair_step_series_memory_stays_below_one_dense_matrix():
+    # dense n = 11 chain, d = 2048: one d x d complex matrix is 64 MiB
+    model = build_chain_model(ChainParams(n_total=11))
+    h = model.hamiltonian
+    d = h.shape[0]
+    rng = np.random.default_rng(10)
+    s1 = np.array([haar_random_state(d, rng) for _ in range(8)])
+    s2 = np.array([haar_random_state(d, rng) for _ in range(8)])
+    sz = total_sz_diagonal(11)
+    tracemalloc.start()
+    try:
+        pair_step_series(h, 2, d // 2, s1, s2, sz_diagonal=sz)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < d * d * np.dtype(np.complex128).itemsize, peak
 
 
 def test_pair_step_series_chunking_invariant():

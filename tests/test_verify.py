@@ -47,6 +47,7 @@ def test_structural_suite_passes():
     names = " ".join(c.name for c in checks)
     assert "purity" in names and "magnetization" in names
     assert "paths agree" in names
+    assert "kernel oracles" in names
 
 
 def test_check_line_format():
