@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -37,7 +38,13 @@ from .measure import (
     down_up_crossings,
     interval_contributions,
 )
-from .model import ChainParams, ModelFileError, build_chain_model, load_generic_model
+from .model import (
+    ChainParams,
+    ModelFileError,
+    build_chain_model,
+    chain_build_peak_bytes,
+    load_generic_model,
+)
 from .output import write_summary_json, write_sweep_csv, write_trajectory_csv
 from .verify import BOUND_TOLERANCE, bound_suite, structural_suite
 
@@ -202,6 +209,17 @@ def parse_pair_family(text: str, seed: int):
     raise ConfigError(f"pair must be paper, equatorial:K or random:N, got {text!r}")
 
 
+def _check_chain_fits(n_spins: int) -> None:
+    """Refuse a chain whose dense build cannot fit in physical memory."""
+    need = chain_build_peak_bytes(n_spins)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"n_spins={n_spins} needs an estimated {need} bytes to build the chain "
+            f"Hamiltonian, more than the {have} bytes of physical memory"
+        )
+
+
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
     """Merge defaults, scenario presets, the config file and overrides.
 
@@ -248,6 +266,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         raise ConfigError(f"path must be one of {_PATHS}, got {out['path']!r}")
     if out["n_spins"] < 2:
         raise ConfigError(f"n_spins must be at least 2, got {out['n_spins']}")
+    if out["model_file"] is None and scenario != "bound-check":
+        _check_chain_fits(out["n_spins"])
     if out["steps"] < 0:
         raise ConfigError(f"steps must be nonnegative, got {out['steps']}")
     if out["steps"] > 0 and out["t_max"] <= 0:
@@ -303,6 +323,7 @@ def _parse_sweep_config(path: str | None, overrides: dict) -> SweepConfig:
             defaults[key] = coerce[key](key, overrides[key])
     if defaults["t_max"] is None:
         defaults["t_max"] = float(defaults["n_spins"] - 1)
+    _check_chain_fits(defaults["n_spins"])
     if "j0" not in grids or "b" not in grids:
         raise ConfigError("sweep needs both a j0 grid and a b grid")
     for axis in ("j0", "b"):

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import DiagnosticsRow, pair_step_series, sigma_series, mutual_information_rate
-from .linalg import PureState, hermitian_eig, state_vector_from_density
-from .model import Model, total_sz_diagonal
+from .linalg import PureState, hermitian_eig
+from .model import Model, ProductState, product_pair, total_sz_diagonal
 
 __all__ = [
     "TimeGrid",
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 SUPPORT_ATOL = 1e-10
-PRODUCT_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -153,20 +152,10 @@ def carrier_indices(n_total: int) -> np.ndarray:
     return np.array([(s << big_n) + e for s in (0, 1) for e in env], dtype=np.int64)
 
 
-def _initial_vectors(model: Model) -> tuple[np.ndarray, np.ndarray]:
-    """Extract pure product state vectors from the model's initial pair."""
-    out = []
-    ds, de = model.bipartition.d_system, model.bipartition.d_environment
-    for i, rho in enumerate(model.initial_pair):
-        v = state_vector_from_density(rho, atol=PRODUCT_ATOL)
-        s = np.linalg.svd(v.reshape(ds, de), compute_uv=False)
-        if s.size > 1 and s[1] > PRODUCT_ATOL:
-            raise ValueError(
-                f"initial state {i + 1} is not a product state "
-                f"(second Schmidt coefficient {s[1]:.3e})"
-            )
-        out.append(v)
-    return out[0], out[1]
+def _initial_vectors(pair: tuple[ProductState, ProductState]) -> tuple[np.ndarray, np.ndarray]:
+    """Joint state vectors of a pair of product states."""
+    (vs1, ve1), (vs2, ve2) = pair
+    return np.kron(vs1, ve1), np.kron(vs2, ve2)
 
 
 def _touched_sectors(model: Model, vectors) -> list[int]:
@@ -189,7 +178,7 @@ def make_propagator(model: Model, dense: bool = False) -> Propagator:
     if dense or model.sector_basis is None:
         w, v = hermitian_eig(model.hamiltonian)
         return Propagator(dimension=d, eigenvalues=w, eigenvectors=v)
-    v1, v2 = _initial_vectors(model)
+    v1, v2 = _initial_vectors(model.initial_pair)
     factors = []
     vals = []
     cols = []
@@ -334,8 +323,17 @@ def _finish(times, dt, cols, path_used, states_1, states_2, carrier) -> Trajecto
     )
 
 
-def run_trajectory(model: Model, grid: TimeGrid, path: str = "auto") -> TrajectoryRecord:
-    """Evolve the model's initial pair over `grid` and record diagnostics.
+def run_trajectory(
+    model: Model,
+    grid: TimeGrid,
+    path: str = "auto",
+    pair: tuple[ProductState, ProductState] | None = None,
+) -> TrajectoryRecord:
+    """Evolve an initial pair under the model over `grid` and record diagnostics.
+
+    pair holds two (system vector, environment vector) product states and
+    defaults to the model's initial_pair; passing it evolves another pair
+    under the same, already validated, Hamiltonian.
 
     path is one of 'dense', 'subspace' or 'auto'. Auto prefers the
     subspace route whenever the model carries sector metadata and the
@@ -344,7 +342,8 @@ def run_trajectory(model: Model, grid: TimeGrid, path: str = "auto") -> Trajecto
     """
     if path not in ("auto", "dense", "subspace"):
         raise ValueError(f"unknown path {path!r}")
-    v1, v2 = _initial_vectors(model)
+    pair = model.initial_pair if pair is None else product_pair(pair, model.bipartition)
+    v1, v2 = _initial_vectors(pair)
     eligible = _subspace_applicable(model, v1, v2)
     if path == "subspace" and not eligible:
         raise ValueError("subspace path needs sector metadata and a low-excitation initial pair")

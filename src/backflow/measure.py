@@ -9,15 +9,14 @@ is equivalent by symmetry, so the canonical |+>/|-> pair is the default.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
 from .evolution import TimeGrid, TrajectoryRecord, run_trajectory
-from .linalg import DensityMatrix, haar_random_state, state_vector_from_density
-from .model import ChainParams, Model, build_chain_model, equatorial_pair
+from .linalg import haar_random_state
+from .model import ChainParams, Model, build_chain_model, equatorial_states
 
 __all__ = [
     "PlusMinusPair",
@@ -139,57 +138,31 @@ def blp_integral(d_values: np.ndarray) -> float:
     return float(steps[steps > INCREASE_THRESHOLD].sum())
 
 
-def _chain_pair_candidates(family: PairFamily, n_total: int):
-    d_env = 2 ** (n_total - 1)
-    env = np.zeros(d_env, dtype=np.complex128)
-    env[0] = 1.0
-    if isinstance(family, PlusMinusPair):
-        yield "paper", equatorial_pair(0.0, n_total)
-    elif isinstance(family, EquatorialScan):
-        for k in range(family.n_phi):
-            phi = np.pi * k / family.n_phi
-            yield f"equatorial:phi={phi:.12g}", equatorial_pair(phi, n_total)
-    elif isinstance(family, RandomPairs):
-        rng = np.random.default_rng(family.seed)
-        for k in range(family.n):
-            pair = tuple(
-                DensityMatrix.from_state_vector(np.kron(haar_random_state(2, rng), env), (2, d_env))
-                for _ in range(2)
-            )
-            yield f"random:{k}", pair
-    else:
-        raise TypeError(f"unknown pair family {family!r}")
+def _pair_candidates(family: PairFamily, model: Model):
+    """(label, pair) for each system pair of the family, against the model's environment.
 
-
-def _generic_pair_candidates(family: PairFamily, model: Model):
-    ds, de = model.bipartition.d_system, model.bipartition.d_environment
-    # keep the model's own environment preparation for every candidate pair
-    v = state_vector_from_density(model.initial_pair[0])
-    u, s, vh = np.linalg.svd(v.reshape(ds, de))
-    env = vh[0, :].conj()
+    Every candidate keeps the environment factor of the model's first
+    initial state.
+    """
+    ds = model.bipartition.d_system
+    env = model.initial_pair[0][1]
     if isinstance(family, RandomPairs):
         rng = np.random.default_rng(family.seed)
         for k in range(family.n):
-            pair = tuple(
-                DensityMatrix.from_state_vector(np.kron(haar_random_state(ds, rng), env), (ds, de))
-                for _ in range(2)
-            )
-            yield f"random:{k}", pair
+            yield f"random:{k}", tuple((haar_random_state(ds, rng), env) for _ in range(2))
         return
+    if isinstance(family, PlusMinusPair):
+        labelled = [("paper", 0.0)]
+    elif isinstance(family, EquatorialScan):
+        phis = [np.pi * k / family.n_phi for k in range(family.n_phi)]
+        labelled = [(f"equatorial:phi={phi:.12g}", phi) for phi in phis]
+    else:
+        raise TypeError(f"unknown pair family {family!r}")
     if ds != 2:
         raise ValueError("equatorial input pairs need a qubit system")
-    phis = [0.0] if isinstance(family, PlusMinusPair) else [
-        np.pi * k / family.n_phi for k in range(family.n_phi)
-    ]
-    labels = ["paper"] if isinstance(family, PlusMinusPair) else [
-        f"equatorial:phi={p:.12g}" for p in phis
-    ]
-    for label, phi in zip(labels, phis):
-        out = []
-        for sign in (+1.0, -1.0):
-            sys_state = np.array([1.0, sign * np.exp(1j * phi)], dtype=np.complex128) / np.sqrt(2.0)
-            out.append(DensityMatrix.from_state_vector(np.kron(sys_state, env), (ds, de)))
-        yield label, (out[0], out[1])
+    for label, phi in labelled:
+        plus, minus = equatorial_states(phi)
+        yield label, ((plus, env), (minus, env))
 
 
 def blp_measure(
@@ -200,22 +173,19 @@ def blp_measure(
 ) -> MeasureReport:
     """Maximize accumulated backflow over a family of input pairs.
 
-    Accepts either chain parameters (the chain is built once and the
-    initial pair swapped per candidate) or a prebuilt model, in which
-    case candidate pairs reuse the model's environment preparation.
+    Accepts either chain parameters (the chain is built once) or a
+    prebuilt model. Every candidate pair runs under the same validated
+    Hamiltonian and keeps the model's environment preparation.
     """
     if isinstance(model_or_params, ChainParams):
-        base = build_chain_model(model_or_params)
-        candidates = _chain_pair_candidates(pair_family, model_or_params.n_total)
+        model = build_chain_model(model_or_params)
     else:
-        base = model_or_params
-        candidates = _generic_pair_candidates(pair_family, base)
+        model = model_or_params
 
     best = None
     per_pair = []
-    for label, pair in candidates:
-        model = dataclasses.replace(base, initial_pair=pair)
-        record = run_trajectory(model, grid, path=path)
+    for label, pair in _pair_candidates(pair_family, model):
+        record = run_trajectory(model, grid, path=path, pair=pair)
         value = blp_integral(record.d_system)
         per_pair.append((label, value))
         if best is None or value > best[1]:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import Bipartition, DensityMatrix, HERMITIAN_ATOL, kron
+from .linalg import HERMITIAN_ATOL, NORM_ATOL, Bipartition, kron
 
 __all__ = [
     "PAULI",
@@ -25,8 +25,11 @@ __all__ = [
     "DimensionMismatchError",
     "CorrelatedInitialStateError",
     "pauli_on_site",
+    "product_pair",
     "build_chain_model",
+    "chain_build_peak_bytes",
     "plus_minus_pair",
+    "equatorial_states",
     "equatorial_pair",
     "load_generic_model",
     "total_sz_diagonal",
@@ -42,6 +45,8 @@ _ID2 = np.eye(2, dtype=np.complex128)
 
 INTERACTION_RESIDUAL_ATOL = 1e-12
 SECTOR_ATOL = 1e-14
+# edge of the square tiles the Hermiticity check compares, small enough to stay in cache
+ASYMMETRY_TILE = 256
 
 
 class ModelFileError(ValueError):
@@ -72,14 +77,6 @@ def pauli_on_site(axis: str, site: int, n_total: int) -> np.ndarray:
     left = np.eye(2**site, dtype=np.complex128)
     right = np.eye(2 ** (n_total - site - 1), dtype=np.complex128)
     return kron(kron(left, PAULI[axis]), right)
-
-
-def _bond_term(axis: str, site: int, n_total: int) -> np.ndarray:
-    """sigma_site^a sigma_{site+1}^a as a dense operator (one 4x4 block padded)."""
-    block = np.kron(PAULI[axis], PAULI[axis])
-    left = np.eye(2**site, dtype=np.complex128)
-    right = np.eye(2 ** (n_total - site - 2), dtype=np.complex128)
-    return kron(kron(left, block), right)
 
 
 def total_sz_diagonal(n_total: int) -> np.ndarray:
@@ -120,10 +117,63 @@ class ChainParams:
             raise ValueError("j_env must be nonzero; ratios are taken against it")
 
 
+def _max_asymmetry(h: np.ndarray) -> float:
+    """max |h - h^dagger| entrywise, compared tile by tile with no d x d temporary."""
+    d = h.shape[0]
+    worst = 0.0
+    for i in range(0, d, ASYMMETRY_TILE):
+        for j in range(i, d, ASYMMETRY_TILE):
+            upper = h[i : i + ASYMMETRY_TILE, j : j + ASYMMETRY_TILE]
+            lower = h[j : j + ASYMMETRY_TILE, i : i + ASYMMETRY_TILE]
+            worst = max(worst, float(np.max(np.abs(upper - lower.conj().T))))
+    return worst
+
+
+ProductState = tuple[np.ndarray, np.ndarray]
+
+
+def product_pair(pair, bipartition: Bipartition) -> tuple[ProductState, ProductState]:
+    """Check two product states given as (system vector, environment vector).
+
+    Returns the factors as contiguous complex128 arrays. Raises ValueError
+    unless there are exactly two states whose factors have shapes
+    (d_system,) and (d_environment,) and unit norm within NORM_ATOL.
+    """
+    if len(pair) != 2:
+        raise ValueError("initial_pair must hold exactly two states")
+    shapes = ((bipartition.d_system,), (bipartition.d_environment,))
+    out = []
+    for i, state in enumerate(pair):
+        try:
+            vs, ve = state
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"initial state {i + 1} must be a (system vector, environment vector) pair"
+            ) from exc
+        factors = (
+            np.ascontiguousarray(np.asarray(vs, dtype=np.complex128)),
+            np.ascontiguousarray(np.asarray(ve, dtype=np.complex128)),
+        )
+        for name, v, shape in zip(("system", "environment"), factors, shapes):
+            if v.shape != shape:
+                raise ValueError(
+                    f"initial state {i + 1}: {name} factor shape {v.shape} does not match {shape}"
+                )
+            norm = float(np.linalg.norm(v))
+            if abs(norm - 1.0) > NORM_ATOL:
+                raise ValueError(
+                    f"initial state {i + 1}: {name} factor norm {norm:.17g} differs from 1"
+                )
+        out.append(factors)
+    return out[0], out[1]
+
+
 @dataclass(frozen=True)
 class Model:
-    """Joint Hamiltonian, bipartition and a pair of initial joint states.
+    """Joint Hamiltonian, bipartition and a pair of initial product states.
 
+    Each initial state is held as its factors (system vector, environment
+    vector), so the pair is uncorrelated by construction.
     interaction_terms, when present, lists (system operator, environment
     operator) factors whose kron-sum plus a purely environment-local
     remainder reproduces the Hamiltonian. sector_basis, when present,
@@ -132,7 +182,7 @@ class Model:
 
     hamiltonian: np.ndarray
     bipartition: Bipartition
-    initial_pair: tuple[DensityMatrix, DensityMatrix]
+    initial_pair: tuple[ProductState, ProductState]
     interaction_terms: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
     sector_basis: tuple[np.ndarray, ...] | None = None
 
@@ -142,16 +192,10 @@ class Model:
         d = self.bipartition.d_joint
         if h.shape != (d, d):
             raise ValueError(f"hamiltonian shape {h.shape} does not match bipartition dimension {d}")
-        asym = float(np.max(np.abs(h - h.conj().T)))
+        object.__setattr__(self, "initial_pair", product_pair(self.initial_pair, self.bipartition))
+        asym = _max_asymmetry(h)
         if asym > HERMITIAN_ATOL:
             raise ValueError(f"hamiltonian not Hermitian, max asymmetry {asym:.3e}")
-        if len(self.initial_pair) != 2:
-            raise ValueError("initial_pair must hold exactly two states")
-        for rho in self.initial_pair:
-            if rho.dimension != d:
-                raise ValueError(
-                    f"initial state dimension {rho.dimension} does not match Hamiltonian dimension {d}"
-                )
         if self.interaction_terms is not None:
             self._check_interaction_terms(h)
         if self.sector_basis is not None:
@@ -159,7 +203,7 @@ class Model:
 
     def _check_interaction_terms(self, h: np.ndarray) -> None:
         ds, de = self.bipartition.d_system, self.bipartition.d_environment
-        resid = h.copy()
+        r = h.reshape(ds, de, ds, de).copy()
         for a, b in self.interaction_terms:
             a = np.asarray(a, dtype=np.complex128)
             b = np.asarray(b, dtype=np.complex128)
@@ -167,9 +211,11 @@ class Model:
                 raise ValueError(
                     f"interaction factor shapes {a.shape}, {b.shape} do not match bipartition ({ds}, {de})"
                 )
-            resid -= kron(a, b)
+            # subtract kron(a, b) block by block, without forming it
+            for s in range(ds):
+                for t in range(ds):
+                    r[s, :, t, :] -= a[s, t] * b
         # whatever is left must act on the environment alone: I_S (x) M
-        r = resid.reshape(ds, de, ds, de)
         for s in range(ds):
             for t in range(ds):
                 block = r[s, :, t, :]
@@ -196,32 +242,44 @@ class Model:
         return self.bipartition.d_joint
 
 
-def equatorial_pair(phi: float, n_total: int) -> tuple[DensityMatrix, DensityMatrix]:
+def equatorial_states(phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The antipodal equatorial qubit states (|0> +- e^{i phi} |1>)/sqrt(2)."""
+    phase = np.exp(1j * phi)
+    plus = np.array([1.0, phase], dtype=np.complex128) / np.sqrt(2.0)
+    minus = np.array([1.0, -phase], dtype=np.complex128) / np.sqrt(2.0)
+    return plus, minus
+
+
+def equatorial_pair(phi: float, n_total: int) -> tuple[ProductState, ProductState]:
     """Antipodal equatorial qubit pair against an all-|0> environment.
 
-    The system states are (|0> +- e^{i phi} |1>)/sqrt(2); the pair is
-    orthogonal, so the joint trace distance starts at 1.
+    Each state is returned as its (system, environment) factors; the
+    system factors are equatorial_states(phi). The pair is orthogonal,
+    so the joint trace distance starts at 1.
     """
-    d_env = 2 ** (n_total - 1)
-    env = np.zeros(d_env, dtype=np.complex128)
+    env = np.zeros(2 ** (n_total - 1), dtype=np.complex128)
     env[0] = 1.0
-    phase = np.exp(1j * phi)
-    out = []
-    for sign in (+1.0, -1.0):
-        sys_state = np.array([1.0, sign * phase], dtype=np.complex128) / np.sqrt(2.0)
-        joint = np.kron(sys_state, env)
-        out.append(DensityMatrix.from_state_vector(joint, (2, d_env)))
-    return out[0], out[1]
+    plus, minus = equatorial_states(phi)
+    return (plus, env), (minus, env)
 
 
-def plus_minus_pair(n_total: int) -> tuple[DensityMatrix, DensityMatrix]:
+def plus_minus_pair(n_total: int) -> tuple[ProductState, ProductState]:
     """|+> and |-> against an all-|0> environment (phi = 0 equatorial pair)."""
     return equatorial_pair(0.0, n_total)
 
 
+def chain_build_peak_bytes(n_total: int) -> int:
+    """Upper bound on the memory build_chain_model needs for n_total spins.
+
+    Four dense 2^n_total-square complex128 matrices: the Hamiltonian
+    plus the temporaries of the Model checks run on it.
+    """
+    return 4 * np.dtype(np.complex128).itemsize * 4**n_total
+
+
 def build_chain_model(
     params: ChainParams,
-    initial_pair: tuple[DensityMatrix, DensityMatrix] | None = None,
+    initial_pair: tuple[ProductState, ProductState] | None = None,
 ) -> Model:
     """Assemble the chain Hamiltonian with sector metadata.
 
@@ -230,20 +288,31 @@ def build_chain_model(
         -2 b_field sum_{n=1..N} sz_n            (sites 1..N, plus site 0
                                                  when field_on_system)
     with N = n_total - 1 environment spins.
+
+    H is written entry by entry from the bits of the basis index (site s
+    is bit n_total - 1 - s), O(n_total 2^n_total) writes: since
+    sx sx + sy sy = 2 (s+ s- + s- s+), each bond connects a basis state
+    whose two bond bits differ to the state with both flipped, with
+    amplitude -4 J. The field terms are the diagonal, summed site by
+    site in the order above.
     """
     n = params.n_total
     big_n = n - 1
     d = 2**n
+    idx = np.arange(d)
     h = np.zeros((d, d), dtype=np.complex128)
-    for axis in ("x", "y"):
-        h -= 2.0 * params.j_sys * _bond_term(axis, 0, n)
-    for site in range(1, big_n):
-        for axis in ("x", "y"):
-            h -= 2.0 * params.j_env * _bond_term(axis, site, n)
-    for site in range(1, n):
-        h -= 2.0 * params.b_field * pauli_on_site("z", site, n)
-    if params.field_on_system:
-        h -= 2.0 * params.b_field * pauli_on_site("z", 0, n)
+    for site in range(big_n):
+        j = params.j_sys if site == 0 else params.j_env
+        mask = 3 << (n - 2 - site)
+        bond_bits = idx & mask
+        movers = idx[(bond_bits != 0) & (bond_bits != mask)]
+        h[movers, movers ^ mask] = -4.0 * j
+    diag = np.zeros(d)
+    field_sites = list(range(1, n)) + ([0] if params.field_on_system else [])
+    for site in field_sites:
+        sz = 1.0 - 2.0 * ((idx >> (n - 1 - site)) & 1)
+        diag -= 2.0 * params.b_field * sz
+    h[idx, idx] = diag
 
     d_env = 2**big_n
     terms: list[tuple[np.ndarray, np.ndarray]] = []
@@ -375,7 +444,7 @@ def load_generic_model(path: str | Path) -> Model:
                 f"{path}: {where} needs either joint_state or both "
                 f"system_state and environment_state"
             )
-        pair.append(DensityMatrix.from_state_vector(np.kron(vs, ve), (ds, de)))
+        pair.append((vs, ve))
 
     terms = None
     if "interaction_terms" in doc:

@@ -76,26 +76,16 @@ def random_generic_model(rng: np.random.Generator, d_environment: int, d_system:
     d = d_system * d_environment
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = (a + a.conj().T) / 2.0
-    dims = (d_system, d_environment)
-    pair = []
-    for _ in range(2):
-        vs = haar_random_state(d_system, rng)
-        ve = haar_random_state(d_environment, rng)
-        pair.append(DensityMatrix.from_state_vector(np.kron(vs, ve), dims))
-    return Model(
-        hamiltonian=h,
-        bipartition=Bipartition(d_system, d_environment),
-        initial_pair=(pair[0], pair[1]),
+    pair = tuple(
+        (haar_random_state(d_system, rng), haar_random_state(d_environment, rng)) for _ in range(2)
     )
+    return Model(hamiltonian=h, bipartition=Bipartition(d_system, d_environment), initial_pair=pair)
 
 
 def _sigma_and_bound_at(model: Model, prop, t: float, delta: float = SIGMA_DELTA):
     """Local-difference sigma and the bound at one time."""
-    from .evolution import evolve_state
-    from .linalg import state_vector_from_density
-
     bp = model.bipartition
-    v = [state_vector_from_density(r) for r in model.initial_pair]
+    v = [np.kron(vs, ve) for vs, ve in model.initial_pair]
     reduced = {}
     for dt in (-delta, 0.0, +delta):
         rho = []

@@ -164,7 +164,7 @@ def test_06_generator_first_order_convergence(report):
     prop = make_propagator(model, dense=True)
     h, bp = model.hamiltonian, model.bipartition
     vecs, vals = prop.eigenvectors, prop.eigenvalues
-    v0 = [state_vector_from_density(r) for r in model.initial_pair]
+    v0 = [np.kron(vs, ve) for vs, ve in model.initial_pair]
     deltas = np.array([1e-2, 1e-3, 1e-4])
     rng = np.random.default_rng(7)
     slopes = []

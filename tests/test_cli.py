@@ -6,11 +6,13 @@ import pytest
 
 from backflow.cli import (
     ConfigError,
+    _parse_sweep_config,
     main,
     parse_config,
     parse_pair_family,
 )
 from backflow.measure import EquatorialScan, PlusMinusPair, RandomPairs
+from backflow.model import chain_build_peak_bytes
 
 CSV_HEADER = (
     "t,D_system,sigma,bound_total,bound_term1,bound_term2,D_env,E_indist,"
@@ -89,6 +91,25 @@ def test_parse_pair_family():
 
 def run_cli(*args):
     return main(list(args))
+
+
+def test_infeasible_chain_size_exits_2_before_building(tmp_path, capsys):
+    # refused at config time: nothing is allocated, so no output file appears
+    need = str(chain_build_peak_bytes(30))
+    out = tmp_path / "never.csv"
+    code = run_cli("run", "--scenario", "fig1a", "--n-spins", "30", "--out", str(out))
+    assert code == 2
+    assert need in capsys.readouterr().err
+    code = run_cli(
+        "sweep", "--n-spins", "30", "--j0-grid", "0.5", "1.0", "2",
+        "--b-grid", "0.0", "1.0", "2", "--out", str(out),
+    )
+    assert code == 2
+    assert need in capsys.readouterr().err
+    assert not out.exists()
+    assert parse_config(overrides={"scenario": "fig1a", "n_spins": 10}).n_spins == 10
+    grids = {"j0_grid": [0.5, 1.0, 2], "b_grid": [0.0, 1.0, 2]}
+    assert _parse_sweep_config(None, {"n_spins": 10, **grids}).n_spins == 10
 
 
 def test_run_scenario_outputs(tmp_path):

@@ -23,7 +23,6 @@ from backflow.linalg import (
     haar_random_state,
     partial_trace,
     purity,
-    state_vector_from_density,
     trace_norm,
     von_neumann_entropy,
 )
@@ -287,7 +286,7 @@ def test_pair_step_series_matches_oracles_on_edge_shapes():
         return np.linalg.matrix_rank(np.concatenate([v.reshape(2, 8).T for v in (psi1, psi2)], axis=1))
 
     # the canonical pair at t = 0 shares its environment factor
-    v1, v2 = (state_vector_from_density(r) for r in model.initial_pair)
+    v1, v2 = (np.kron(vs, ve) for vs, ve in model.initial_pair)
     assert env_rank(v1, v2) == 1
     assert_kernel_matches_oracles(model.hamiltonian, model.bipartition, v1[None], v2[None], sz)
     # Haar-random entangled states: k = 2 d_S

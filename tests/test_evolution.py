@@ -78,10 +78,8 @@ def test_sector_propagator_agrees_with_dense():
     model = build_chain_model(ChainParams(n_total=4))
     dense = make_propagator(model, dense=True)
     sector = make_propagator(model)
-    v1, _ = model.initial_pair
-    from backflow.linalg import state_vector_from_density
-
-    v = state_vector_from_density(v1.matrix)
+    (vs, ve), _ = model.initial_pair
+    v = np.kron(vs, ve)
     for t in (0.0, 0.4, 1.7):
         assert np.max(np.abs(dense.apply(v, t) - sector.apply(v, t))) < 1e-12
 
@@ -194,12 +192,7 @@ def test_auto_path_selection():
     flipped_env = np.zeros(8, dtype=complex)
     flipped_env[4] = 1.0  # chain site 1 flipped
     sys_pair = equatorial_pair(0.0, 1)  # single-qubit pair, dims (2, 1)
-    from backflow.linalg import DensityMatrix, kron
-
-    pair = tuple(
-        DensityMatrix(kron(p.matrix, np.outer(flipped_env, flipped_env.conj())), (2, 8))
-        for p in sys_pair
-    )
+    pair = tuple((vs, flipped_env) for vs, _ in sys_pair)
     model2 = Model(
         chain.hamiltonian,
         chain.bipartition,

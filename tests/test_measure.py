@@ -101,6 +101,26 @@ def test_pair_swap_invariance():
     b = run_trajectory(swapped, grid)
     assert np.max(np.abs(a.d_system - b.d_system)) < 1e-12
     assert np.max(np.abs(a.bound_total - b.bound_total)) < 1e-12
+    # the same swap handed to the chain model as a pair
+    c = run_trajectory(chain, grid, pair=swapped.initial_pair)
+    assert np.array_equal(c.d_system, b.d_system)
+    assert np.array_equal(c.bound_total, b.bound_total)
+    with pytest.raises(ValueError):
+        run_trajectory(chain, grid, pair=(chain.initial_pair[0], (np.ones(2), np.ones(8))))
+
+
+def test_measure_validates_hamiltonian_once(monkeypatch):
+    calls = []
+    check = Model._check_sectors
+
+    def counted(self, h):
+        calls.append(h.shape)
+        return check(self, h)
+
+    monkeypatch.setattr(Model, "_check_sectors", counted)
+    report = blp_measure(ChainParams(n_total=6), TimeGrid(5.0, 50), EquatorialScan(4))
+    assert len(report.per_pair_values) == 4
+    assert len(calls) == 1
 
 
 def test_random_pairs_reproducible():

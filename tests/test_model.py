@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from backflow.model import (
     ModelFileError,
     NonHermitianHamiltonianError,
     build_chain_model,
+    chain_build_peak_bytes,
     equatorial_pair,
     excitation_sectors,
     load_generic_model,
@@ -109,24 +111,46 @@ def test_chain_params_validation():
         ChainParams(n_total=4, j_env=0.0)
 
 
+def _density(state):
+    """Joint density matrix of a (system vector, environment vector) state."""
+    psi = np.kron(*state)
+    return np.outer(psi, psi.conj())
+
+
 def test_equatorial_pair_states():
     rho1, rho2 = equatorial_pair(0.0, 3)
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     vac = np.zeros(4, dtype=complex)
     vac[0] = 1.0
     want = np.kron(plus, vac)
-    assert np.max(np.abs(rho1.matrix - np.outer(want, want.conj()))) < 1e-14
+    assert np.max(np.abs(_density(rho1) - np.outer(want, want.conj()))) < 1e-14
     # antipodal pair: distance 1 regardless of phi
     for phi in (0.0, 0.4, np.pi / 2):
         r1, r2 = equatorial_pair(phi, 2)
-        assert abs(trace_norm(r1.matrix - r2.matrix) / 2 - 1.0) < 1e-12
+        assert abs(trace_norm(_density(r1) - _density(r2)) / 2 - 1.0) < 1e-12
 
 
 def test_plus_minus_is_phi_zero():
     a = plus_minus_pair(3)
     b = equatorial_pair(0.0, 3)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.matrix, y.matrix)
+    for (xs, xe), (ys, ye) in zip(a, b):
+        assert np.array_equal(xs, ys)
+        assert np.array_equal(xe, ye)
+
+
+def test_model_rejects_bad_factors():
+    h = np.zeros((4, 4))
+    (vs, ve), second = plus_minus_pair(2)
+    Model(h, Bipartition(2, 2), ((vs, ve), second))
+    for bad in (
+        (vs, np.ones(3) / np.sqrt(3)),  # environment factor of the wrong shape
+        (vs[:, None], ve),  # system factor not a vector
+        (1.01 * vs, ve),  # system factor off unit norm
+        (vs, ve * (1 + 1e-9)),  # environment factor off unit norm
+        np.kron(vs, ve),  # a joint vector, not factors
+    ):
+        with pytest.raises(ValueError):
+            Model(h, Bipartition(2, 2), (bad, second))
 
 
 def _write_model(tmp_path, doc, name="m.json"):
@@ -169,7 +193,7 @@ def test_load_generic_model_roundtrip(tmp_path):
     rho1, rho2 = model.initial_pair
     e1 = np.zeros(6)
     e1[1] = 1.0  # |0> x |1>
-    assert np.max(np.abs(rho1.matrix - np.outer(e1, e1))) < 1e-12
+    assert np.max(np.abs(_density(rho1) - np.outer(e1, e1))) < 1e-12
 
 
 def test_load_accepts_product_joint_state(tmp_path):
@@ -178,7 +202,7 @@ def test_load_accepts_product_joint_state(tmp_path):
     doc["initial_states"][0] = {"joint_state": _vec(joint)}
     model = load_generic_model(_write_model(tmp_path, doc))
     rho1 = model.initial_pair[0]
-    assert np.max(np.abs(rho1.matrix - np.outer(joint, joint.conj()))) < 1e-10
+    assert np.max(np.abs(_density(rho1) - np.outer(joint, joint.conj()))) < 1e-10
 
 
 def test_load_rejects_entangled_joint_state(tmp_path):
@@ -256,3 +280,49 @@ def test_load_rejects_wrong_interaction_terms(tmp_path):
 def test_chain_sector_basis_covers_space():
     model = build_chain_model(ChainParams(n_total=4))
     assert sum(len(v) for v in model.sector_basis) == 16
+
+
+def _kron_chain_hamiltonian(params):
+    """The chain Hamiltonian assembled term by term from dense kron products."""
+    n = params.n_total
+    d = 2**n
+    h = np.zeros((d, d), dtype=np.complex128)
+    for site in range(n - 1):
+        j = params.j_sys if site == 0 else params.j_env
+        for axis in ("x", "y"):
+            bond = np.kron(PAULI[axis], PAULI[axis])
+            left, right = np.eye(2**site), np.eye(2 ** (n - site - 2))
+            h -= 2.0 * j * np.kron(np.kron(left, bond), right)
+    for site in range(1, n):
+        h -= 2.0 * params.b_field * pauli_on_site("z", site, n)
+    if params.field_on_system:
+        h -= 2.0 * params.b_field * pauli_on_site("z", 0, n)
+    return h
+
+
+def test_chain_builder_matches_kron_reference():
+    rng = np.random.default_rng(12)
+    for n in range(2, 9):
+        for field_on_system in (False, True):
+            j_sys, j_env, b_field = rng.uniform(-2.0, 2.0, 3)
+            params = ChainParams(n, j_env, j_sys, b_field, field_on_system)
+            model = build_chain_model(params)
+            gap = np.max(np.abs(model.hamiltonian - _kron_chain_hamiltonian(params)))
+            assert gap <= 1e-15, (n, field_on_system, gap)
+            # the model's own metadata still passes its checks on this H
+            model._check_interaction_terms(model.hamiltonian)
+            model._check_sectors(model.hamiltonian)
+
+
+def test_chain_build_memory_stays_below_four_dense_matrices():
+    # n = 11, d = 2048: one d x d complex matrix is 64 MiB
+    d = 2**11
+    budget = 4 * d * d * np.dtype(np.complex128).itemsize
+    assert chain_build_peak_bytes(11) == budget
+    tracemalloc.start()
+    try:
+        build_chain_model(ChainParams(n_total=11))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < budget, peak

@@ -17,8 +17,9 @@ def test_random_generic_model_shape():
         assert model.bipartition.d_environment == d_env
         h = model.hamiltonian
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
-        for rho in model.initial_pair:
-            assert abs(purity(rho.matrix) - 1.0) < 1e-10
+        for vs, ve in model.initial_pair:
+            psi = np.kron(vs, ve)
+            assert abs(purity(np.outer(psi, psi.conj())) - 1.0) < 1e-10
         assert model.interaction_terms is None
         assert model.sector_basis is None
 
