@@ -9,30 +9,25 @@ terms that bound its growth.
 
 from .diagnostics import (
     BoundTerms,
-    DiagnosticsRow,
     correlation_distance,
     correlation_operator,
     distinguishability_bound,
     env_indistinguishability,
-    guess_probability,
     mutual_information,
     sigma_series,
     trace_distance,
 )
 from .evolution import (
     Propagator,
-    SubspaceOperator,
     TimeGrid,
     TrajectoryRecord,
     carrier_indices,
-    evolve_state,
     make_propagator,
     run_trajectory,
 )
 from .linalg import (
     Bipartition,
     DensityMatrix,
-    PureState,
     haar_random_state,
     hermitian_eig,
     kron,
@@ -67,7 +62,7 @@ from .model import (
     plus_minus_pair,
     total_sz_diagonal,
 )
-from .verify import CheckResult, bound_suite, random_generic_model, run_all_checks, structural_suite
+from .verify import CheckResult, bound_suite, random_generic_model, structural_suite
 
 __version__ = "0.1.0"
 
@@ -78,7 +73,6 @@ __all__ = [
     "CheckResult",
     "CorrelatedInitialStateError",
     "DensityMatrix",
-    "DiagnosticsRow",
     "DimensionMismatchError",
     "EquatorialScan",
     "MeasureReport",
@@ -87,9 +81,7 @@ __all__ = [
     "NonHermitianHamiltonianError",
     "PlusMinusPair",
     "Propagator",
-    "PureState",
     "RandomPairs",
-    "SubspaceOperator",
     "TimeGrid",
     "TrajectoryRecord",
     "blp_integral",
@@ -102,9 +94,7 @@ __all__ = [
     "down_up_crossings",
     "env_indistinguishability",
     "equatorial_pair",
-    "evolve_state",
     "excitation_sectors",
-    "guess_probability",
     "haar_random_state",
     "hermitian_eig",
     "increasing_intervals",
@@ -118,7 +108,6 @@ __all__ = [
     "plus_minus_pair",
     "purity",
     "random_generic_model",
-    "run_all_checks",
     "run_trajectory",
     "sigma_series",
     "structural_suite",

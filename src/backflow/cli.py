@@ -276,6 +276,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         raise ConfigError(f"n_models must be positive, got {out['n_models']}")
     if out["pair"] != "file":
         parse_pair_family(out["pair"], out["seed"])
+    elif out["model_file"] is None:
+        raise ConfigError("pair 'file' needs a model_file; a chain has no input pair of its own")
     return RunConfig(**out)
 
 
@@ -537,9 +539,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[int, list[dict]]:
 
 
 def _run_verify(args) -> int:
-    checks, worst = [], -np.inf
-    suite_checks, worst, _ = bound_suite(n_models=args.models, seed=args.seed)
-    checks += suite_checks
+    checks, worst, _ = bound_suite(n_models=args.models, seed=args.seed)
     checks += structural_suite()
     for check in checks:
         print(check.line())

@@ -10,7 +10,6 @@ system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,9 +25,7 @@ from .linalg import (
 
 __all__ = [
     "BoundTerms",
-    "DiagnosticsRow",
     "trace_distance",
-    "guess_probability",
     "sigma_series",
     "correlation_operator",
     "distinguishability_bound",
@@ -46,13 +43,6 @@ def trace_distance(r1, r2) -> float:
     """Half the trace norm of the difference of two density operators."""
     diff = _matrix_of(r1) - _matrix_of(r2)
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def guess_probability(d: float) -> float:
-    """Best single-shot discrimination probability for trace distance d."""
-    if not 0.0 <= d <= 1.0 + 1e-12:
-        raise ValueError(f"trace distance must lie in [0, 1], got {d}")
-    return (1.0 + min(d, 1.0)) / 2.0
 
 
 def _derivative_series(values: np.ndarray, dt: float) -> np.ndarray:
@@ -168,56 +158,7 @@ def mutual_information(rho_se, bipartition: Bipartition) -> float:
     return s_sys + s_env - von_neumann_entropy(m)
 
 
-@dataclass(frozen=True)
-class DiagnosticsRow:
-    """One sampled time of a two-state trajectory, in output column order."""
-
-    t: float
-    d_system: float
-    sigma: float
-    bound_total: float
-    bound_term1: float
-    bound_term2: float
-    d_env: float
-    e_indist: float
-    x_corr: float
-    chi1_norm: float
-    chi2_norm: float
-    svn_system_1: float
-    svn_system_2: float
-    mutual_info_1: float
-    mutual_info_2: float
-    didt_1: float
-
-
 # --- batched kernel -------------------------------------------------------
-
-_SERIES_KEYS = (
-    "d_system",
-    "d_env",
-    "e_indist",
-    "x_corr",
-    "chi1_norm",
-    "chi2_norm",
-    "bound_term1",
-    "bound_term2",
-    "bound_total",
-    "term1_branch1",
-    "term1_branch2",
-    "svn_system_1",
-    "svn_system_2",
-    "mutual_info_1",
-    "mutual_info_2",
-    "purity_1",
-    "purity_2",
-    "magnetization_1",
-    "magnetization_2",
-    "chi1_ptrace_sys",
-    "chi1_ptrace_env",
-    "chi2_ptrace_sys",
-    "chi2_ptrace_env",
-)
-
 
 def _ptrace_stack(x: np.ndarray, ds: int, de: int, keep: str) -> np.ndarray:
     t = x.reshape(x.shape[0], ds, de, ds, de)
@@ -285,9 +226,9 @@ def pair_step_series(
     the same orthonormal basis as `h`, with d = d_system * d_environment.
     The basis may be the full space or any carrier subspace closed under
     the reduced quantities; the caller guarantees that closure. Returns a
-    dict of float series keyed by column name. sz_diagonal, when given,
-    supplies per-basis-state total-magnetization values; otherwise the
-    magnetization columns are NaN.
+    dict of float series keyed by TrajectoryRecord field. sz_diagonal,
+    when given, supplies per-basis-state total-magnetization values;
+    otherwise the magnetization columns are NaN.
 
     Both joint states are pure, so at each time both environment
     marginals live in W, the span of the rows of the two d_system x
@@ -319,15 +260,16 @@ def pair_step_series(
     if s1.shape != s2.shape or s1.shape[1] != d:
         raise ValueError("state stacks must share shape (n_times, d_system*d_environment)")
     n_times = s1.shape[0]
-    out = {key: np.empty(n_times, dtype=np.float64) for key in _SERIES_KEYS}
     chunk = max(1, int(chunk_elements) // (d * ds * min(de, 2 * ds)))
-    for a in range(0, n_times, chunk):
-        b = min(n_times, a + chunk)
-        _fill_chunk(out, slice(a, b), h, ds, de, s1[a:b], s2[a:b], sz_diagonal)
-    return out
+    # an empty stack still runs one (empty) chunk, so every key is present
+    parts = [
+        _chunk_series(h, ds, de, s1[a : a + chunk], s2[a : a + chunk], sz_diagonal)
+        for a in range(0, max(n_times, 1), chunk)
+    ]
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
-def _fill_chunk(out, sl, h, ds, de, s1, s2, sz_diagonal) -> None:
+def _chunk_series(h, ds, de, s1, s2, sz_diagonal) -> dict[str, np.ndarray]:
     n = s1.shape[0]
     psi = {1: s1, 2: s2}
     # P_j^T = Q R_j with orthonormal Q spanning both environment supports
@@ -335,7 +277,7 @@ def _fill_chunk(out, sl, h, ds, de, s1, s2, sz_diagonal) -> None:
     q, r = np.linalg.qr(f)
     k = q.shape[2]
     hc = _compressed_hamiltonian(h, q, ds, de)
-    rho_s, rho_e, chi = {}, {}, {}
+    out, rho_s, rho_e, chi = {}, {}, {}, {}
     for j in (1, 2):
         c = r[:, :, (j - 1) * ds : j * ds].transpose(0, 2, 1)
         rho_s[j] = c @ c.conj().transpose(0, 2, 1)
@@ -343,29 +285,26 @@ def _fill_chunk(out, sl, h, ds, de, s1, s2, sz_diagonal) -> None:
         v = c.reshape(n, ds * k)
         rho_se = v[:, :, None] * v.conj()[:, None, :]
         chi[j] = rho_se - _kron_stack(rho_s[j], rho_e[j])
-        out[f"svn_system_{j}"][sl] = _entropy_stack(rho_s[j])
-        svn_env = _entropy_stack(rho_e[j])
-        svn_joint = _entropy_stack(rho_se)
-        out[f"mutual_info_{j}"][sl] = out[f"svn_system_{j}"][sl] + svn_env - svn_joint
-        norm_sq = (np.abs(psi[j]) ** 2).sum(axis=1)
-        out[f"purity_{j}"][sl] = norm_sq**2
-        if sz_diagonal is None:
-            out[f"magnetization_{j}"][sl] = np.nan
-        else:
-            out[f"magnetization_{j}"][sl] = (np.abs(psi[j]) ** 2) @ sz_diagonal
-        out[f"chi{j}_norm"][sl] = _tn_hermitian_stack(chi[j])
-        out[f"chi{j}_ptrace_sys"][sl] = np.abs(_ptrace_stack(chi[j], ds, k, "system")).max(axis=(1, 2))
-        out[f"chi{j}_ptrace_env"][sl] = np.abs(_ptrace_stack(chi[j], ds, k, "environment")).max(axis=(1, 2))
+        svn_system = _entropy_stack(rho_s[j])
+        out[f"svn_system_{j}"] = svn_system
+        out[f"mutual_info_{j}"] = svn_system + _entropy_stack(rho_e[j]) - _entropy_stack(rho_se)
+        probs = np.abs(psi[j]) ** 2
+        out[f"purity_{j}"] = probs.sum(axis=1) ** 2
+        out[f"magnetization_{j}"] = np.full(n, np.nan) if sz_diagonal is None else probs @ sz_diagonal
+        out[f"chi{j}_norm"] = _tn_hermitian_stack(chi[j])
+        out[f"chi{j}_ptrace_sys"] = np.abs(_ptrace_stack(chi[j], ds, k, "system")).max(axis=(1, 2))
+        out[f"chi{j}_ptrace_env"] = np.abs(_ptrace_stack(chi[j], ds, k, "environment")).max(axis=(1, 2))
 
-    out["d_system"][sl] = 0.5 * _tn_hermitian_stack(rho_s[1] - rho_s[2])
+    out["d_system"] = 0.5 * _tn_hermitian_stack(rho_s[1] - rho_s[2])
     delta_e = rho_e[1] - rho_e[2]
-    out["d_env"][sl] = 0.5 * _tn_hermitian_stack(delta_e)
-    out["e_indist"][sl] = 1.0 - out["d_env"][sl]
+    out["d_env"] = 0.5 * _tn_hermitian_stack(delta_e)
+    out["e_indist"] = 1.0 - out["d_env"]
     dchi = chi[1] - chi[2]
-    out["x_corr"][sl] = 0.5 * _tn_hermitian_stack(dchi)
+    out["x_corr"] = 0.5 * _tn_hermitian_stack(dchi)
 
     for j in (1, 2):
-        out[f"term1_branch{j}"][sl] = _commutator_trace_norm(hc, _kron_stack(rho_s[j], delta_e), ds, k)
-    out["bound_term2"][sl] = _commutator_trace_norm(hc, dchi, ds, k)
-    out["bound_term1"][sl] = np.minimum(out["term1_branch1"][sl], out["term1_branch2"][sl])
-    out["bound_total"][sl] = 0.5 * (out["bound_term1"][sl] + out["bound_term2"][sl])
+        out[f"term1_branch{j}"] = _commutator_trace_norm(hc, _kron_stack(rho_s[j], delta_e), ds, k)
+    out["bound_term2"] = _commutator_trace_norm(hc, dchi, ds, k)
+    out["bound_term1"] = np.minimum(out["term1_branch1"], out["term1_branch2"])
+    out["bound_total"] = 0.5 * (out["bound_term1"] + out["bound_term2"])
+    return out

@@ -18,23 +18,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRow, pair_step_series, sigma_series, mutual_information_rate
-from .linalg import PureState, hermitian_eig
+from .diagnostics import pair_step_series, sigma_series, mutual_information_rate
+from .linalg import hermitian_eig
 from .model import Model, ProductState, product_pair, total_sz_diagonal
 
 __all__ = [
     "TimeGrid",
     "Propagator",
-    "SubspaceOperator",
     "TrajectoryRecord",
     "make_propagator",
-    "evolve_state",
     "run_trajectory",
-    "one_hot_basis",
     "carrier_indices",
 ]
-
-SUPPORT_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -68,74 +63,18 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Propagator:
-    """Spectral form of exp(-i H t) on the full space or on sector blocks.
-
-    eigenvectors holds orthonormal columns embedded in the full space;
-    for a sector-restricted propagator they span only the factorized
-    sectors, and states outside that span are rejected on application.
-    sector_factors keeps the per-sector data (indices, eigenvalues,
-    eigenvectors in sector coordinates) for consumers that work in
-    restricted coordinates.
-    """
+    """Spectral form of exp(-i H t): eigenvalues and orthonormal eigenvector columns."""
 
     dimension: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    sector_factors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] | None = None
 
     def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
         psi = np.asarray(psi, dtype=np.complex128)
         if psi.shape != (self.dimension,):
             raise ValueError(f"state shape {psi.shape} does not match dimension {self.dimension}")
         amp = self.eigenvectors.conj().T @ psi
-        covered = self.eigenvectors @ amp
-        resid = float(np.linalg.norm(psi - covered))
-        if resid > SUPPORT_ATOL * max(1.0, float(np.linalg.norm(psi))):
-            raise ValueError(
-                f"state has weight {resid:.3e} outside the factorized sectors"
-            )
         return self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * amp)
-
-
-@dataclass(frozen=True)
-class SubspaceOperator:
-    """Operator carried on an orthonormal set of full-space basis vectors.
-
-    dense form = basis @ coefficients @ basis^dagger. Trace norms and
-    ranks can be read off the small coefficient matrix directly.
-    """
-
-    basis: np.ndarray
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        basis = np.asarray(self.basis, dtype=np.complex128)
-        coeff = np.asarray(self.coefficients, dtype=np.complex128)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "coefficients", coeff)
-        if basis.ndim != 2 or coeff.shape != (basis.shape[1], basis.shape[1]):
-            raise ValueError("coefficients must be square over the basis columns")
-        gram = basis.conj().T @ basis
-        err = float(np.max(np.abs(gram - np.eye(basis.shape[1]))))
-        if err > 1e-10:
-            raise ValueError(f"basis columns not orthonormal, Gram residual {err:.3e}")
-
-    @property
-    def rank_support(self) -> int:
-        return self.basis.shape[1]
-
-    def to_dense(self) -> np.ndarray:
-        return self.basis @ self.coefficients @ self.basis.conj().T
-
-    def trace_norm(self) -> float:
-        return float(np.linalg.svd(self.coefficients, compute_uv=False).sum())
-
-
-def one_hot_basis(dimension: int, indices: np.ndarray) -> np.ndarray:
-    """Standard basis vectors at `indices`, as orthonormal columns."""
-    b = np.zeros((dimension, len(indices)), dtype=np.complex128)
-    b[np.asarray(indices), np.arange(len(indices))] = 1.0
-    return b
 
 
 def carrier_indices(n_total: int) -> np.ndarray:
@@ -158,63 +97,23 @@ def _initial_vectors(pair: tuple[ProductState, ProductState]) -> tuple[np.ndarra
     return np.kron(vs1, ve1), np.kron(vs2, ve2)
 
 
-def _touched_sectors(model: Model, vectors) -> list[int]:
-    touched = []
-    for k, idx in enumerate(model.sector_basis):
-        weight = max(float(np.linalg.norm(v[idx])) for v in vectors)
-        if weight > 1e-12:
-            touched.append(k)
-    return touched
-
-
-def make_propagator(model: Model, dense: bool = False) -> Propagator:
-    """Factorize the Hamiltonian once, for repeated time evolution.
-
-    With sector metadata present (and dense=False) only the sectors
-    populated by the initial pair are factorized; otherwise the full
-    matrix is.
-    """
-    d = model.dimension
-    if dense or model.sector_basis is None:
-        w, v = hermitian_eig(model.hamiltonian)
-        return Propagator(dimension=d, eigenvalues=w, eigenvectors=v)
-    v1, v2 = _initial_vectors(model.initial_pair)
-    factors = []
-    vals = []
-    cols = []
-    for k in _touched_sectors(model, (v1, v2)):
-        idx = np.asarray(model.sector_basis[k])
-        w, vec = hermitian_eig(model.hamiltonian[np.ix_(idx, idx)])
-        factors.append((idx, w, vec))
-        vals.append(w)
-        embedded = np.zeros((d, idx.size), dtype=np.complex128)
-        embedded[idx, :] = vec
-        cols.append(embedded)
-    return Propagator(
-        dimension=d,
-        eigenvalues=np.concatenate(vals),
-        eigenvectors=np.concatenate(cols, axis=1),
-        sector_factors=tuple(factors),
-    )
-
-
-def evolve_state(propagator: Propagator, state, t: float):
-    """Apply exp(-i H t) to a state vector or PureState."""
-    if isinstance(state, PureState):
-        return PureState(propagator.apply(state.amplitudes, t), state.dims)
-    return propagator.apply(np.asarray(state, dtype=np.complex128), t)
+def make_propagator(model: Model) -> Propagator:
+    """Factorize the full Hamiltonian once, for repeated time evolution."""
+    w, v = hermitian_eig(model.hamiltonian)
+    return Propagator(dimension=model.dimension, eigenvalues=w, eigenvectors=v)
 
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """Time series of every diagnostic for one evolving state pair.
 
-    The output columns mirror DiagnosticsRow; the remaining fields keep
-    bookkeeping used by structural checks (purity and magnetization
-    drift, partial-trace residuals of the correlation operators, both
-    branches of the first bound term) plus the evolved state vectors in
-    carrier coordinates. carrier holds the full-space indices of those
-    coordinates on the subspace path and is None on the dense path.
+    output.TRAJECTORY_CSV names the fields written as CSV columns; the
+    remaining fields keep bookkeeping used by structural checks (purity
+    and magnetization drift, partial-trace residuals of the correlation
+    operators, both branches of the first bound term) plus the evolved
+    state vectors in carrier coordinates. carrier holds the full-space
+    indices of those coordinates on the subspace path and is None on the
+    dense path.
     """
 
     times: np.ndarray
@@ -251,30 +150,6 @@ class TrajectoryRecord:
     @property
     def n_times(self) -> int:
         return self.times.size
-
-    def row(self, i: int) -> DiagnosticsRow:
-        return DiagnosticsRow(
-            t=float(self.times[i]),
-            d_system=float(self.d_system[i]),
-            sigma=float(self.sigma[i]),
-            bound_total=float(self.bound_total[i]),
-            bound_term1=float(self.bound_term1[i]),
-            bound_term2=float(self.bound_term2[i]),
-            d_env=float(self.d_env[i]),
-            e_indist=float(self.e_indist[i]),
-            x_corr=float(self.x_corr[i]),
-            chi1_norm=float(self.chi1_norm[i]),
-            chi2_norm=float(self.chi2_norm[i]),
-            svn_system_1=float(self.svn_system_1[i]),
-            svn_system_2=float(self.svn_system_2[i]),
-            mutual_info_1=float(self.mutual_info_1[i]),
-            mutual_info_2=float(self.mutual_info_2[i]),
-            didt_1=float(self.didt_1[i]),
-        )
-
-    def rows(self):
-        for i in range(self.n_times):
-            yield self.row(i)
 
 
 def _subspace_applicable(model: Model, v1: np.ndarray, v2: np.ndarray) -> bool:
@@ -319,7 +194,7 @@ def _finish(times, dt, cols, path_used, states_1, states_2, carrier) -> Trajecto
         states_1=states_1,
         states_2=states_2,
         carrier=carrier,
-        **{k: cols[k] for k in cols},
+        **cols,
     )
 
 
@@ -367,7 +242,7 @@ def run_trajectory(
         cols = pair_step_series(g, 2, n_total, states[0], states[1], sz_diagonal=sz)
         return _finish(times, grid.dt, cols, "subspace", states[0], states[1], carrier)
 
-    prop = make_propagator(model, dense=True)
+    prop = make_propagator(model)
     s1 = _spectral_series(prop.eigenvalues, prop.eigenvectors, v1, times)
     s2 = _spectral_series(prop.eigenvalues, prop.eigenvectors, v2, times)
     sz = total_sz_diagonal(int(np.log2(model.dimension) + 0.5)) if model.sector_basis is not None else None

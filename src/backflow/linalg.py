@@ -14,18 +14,17 @@ import numpy as np
 __all__ = [
     "Bipartition",
     "DensityMatrix",
-    "PureState",
     "kron",
     "hermitian_eig",
     "trace_norm",
     "partial_trace",
     "von_neumann_entropy",
     "purity",
-    "state_vector_from_density",
     "haar_random_state",
 ]
 
 HERMITIAN_ATOL = 1e-12
+EIG_HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-12
 NORM_ATOL = 1e-12
 PSD_FLOOR = -1e-10
@@ -106,31 +105,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class PureState:
-    """Normalized state vector over a declared tensor factorization."""
-
-    amplitudes: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        v = np.ascontiguousarray(np.asarray(self.amplitudes, dtype=np.complex128).ravel())
-        object.__setattr__(self, "amplitudes", v)
-        object.__setattr__(self, "dims", _dims_tuple(self.dims))
-        if int(np.prod(self.dims)) != v.size:
-            raise ValueError(f"dims {self.dims} do not factor dimension {v.size}")
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state norm {norm:.17g} differs from 1")
-
-    def density_matrix(self) -> DensityMatrix:
-        return DensityMatrix.from_state_vector(self.amplitudes, self.dims)
-
-    @property
-    def dimension(self) -> int:
-        return self.amplitudes.size
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product of two matrices, left factor slowest."""
     a = np.asarray(a)
@@ -140,18 +114,18 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def hermitian_eig(h: np.ndarray, atol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
     eigenvectors as orthonormal columns. Inputs whose max asymmetry
-    exceeds `atol` are rejected.
+    exceeds EIG_HERMITIAN_ATOL are rejected.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     asym = float(np.max(np.abs(h - h.conj().T)))
-    if asym > atol:
+    if asym > EIG_HERMITIAN_ATOL:
         raise ValueError(f"matrix not Hermitian, max asymmetry {asym:.3e}")
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
     return w, v
@@ -200,25 +174,6 @@ def purity(rho) -> float:
     """Tr(rho^2) as a real number."""
     m = _matrix_of(rho)
     return float(np.real(np.einsum("ij,ji->", m, m)))
-
-
-def state_vector_from_density(rho, atol: float = 1e-10) -> np.ndarray:
-    """Recover the state vector of a rank-one density operator.
-
-    The global phase is arbitrary. Raises ValueError when the operator
-    is not pure within `atol` (max entrywise residual against the
-    reconstructed projector).
-    """
-    m = _matrix_of(rho)
-    diag = np.real(np.diag(m))
-    j = int(np.argmax(diag))
-    if diag[j] <= 0.0:
-        raise ValueError("density operator has no positive diagonal entry")
-    v = m[:, j] / np.sqrt(diag[j])
-    resid = float(np.max(np.abs(m - np.outer(v, v.conj()))))
-    if resid > atol:
-        raise ValueError(f"density operator is not pure, projector residual {resid:.3e}")
-    return v
 
 
 def haar_random_state(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -45,8 +45,9 @@ _ID2 = np.eye(2, dtype=np.complex128)
 
 INTERACTION_RESIDUAL_ATOL = 1e-12
 SECTOR_ATOL = 1e-14
-# edge of the square tiles the Hermiticity check compares, small enough to stay in cache
-ASYMMETRY_TILE = 256
+# edge of the square tiles the Hermiticity check compares, small enough to stay in
+# cache; also the row-block height of the sector check
+CHECK_TILE = 256
 
 
 class ModelFileError(ValueError):
@@ -121,10 +122,10 @@ def _max_asymmetry(h: np.ndarray) -> float:
     """max |h - h^dagger| entrywise, compared tile by tile with no d x d temporary."""
     d = h.shape[0]
     worst = 0.0
-    for i in range(0, d, ASYMMETRY_TILE):
-        for j in range(i, d, ASYMMETRY_TILE):
-            upper = h[i : i + ASYMMETRY_TILE, j : j + ASYMMETRY_TILE]
-            lower = h[j : j + ASYMMETRY_TILE, i : i + ASYMMETRY_TILE]
+    for i in range(0, d, CHECK_TILE):
+        for j in range(i, d, CHECK_TILE):
+            upper = h[i : i + CHECK_TILE, j : j + CHECK_TILE]
+            lower = h[j : j + CHECK_TILE, i : i + CHECK_TILE]
             worst = max(worst, float(np.max(np.abs(upper - lower.conj().T))))
     return worst
 
@@ -203,7 +204,7 @@ class Model:
 
     def _check_interaction_terms(self, h: np.ndarray) -> None:
         ds, de = self.bipartition.d_system, self.bipartition.d_environment
-        r = h.reshape(ds, de, ds, de).copy()
+        terms = []
         for a, b in self.interaction_terms:
             a = np.asarray(a, dtype=np.complex128)
             b = np.asarray(b, dtype=np.complex128)
@@ -211,16 +212,22 @@ class Model:
                 raise ValueError(
                     f"interaction factor shapes {a.shape}, {b.shape} do not match bipartition ({ds}, {de})"
                 )
-            # subtract kron(a, b) block by block, without forming it
-            for s in range(ds):
-                for t in range(ds):
-                    r[s, :, t, :] -= a[s, t] * b
+            terms.append((a, b))
+        blocks = h.reshape(ds, de, ds, de)
+
+        def residual(s: int, t: int) -> np.ndarray:
+            # block (s, t) of h minus that of every kron(a, b), one de x de block at a time
+            r = blocks[s, :, t, :].copy()
+            for a, b in terms:
+                r -= a[s, t] * b
+            return r
+
         # whatever is left must act on the environment alone: I_S (x) M
+        target = residual(0, 0)
         for s in range(ds):
             for t in range(ds):
-                block = r[s, :, t, :]
-                target = r[0, :, 0, :] if s == t else 0.0
-                if float(np.max(np.abs(block - target))) > INTERACTION_RESIDUAL_ATOL:
+                block = residual(s, t) - target if s == t else residual(s, t)
+                if float(np.max(np.abs(block))) > INTERACTION_RESIDUAL_ATOL:
                     raise ValueError(
                         "hamiltonian minus interaction terms is not environment-local"
                     )
@@ -232,8 +239,12 @@ class Model:
             label[np.asarray(idx)] = k
         if np.any(label < 0):
             raise ValueError("sector_basis does not cover the joint space")
-        off = label[:, None] != label[None, :]
-        leak = float(np.max(np.abs(h[off]))) if off.any() else 0.0
+        leak = 0.0
+        # row blocks keep the gathered off-sector entries to CHECK_TILE x d
+        for i in range(0, d, CHECK_TILE):
+            off = label[i : i + CHECK_TILE, None] != label[None, :]
+            if off.any():
+                leak = max(leak, float(np.max(np.abs(h[i : i + CHECK_TILE][off]))))
         if leak > SECTOR_ATOL:
             raise ValueError(f"hamiltonian leaks between sectors, max off-sector entry {leak:.3e}")
 

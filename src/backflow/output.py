@@ -15,49 +15,31 @@ import numpy as np
 from .evolution import TrajectoryRecord
 
 __all__ = [
-    "TRAJECTORY_CSV_COLUMNS",
+    "TRAJECTORY_CSV",
     "format_float",
     "write_trajectory_csv",
     "write_sweep_csv",
     "write_summary_json",
 ]
 
-TRAJECTORY_CSV_COLUMNS = (
-    "t",
-    "D_system",
-    "sigma",
-    "bound_total",
-    "bound_term1",
-    "bound_term2",
-    "D_env",
-    "E_indist",
-    "X_corr",
-    "chi1_norm",
-    "chi2_norm",
-    "svn_system_1",
-    "svn_system_2",
-    "mutual_info_1",
-    "mutual_info_2",
-    "dIdt_1",
-)
-
-_RECORD_FIELDS = (
-    "times",
-    "d_system",
-    "sigma",
-    "bound_total",
-    "bound_term1",
-    "bound_term2",
-    "d_env",
-    "e_indist",
-    "x_corr",
-    "chi1_norm",
-    "chi2_norm",
-    "svn_system_1",
-    "svn_system_2",
-    "mutual_info_1",
-    "mutual_info_2",
-    "didt_1",
+# (CSV header, TrajectoryRecord field), in column order
+TRAJECTORY_CSV = (
+    ("t", "times"),
+    ("D_system", "d_system"),
+    ("sigma", "sigma"),
+    ("bound_total", "bound_total"),
+    ("bound_term1", "bound_term1"),
+    ("bound_term2", "bound_term2"),
+    ("D_env", "d_env"),
+    ("E_indist", "e_indist"),
+    ("X_corr", "x_corr"),
+    ("chi1_norm", "chi1_norm"),
+    ("chi2_norm", "chi2_norm"),
+    ("svn_system_1", "svn_system_1"),
+    ("svn_system_2", "svn_system_2"),
+    ("mutual_info_1", "mutual_info_1"),
+    ("mutual_info_2", "mutual_info_2"),
+    ("dIdt_1", "didt_1"),
 )
 
 
@@ -66,8 +48,8 @@ def format_float(x: float) -> str:
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path: str | Path) -> None:
-    columns = [np.asarray(getattr(record, name)) for name in _RECORD_FIELDS]
-    lines = [",".join(TRAJECTORY_CSV_COLUMNS)]
+    columns = [np.asarray(getattr(record, name)) for _, name in TRAJECTORY_CSV]
+    lines = [",".join(header for header, _ in TRAJECTORY_CSV)]
     for i in range(record.n_times):
         lines.append(",".join(format_float(col[i]) for col in columns))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

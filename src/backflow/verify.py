@@ -26,35 +26,20 @@ from .diagnostics import (
 from .evolution import TimeGrid, make_propagator, run_trajectory
 from .linalg import Bipartition, DensityMatrix, haar_random_state, partial_trace, trace_norm
 from .model import ChainParams, Model, build_chain_model
+from .output import TRAJECTORY_CSV
 
 __all__ = [
     "CheckResult",
     "random_generic_model",
     "bound_suite",
     "structural_suite",
-    "run_all_checks",
 ]
 
 BOUND_TOLERANCE = 1e-6
 SIGMA_DELTA = 1e-5
 
-TRAJECTORY_COLUMNS = (
-    "d_system",
-    "bound_total",
-    "bound_term1",
-    "bound_term2",
-    "d_env",
-    "e_indist",
-    "x_corr",
-    "chi1_norm",
-    "chi2_norm",
-    "svn_system_1",
-    "svn_system_2",
-    "mutual_info_1",
-    "mutual_info_2",
-    "sigma",
-    "didt_1",
-)
+# record fields compared between the dense and subspace paths
+TRAJECTORY_COLUMNS = tuple(name for _, name in TRAJECTORY_CSV)
 
 
 @dataclass(frozen=True)
@@ -125,7 +110,7 @@ def bound_suite(
     for i in range(n_models):
         d_env = int(d_env_choices[i % len(d_env_choices)])
         model = random_generic_model(rng, d_env)
-        prop = make_propagator(model, dense=True)
+        prop = make_propagator(model)
         model_worst = -np.inf
         for t in times:
             sigma, bound = _sigma_and_bound_at(model, prop, float(t))
@@ -186,8 +171,11 @@ def _gamma_route_check(tag: str, model: Model, record) -> CheckResult:
         delta_env = partial_trace(rho_se[0], bp, "environment") - partial_trace(
             rho_se[1], bp, "environment"
         )
-        for j, branch in ((0, record.term1_branch1), (1, record.term1_branch2)):
-            rho_s = partial_trace(rho_se[j], bp, "system")
+        rho_s_pair = [partial_trace(r, bp, "system") for r in rho_se]
+        # only the reduced states are needed from here on: free the two d x d
+        # joint states before the direct route forms its own d x d products
+        del rho_se
+        for rho_s, branch in zip(rho_s_pair, (record.term1_branch1, record.term1_branch2)):
             via_couplings = bound_term1_from_couplings(model, rho_s, delta_env)
             direct = bound_term1_branch(model, rho_s, delta_env)
             worst = max(worst, abs(via_couplings - float(branch[i])), abs(direct - float(branch[i])))
@@ -289,10 +277,3 @@ def structural_suite(
         )
     )
     return checks
-
-
-def run_all_checks(n_models: int = 50, seed: int = 7) -> tuple[list[CheckResult], float]:
-    """Full verification: bound suite plus structural suite."""
-    checks, worst, _ = bound_suite(n_models=n_models, seed=seed)
-    checks += structural_suite()
-    return checks, worst

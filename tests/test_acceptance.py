@@ -27,7 +27,6 @@ from backflow import (
     run_trajectory,
     trace_norm,
 )
-from backflow.linalg import state_vector_from_density
 from backflow.verify import (
     BOUND_TOLERANCE,
     TRAJECTORY_COLUMNS,
@@ -161,7 +160,7 @@ def test_06_generator_first_order_convergence(report):
     # the finite-time increment of either bound ingredient converges to
     # its commutator generator linearly in the step
     model = build_chain_model(ChainParams(n_total=5))
-    prop = make_propagator(model, dense=True)
+    prop = make_propagator(model)
     h, bp = model.hamiltonian, model.bipartition
     vecs, vals = prop.eigenvectors, prop.eigenvalues
     v0 = [np.kron(vs, ve) for vs, ve in model.initial_pair]
@@ -247,7 +246,7 @@ def test_07_path_and_kernel_oracles(report):
                 partial_trace(x, bp, keep=keep) - _partial_trace_oracle(x, ds, de, keep)
             ))))
     small = build_chain_model(ChainParams(n_total=3))
-    small_prop = make_propagator(small, dense=True)
+    small_prop = make_propagator(small)
     u_spectral = (small_prop.eigenvectors * np.exp(-1j * small_prop.eigenvalues * 0.7)) \
         @ small_prop.eigenvectors.conj().T
     prop_err = float(np.max(np.abs(u_spectral - _taylor_unitary(small.hamiltonian, 0.7))))

@@ -339,6 +339,27 @@ def test_generic_model_with_random_pairs(tmp_path):
     assert all(p["pair"].startswith("random:") for p in doc["per_pair"])
 
 
+def test_pair_file_needs_model_file(tmp_path, capsys):
+    # a chain has no input pair of its own, so 'file' must not fall back to |+>/|->
+    out = tmp_path / "never.csv"
+    code = run_cli("run", "--scenario", "fig1a", "--pair", "file", "--out", str(out))
+    assert code == 2
+    assert "model_file" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = write_json(tmp_path, {"scenario": "fig1a", "pair": "file"})
+    with pytest.raises(ConfigError):
+        parse_config(cfg)
+    model_path = write_json(tmp_path, _generic_doc(), "model.json")
+    cfg = write_json(tmp_path, {"scenario": "custom", "model_file": model_path})
+    summary = tmp_path / "f.json"
+    code = run_cli(
+        "run", "--config", cfg, "--pair", "file", "--t-max", "2", "--steps", "50",
+        "--out", str(tmp_path / "f.csv"), "--summary", str(summary),
+    )
+    assert code == 0
+    assert json.loads(summary.read_text())["best_pair"] == "file"
+
+
 def test_bound_check_scenario(tmp_path):
     out = tmp_path / "bound.csv"
     summary = tmp_path / "bound.json"

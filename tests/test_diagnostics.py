@@ -11,7 +11,6 @@ from backflow.diagnostics import (
     correlation_operator,
     distinguishability_bound,
     env_indistinguishability,
-    guess_probability,
     mutual_information,
     mutual_information_rate,
     pair_step_series,
@@ -61,13 +60,6 @@ def test_trace_distance_contractivity():
                 partial_trace(r1, bp, "system"), partial_trace(r2, bp, "system")
             )
             assert red <= full + 1e-12
-
-
-def test_guess_probability():
-    assert guess_probability(0.0) == 0.5
-    assert guess_probability(1.0) == 1.0
-    with pytest.raises(ValueError):
-        guess_probability(1.5)
 
 
 def test_sigma_series_tracks_derivative():

@@ -2,35 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from backflow.evolution import (
-    SubspaceOperator,
-    TimeGrid,
-    carrier_indices,
-    evolve_state,
-    make_propagator,
-    one_hot_basis,
-    run_trajectory,
-)
-from backflow.linalg import Bipartition, PureState, partial_trace
+from backflow.evolution import TimeGrid, carrier_indices, make_propagator, run_trajectory
+from backflow.linalg import partial_trace
 from backflow.model import ChainParams, Model, build_chain_model, equatorial_pair, plus_minus_pair
+from backflow.output import TRAJECTORY_CSV
 
-COLUMNS = (
-    "d_system",
-    "sigma",
-    "bound_total",
-    "bound_term1",
-    "bound_term2",
-    "d_env",
-    "e_indist",
-    "x_corr",
-    "chi1_norm",
-    "chi2_norm",
-    "svn_system_1",
-    "svn_system_2",
-    "mutual_info_1",
-    "mutual_info_2",
-    "didt_1",
-)
+COLUMNS = tuple(name for _, name in TRAJECTORY_CSV)
 
 
 def test_time_grid():
@@ -47,7 +24,7 @@ def test_time_grid():
 
 def test_propagator_identity_at_zero():
     model = build_chain_model(ChainParams(n_total=4))
-    prop = make_propagator(model, dense=True)
+    prop = make_propagator(model)
     rng = np.random.default_rng(0)
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
     v /= np.linalg.norm(v)
@@ -57,7 +34,7 @@ def test_propagator_identity_at_zero():
 def test_propagator_matches_taylor_series():
     model = build_chain_model(ChainParams(n_total=4, b_field=0.23))
     h = model.hamiltonian
-    prop = make_propagator(model, dense=True)
+    prop = make_propagator(model)
     rng = np.random.default_rng(1)
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
     v /= np.linalg.norm(v)
@@ -74,66 +51,12 @@ def test_propagator_matches_taylor_series():
     assert np.max(np.abs(got - expm(-1j * t * h) @ v)) < 1e-10
 
 
-def test_sector_propagator_agrees_with_dense():
-    model = build_chain_model(ChainParams(n_total=4))
-    dense = make_propagator(model, dense=True)
-    sector = make_propagator(model)
-    (vs, ve), _ = model.initial_pair
-    v = np.kron(vs, ve)
-    for t in (0.0, 0.4, 1.7):
-        assert np.max(np.abs(dense.apply(v, t) - sector.apply(v, t))) < 1e-12
-
-
-def test_sector_propagator_rejects_off_span():
-    model = build_chain_model(ChainParams(n_total=3))
-    sector = make_propagator(model)
-    rng = np.random.default_rng(2)
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    v /= np.linalg.norm(v)
-    # generic vectors touch sectors the initial pair never populates
-    with pytest.raises(ValueError):
-        sector.apply(v, 0.5)
-
-
-def test_evolve_state_pure_state():
-    model = build_chain_model(ChainParams(n_total=3))
-    prop = make_propagator(model, dense=True)
-    psi = PureState(np.eye(8, dtype=complex)[0], Bipartition(2, 4))
-    out = evolve_state(prop, psi, 0.9)
-    assert isinstance(out, PureState)
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
-
-
 def test_carrier_indices_structure():
     idx = carrier_indices(4)
     # s-major: vacuum then single chain flips, for each qubit value
     assert list(idx) == [0, 4, 2, 1, 8, 12, 10, 9]
     weights = [bin(i).count("1") for i in idx]
     assert weights[:5] == [0, 1, 1, 1, 1]  # the closed evolution sector
-
-
-def test_one_hot_basis_orthonormal():
-    b = one_hot_basis(6, np.array([2, 0, 5]))
-    assert np.max(np.abs(b.conj().T @ b - np.eye(3))) < 1e-15
-
-
-def test_subspace_operator_checks_gram():
-    good = one_hot_basis(4, np.array([0, 1]))
-    SubspaceOperator(good, np.eye(2, dtype=complex))
-    bad = good.copy()
-    bad[:, 1] = bad[:, 0]
-    with pytest.raises(ValueError):
-        SubspaceOperator(bad, np.eye(2, dtype=complex))
-
-
-def test_subspace_operator_dense_consistency():
-    rng = np.random.default_rng(3)
-    basis = np.linalg.qr(rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)))[0]
-    coeff = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    op = SubspaceOperator(basis, coeff)
-    from backflow.linalg import trace_norm
-
-    assert abs(op.trace_norm() - trace_norm(op.to_dense())) < 1e-10
 
 
 def test_single_sample_grid():
@@ -211,12 +134,3 @@ def test_two_point_grid_sigma():
     rec = run_trajectory(model, TimeGrid(t_max=0.1, n_steps=1))
     slope = (rec.d_system[1] - rec.d_system[0]) / 0.1
     assert np.allclose(rec.sigma, [slope, slope])
-
-
-def test_record_row_accessor(chain6_records):
-    _, dense, _ = chain6_records
-    row = dense.row(3)
-    assert row.t == dense.times[3]
-    assert row.d_system == dense.d_system[3]
-    rows = list(dense.rows())
-    assert len(rows) == dense.n_times

@@ -4,13 +4,11 @@ import pytest
 from backflow.linalg import (
     Bipartition,
     DensityMatrix,
-    PureState,
     haar_random_state,
     hermitian_eig,
     kron,
     partial_trace,
     purity,
-    state_vector_from_density,
     trace_norm,
     von_neumann_entropy,
 )
@@ -155,13 +153,6 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(6) / 6, bp)  # wrong joint dimension
 
 
-def test_pure_state_norm_checked():
-    bp = Bipartition(2, 2)
-    PureState(np.array([1, 0, 0, 0], dtype=complex), bp)
-    with pytest.raises(ValueError):
-        PureState(np.array([1, 1, 0, 0], dtype=complex), bp)
-
-
 def test_from_state_vector_is_projector():
     rng = np.random.default_rng(7)
     bp = Bipartition(2, 3)
@@ -199,23 +190,6 @@ def test_purity_range():
         rho = random_density(rng, 6)
         p = purity(rho)
         assert 1 / 6 - 1e-12 <= p <= 1 + 1e-12
-
-
-def test_state_vector_roundtrip():
-    rng = np.random.default_rng(10)
-    for d in (2, 4, 7):
-        psi = haar_random_state(d, rng)
-        rho = np.outer(psi, psi.conj())
-        back = state_vector_from_density(rho)
-        # recovery is up to a global phase
-        overlap = abs(np.vdot(back, psi))
-        assert abs(overlap - 1.0) < 1e-10
-
-
-def test_state_vector_rejects_mixed():
-    rho = np.diag([0.5, 0.5]).astype(complex)
-    with pytest.raises(ValueError):
-        state_vector_from_density(rho)
 
 
 def test_haar_random_state_normalized():

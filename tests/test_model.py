@@ -98,6 +98,18 @@ def test_model_rejects_nonhermitian():
         Model(h, Bipartition(2, 2), pair)
 
 
+def test_model_rejects_sector_leak():
+    # d = 512 spans two row blocks of the sector check; rows 257 and 300 sit in the second
+    chain = build_chain_model(ChainParams(n_total=9))
+    d = chain.dimension
+    for i, j, size in ((0, d - 1, 1e-3), (300, 257, 5e-14)):
+        h = chain.hamiltonian.copy()
+        h[i, j] += size
+        h[j, i] += size
+        with pytest.raises(ValueError, match=f"off-sector entry {size:.3e}"):
+            Model(h, chain.bipartition, chain.initial_pair, sector_basis=chain.sector_basis)
+
+
 def test_model_rejects_wrong_pair_dims():
     pair = plus_minus_pair(3)  # 8-dimensional
     with pytest.raises(ValueError):

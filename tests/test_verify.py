@@ -4,7 +4,6 @@ from backflow.linalg import purity
 from backflow.verify import (
     bound_suite,
     random_generic_model,
-    run_all_checks,
     structural_suite,
 )
 
@@ -56,9 +55,3 @@ def test_check_line_format():
     line = checks[0].line()
     assert line.startswith("PASS") or line.startswith("FAIL")
     assert ":" in line
-
-
-def test_run_all_checks():
-    checks, worst = run_all_checks(n_models=3, seed=2)
-    assert all(c.passed for c in checks)
-    assert worst < 1e-6
