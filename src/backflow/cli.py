@@ -23,7 +23,6 @@ import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
@@ -45,7 +44,12 @@ from .model import (
     chain_build_peak_bytes,
     load_generic_model,
 )
-from .output import write_summary_json, write_sweep_csv, write_trajectory_csv
+from .output import (
+    write_bound_csv,
+    write_summary_json,
+    write_sweep_csv,
+    write_trajectory_csv,
+)
 from .verify import BOUND_TOLERANCE, bound_suite, structural_suite
 
 __all__ = [
@@ -70,25 +74,6 @@ class ConfigError(Exception):
 # the default ten-spin chain and return to the system site.
 FIG2B_WINDOW_T_MAX = 2.25
 
-_BASE_DEFAULTS: dict = {
-    "scenario": None,
-    "n_spins": 10,
-    "j": 1.0,
-    "j0": 1.0,
-    "b_field": 0.01,
-    "field_on_system": False,
-    # resolved to n_spins - 1 when left unset
-    "t_max": None,
-    "steps": 2000,
-    "pair": "paper",
-    "path": "auto",
-    "seed": 7,
-    "out": None,
-    "summary": None,
-    "model_file": None,
-    "n_models": 50,
-}
-
 _SCENARIO_OVERRIDES: dict[str, dict] = {
     "fig1a": {},
     "fig1b": {},
@@ -101,40 +86,7 @@ _SCENARIO_OVERRIDES: dict[str, dict] = {
 
 _PATHS = ("auto", "dense", "subspace")
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    scenario: str
-    n_spins: int
-    j: float
-    j0: float
-    b_field: float
-    field_on_system: bool
-    t_max: float
-    steps: int
-    pair: str
-    path: str
-    seed: int
-    out: str | None
-    summary: str | None
-    model_file: str | None
-    n_models: int
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    n_spins: int
-    t_max: float
-    steps: int
-    j0_min: float
-    j0_max: float
-    j0_count: int
-    b_min: float
-    b_max: float
-    b_count: int
-    path: str
-    out: str | None
-    summary: str | None
+_GRID_AXES = ("j0", "b")
 
 
 def _want_float(key: str, value) -> float:
@@ -161,23 +113,70 @@ def _want_str(key: str, value) -> str:
     return value
 
 
-_RUN_COERCE = {
-    "scenario": _want_str,
-    "n_spins": _want_int,
-    "j": _want_float,
-    "j0": _want_float,
-    "b_field": _want_float,
-    "field_on_system": _want_bool,
-    "t_max": _want_float,
-    "steps": _want_int,
-    "pair": _want_str,
-    "path": _want_str,
-    "seed": _want_int,
-    "out": _want_str,
-    "summary": _want_str,
-    "model_file": _want_str,
-    "n_models": _want_int,
-}
+# argparse type of a flag, by the coercer of its key; a bool key is a switch
+_FLAG_TYPES = {_want_int: int, _want_float: float, _want_str: str}
+
+
+def _key(coerce, default, help=None, choices=None):
+    """Declare one config key; a key without help is config-file-only."""
+    return dataclasses.field(
+        default=default, metadata={"coerce": coerce, "help": help, "choices": choices}
+    )
+
+
+@dataclass(frozen=True)
+class _ChainKeys:
+    """The keys that run and sweep share."""
+
+    n_spins: int = _key(_want_int, 10, "total spins incl. the qubit")
+    # None until resolved to n_spins - 1
+    t_max: float = _key(_want_float, None, "final time")
+    steps: int = _key(_want_int, 2000, "number of grid intervals")
+    path: str = _key(_want_str, "auto", "evolution route", choices=_PATHS)
+    summary: str | None = _key(_want_str, None, "summary JSON path")
+
+
+@dataclass(frozen=True)
+class RunConfig(_ChainKeys):
+    scenario: str = _key(_want_str, None, "fig1a fig1b fig2a fig2b bound-check measure custom")
+    j: float = _key(_want_float, 1.0, "environment exchange amplitude")
+    j0: float = _key(_want_float, 1.0, "system-environment exchange amplitude")
+    b_field: float = _key(_want_float, 0.01, "transverse field")
+    field_on_system: bool = _key(
+        _want_bool, False, "apply the transverse field to the system qubit too"
+    )
+    pair: str = _key(_want_str, "paper", "paper | equatorial:K | random:N")
+    seed: int = _key(_want_int, 7, "seed for randomized inputs")
+    out: str | None = _key(_want_str, None, "trajectory CSV path")
+    model_file: str | None = _key(_want_str, None)
+    n_models: int = _key(_want_int, 50)
+
+
+@dataclass(frozen=True)
+class SweepConfig(_ChainKeys):
+    out: str | None = _key(_want_str, None, "sweep CSV path")
+    # the grids: config entries {"j0": {"min", "max", "count"}} and flags --j0-grid
+    j0_min: float = dataclasses.field(kw_only=True)
+    j0_max: float = dataclasses.field(kw_only=True)
+    j0_count: int = dataclasses.field(kw_only=True)
+    b_min: float = dataclasses.field(kw_only=True)
+    b_max: float = dataclasses.field(kw_only=True)
+    b_count: int = dataclasses.field(kw_only=True)
+
+
+def _keys(cls) -> list:
+    return [f for f in dataclasses.fields(cls) if "coerce" in f.metadata]
+
+
+def _merge(cls, given: dict, what: str) -> dict:
+    """Coerce the given key values over the defaults of cls; unknown keys are refused."""
+    keys = {f.name: f for f in _keys(cls)}
+    values = {name: f.default for name, f in keys.items()}
+    for key, value in given.items():
+        if key not in keys:
+            raise ConfigError(f"unknown {what} '{key}'")
+        values[key] = None if value is None else keys[key].metadata["coerce"](key, value)
+    return values
 
 
 def _load_config_file(path: str) -> dict:
@@ -209,15 +208,27 @@ def parse_pair_family(text: str, seed: int):
     raise ConfigError(f"pair must be paper, equatorial:K or random:N, got {text!r}")
 
 
-def _check_chain_fits(n_spins: int) -> None:
-    """Refuse a chain whose dense build cannot fit in physical memory."""
-    need = chain_build_peak_bytes(n_spins)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ConfigError(
-            f"n_spins={n_spins} needs an estimated {need} bytes to build the chain "
-            f"Hamiltonian, more than the {have} bytes of physical memory"
-        )
+def _check_common(values: dict, builds_chain: bool) -> None:
+    """Resolve t_max and check the keys of _ChainKeys, in place."""
+    if values["t_max"] is None:
+        values["t_max"] = float(values["n_spins"] - 1)
+    if values["path"] not in _PATHS:
+        raise ConfigError(f"path must be one of {_PATHS}, got {values['path']!r}")
+    if values["n_spins"] < 2:
+        raise ConfigError(f"n_spins must be at least 2, got {values['n_spins']}")
+    if builds_chain:
+        # refuse a chain whose dense build cannot fit in physical memory
+        need = chain_build_peak_bytes(values["n_spins"])
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ConfigError(
+                f"n_spins={values['n_spins']} needs an estimated {need} bytes to build the "
+                f"chain Hamiltonian, more than the {have} bytes of physical memory"
+            )
+    if values["steps"] < 0:
+        raise ConfigError(f"steps must be nonnegative, got {values['steps']}")
+    if values["steps"] > 0 and values["t_max"] <= 0:
+        raise ConfigError(f"t_max must be positive, got {values['t_max']}")
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
@@ -228,125 +239,60 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     mismatches are rejected with the offending key named.
     """
     file_cfg = _load_config_file(path) if path else {}
-    file_cfg = {k: v for k, v in file_cfg.items() if k != "sweep"}
-    overrides = dict(overrides or {})
+    file_cfg.pop("sweep", None)
+    given = {**file_cfg, **(overrides or {})}
+    values = _merge(RunConfig, given, "config key")
 
-    for source in (file_cfg, overrides):
-        for key in source:
-            if key not in _RUN_COERCE:
-                raise ConfigError(f"unknown config key '{key}'")
-
-    scenario = overrides.get("scenario", file_cfg.get("scenario"))
+    scenario = values["scenario"]
     if scenario is None:
         raise ConfigError("a scenario is required (--scenario or config key 'scenario')")
-    scenario = _want_str("scenario", scenario)
     if scenario not in _SCENARIO_OVERRIDES:
         known = ", ".join(sorted(_SCENARIO_OVERRIDES))
         raise ConfigError(f"unknown scenario '{scenario}' (known: {known})")
+    implied = dict(_SCENARIO_OVERRIDES[scenario])
+    if values["model_file"] is not None:
+        # a model file carries its own input pair
+        implied["pair"] = "file"
+    values.update((key, value) for key, value in implied.items() if key not in given)
 
-    merged = dict(_BASE_DEFAULTS)
-    merged.update(_SCENARIO_OVERRIDES[scenario])
-    merged.update(file_cfg)
-    merged.update(overrides)
-    merged["scenario"] = scenario
-
-    out = {}
-    for key, value in merged.items():
-        if value is None:
-            out[key] = None
-            continue
-        out[key] = _RUN_COERCE[key](key, value)
-
-    if out["t_max"] is None:
-        out["t_max"] = float(out["n_spins"] - 1)
-    if out["model_file"] is not None and "pair" not in file_cfg and "pair" not in overrides:
-        # a model file carries its own input pair; keep it unless overridden
-        out["pair"] = "file"
-    if out["path"] not in _PATHS:
-        raise ConfigError(f"path must be one of {_PATHS}, got {out['path']!r}")
-    if out["n_spins"] < 2:
-        raise ConfigError(f"n_spins must be at least 2, got {out['n_spins']}")
-    if out["model_file"] is None and scenario != "bound-check":
-        _check_chain_fits(out["n_spins"])
-    if out["steps"] < 0:
-        raise ConfigError(f"steps must be nonnegative, got {out['steps']}")
-    if out["steps"] > 0 and out["t_max"] <= 0:
-        raise ConfigError(f"t_max must be positive, got {out['t_max']}")
-    if out["n_models"] < 1:
-        raise ConfigError(f"n_models must be positive, got {out['n_models']}")
-    if out["pair"] != "file":
-        parse_pair_family(out["pair"], out["seed"])
-    elif out["model_file"] is None:
+    _check_common(values, values["model_file"] is None and scenario != "bound-check")
+    if values["n_models"] < 1:
+        raise ConfigError(f"n_models must be positive, got {values['n_models']}")
+    if values["pair"] != "file":
+        parse_pair_family(values["pair"], values["seed"])
+    elif values["model_file"] is None:
         raise ConfigError("pair 'file' needs a model_file; a chain has no input pair of its own")
-    return RunConfig(**out)
+    return RunConfig(**values)
 
 
 def _parse_sweep_config(path: str | None, overrides: dict) -> SweepConfig:
     file_cfg = _load_config_file(path).get("sweep", {}) if path else {}
     if not isinstance(file_cfg, dict):
         raise ConfigError("config key 'sweep' must be an object")
-    defaults = {
-        "n_spins": 10,
-        "t_max": None,
-        "steps": 2000,
-        "path": "auto",
-        "out": None,
-        "summary": None,
-    }
+    overrides = dict(overrides)
     grids = {}
-    for axis in ("j0", "b"):
+    for axis in _GRID_AXES:
         node = file_cfg.pop(axis, None)
         if node is not None:
             if not isinstance(node, dict) or not {"min", "max", "count"} <= set(node):
                 raise ConfigError(f"sweep grid '{axis}' needs min, max and count")
-            grids[axis] = (
-                _want_float(f"{axis}.min", node["min"]),
-                _want_float(f"{axis}.max", node["max"]),
-                _want_int(f"{axis}.count", node["count"]),
-            )
-    coerce = {
-        "n_spins": _want_int,
-        "t_max": _want_float,
-        "steps": _want_int,
-        "path": _want_str,
-        "out": _want_str,
-        "summary": _want_str,
-    }
-    for key, value in file_cfg.items():
-        if key not in coerce:
-            raise ConfigError(f"unknown sweep config key '{key}'")
-        defaults[key] = coerce[key](key, value)
-    for axis in ("j0", "b"):
-        if overrides.get(f"{axis}_grid") is not None:
-            lo, hi, count = overrides[f"{axis}_grid"]
-            grids[axis] = (float(lo), float(hi), int(round(count)))
-    for key in ("n_spins", "t_max", "steps", "path", "out", "summary"):
-        if overrides.get(key) is not None:
-            defaults[key] = coerce[key](key, overrides[key])
-    if defaults["t_max"] is None:
-        defaults["t_max"] = float(defaults["n_spins"] - 1)
-    _check_chain_fits(defaults["n_spins"])
+            grids[axis] = (node["min"], node["max"], node["count"])
+        flag = overrides.pop(f"{axis}_grid", None)
+        if flag is not None:
+            lo, hi, count = flag
+            # the flag parses COUNT as a float; an integral one is the count
+            grids[axis] = (lo, hi, int(count) if float(count).is_integer() else count)
+    values = _merge(SweepConfig, {**file_cfg, **overrides}, "sweep config key")
+    _check_common(values, builds_chain=True)
     if "j0" not in grids or "b" not in grids:
         raise ConfigError("sweep needs both a j0 grid and a b grid")
-    for axis in ("j0", "b"):
-        if grids[axis][2] < 1:
+    for axis, (lo, hi, count) in grids.items():
+        values[f"{axis}_min"] = _want_float(f"{axis}.min", lo)
+        values[f"{axis}_max"] = _want_float(f"{axis}.max", hi)
+        values[f"{axis}_count"] = _want_int(f"{axis}.count", count)
+        if values[f"{axis}_count"] < 1:
             raise ConfigError(f"sweep grid '{axis}' count must be positive")
-    if defaults["path"] not in _PATHS:
-        raise ConfigError(f"path must be one of {_PATHS}, got {defaults['path']!r}")
-    return SweepConfig(
-        n_spins=defaults["n_spins"],
-        t_max=defaults["t_max"],
-        steps=defaults["steps"],
-        j0_min=grids["j0"][0],
-        j0_max=grids["j0"][1],
-        j0_count=grids["j0"][2],
-        b_min=grids["b"][0],
-        b_max=grids["b"][1],
-        b_count=grids["b"][2],
-        path=defaults["path"],
-        out=defaults["out"],
-        summary=defaults["summary"],
-    )
+    return SweepConfig(**values)
 
 
 def _timestamp() -> str:
@@ -442,7 +388,10 @@ def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
     }
     if window is not None:
         summary["window"] = window
-    _write_outputs(cfg, record, summary)
+    out = cfg.out if cfg.out is not None else f"{cfg.scenario}.csv"
+    _write_file(write_trajectory_csv, record, out)
+    summary_path = cfg.summary if cfg.summary is not None else f"{cfg.scenario}.json"
+    _write_file(write_summary_json, summary, summary_path)
     return (1 if violations else 0, summary)
 
 
@@ -461,28 +410,10 @@ def _run_bound_check(cfg: RunConfig, start: float) -> tuple[int, dict]:
         "timestamp": _timestamp(),
     }
     if cfg.out is not None:
-        _write_bound_rows(rows, cfg.out)
+        _write_file(write_bound_csv, rows, cfg.out)
     if cfg.summary is not None:
         _write_file(write_summary_json, summary, cfg.summary)
     return (1 if violations else 0, summary)
-
-
-def _write_bound_rows(rows: list[dict], path: str) -> None:
-    from .output import format_float
-
-    lines = ["model,d_env,max_sigma_minus_bound"]
-    for row in rows:
-        lines.append(
-            f"{row['model']},{row['d_env']},{format_float(row['max_sigma_minus_bound'])}"
-        )
-    _write_text("\n".join(lines) + "\n", path)
-
-
-def _write_text(text: str, path: str) -> None:
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_file(writer, payload, path: str) -> None:
@@ -490,13 +421,6 @@ def _write_file(writer, payload, path: str) -> None:
         writer(payload, path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_outputs(cfg: RunConfig, record, summary: dict) -> None:
-    out = cfg.out if cfg.out is not None else f"{cfg.scenario}.csv"
-    summary_path = cfg.summary if cfg.summary is not None else f"{cfg.scenario}.json"
-    _write_file(write_trajectory_csv, record, out)
-    _write_file(write_summary_json, summary, summary_path)
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[int, list[dict]]:
@@ -538,13 +462,13 @@ def run_sweep(cfg: SweepConfig) -> tuple[int, list[dict]]:
     return (1 if failed else 0, rows)
 
 
-def _run_verify(args) -> int:
-    checks, worst, _ = bound_suite(n_models=args.models, seed=args.seed)
+def _run_verify(cfg: RunConfig) -> int:
+    checks, worst, _ = bound_suite(n_models=cfg.n_models, seed=cfg.seed)
     checks += structural_suite()
     for check in checks:
         print(check.line())
     ok = all(c.passed for c in checks)
-    if args.summary is not None:
+    if cfg.summary is not None:
         summary = {
             "checks": [
                 {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
@@ -553,9 +477,29 @@ def _run_verify(args) -> int:
             "passed": ok,
             "timestamp": _timestamp(),
         }
-        _write_file(write_summary_json, summary, args.summary)
+        _write_file(write_summary_json, summary, cfg.summary)
     print(f"{'OK' if ok else 'FAILED'}  {sum(c.passed for c in checks)}/{len(checks)} checks passed")
     return 0 if ok else 1
+
+
+def _add_key_flags(parser: argparse.ArgumentParser, cls) -> None:
+    for f in _keys(cls):
+        flag = "--" + f.name.replace("_", "-")
+        coerce, help = f.metadata["coerce"], f.metadata["help"]
+        if help is None:
+            continue
+        if coerce is _want_bool:
+            parser.add_argument(flag, action="store_true", default=None, help=help)
+        else:
+            parser.add_argument(
+                flag, type=_FLAG_TYPES[coerce], choices=f.metadata["choices"], help=help
+            )
+
+
+def _flag_values(args: argparse.Namespace, cls) -> dict:
+    """The keys of cls that were set by flag; config-file-only keys have none."""
+    given = ((f.name, getattr(args, f.name, None)) for f in _keys(cls))
+    return {key: value for key, value in given if value is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -567,63 +511,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one scenario")
     run_p.add_argument("--config", help="JSON config file")
-    run_p.add_argument("--scenario", help="fig1a fig1b fig2a fig2b bound-check measure custom")
-    run_p.add_argument("--n-spins", type=int, dest="n_spins", help="total spins incl. the qubit")
-    run_p.add_argument("--j", type=float, help="environment exchange amplitude")
-    run_p.add_argument("--j0", type=float, help="system-environment exchange amplitude")
-    run_p.add_argument("--b-field", type=float, dest="b_field", help="transverse field")
-    run_p.add_argument("--t-max", type=float, dest="t_max", help="final time")
-    run_p.add_argument("--steps", type=int, help="number of grid intervals")
-    run_p.add_argument("--pair", help="paper | equatorial:K | random:N")
-    run_p.add_argument("--path", choices=_PATHS, help="evolution route")
-    run_p.add_argument("--seed", type=int, help="seed for randomized inputs")
-    run_p.add_argument("--out", help="trajectory CSV path")
-    run_p.add_argument("--summary", help="summary JSON path")
-    run_p.add_argument(
-        "--field-on-system",
-        action="store_true",
-        default=None,
-        dest="field_on_system",
-        help="apply the transverse field to the system qubit too",
-    )
+    _add_key_flags(run_p, RunConfig)
 
     sweep_p = sub.add_parser("sweep", help="measure over a parameter grid")
     sweep_p.add_argument("--config", help="JSON config file with a 'sweep' section")
-    sweep_p.add_argument("--n-spins", type=int, dest="n_spins")
-    sweep_p.add_argument("--t-max", type=float, dest="t_max")
-    sweep_p.add_argument("--steps", type=int)
-    sweep_p.add_argument("--path", choices=_PATHS)
-    sweep_p.add_argument(
-        "--j0-grid", nargs=3, type=float, dest="j0_grid", metavar=("MIN", "MAX", "COUNT")
-    )
-    sweep_p.add_argument(
-        "--b-grid", nargs=3, type=float, dest="b_grid", metavar=("MIN", "MAX", "COUNT")
-    )
-    sweep_p.add_argument("--out", help="sweep CSV path")
-    sweep_p.add_argument("--summary", help="summary JSON path")
+    _add_key_flags(sweep_p, SweepConfig)
+    for axis in _GRID_AXES:
+        sweep_p.add_argument(
+            f"--{axis}-grid", nargs=3, type=float, metavar=("MIN", "MAX", "COUNT")
+        )
 
+    # verify runs the bound-check suite, so it takes that scenario's keys
     verify_p = sub.add_parser("verify", help="self-checks")
-    verify_p.add_argument("--seed", type=int, default=7)
-    verify_p.add_argument("--models", type=int, default=50)
+    verify_p.add_argument("--seed", type=int, default=RunConfig.seed)
+    verify_p.add_argument("--models", type=int, default=RunConfig.n_models)
     verify_p.add_argument("--summary", help="summary JSON path")
     return parser
-
-
-_RUN_FLAG_KEYS = (
-    "scenario",
-    "n_spins",
-    "j",
-    "j0",
-    "b_field",
-    "t_max",
-    "steps",
-    "pair",
-    "path",
-    "seed",
-    "out",
-    "summary",
-    "field_on_system",
-)
 
 
 def main(argv=None) -> int:
@@ -631,22 +534,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.verb == "run":
-            overrides = {
-                k: getattr(args, k) for k in _RUN_FLAG_KEYS if getattr(args, k) is not None
-            }
-            cfg = parse_config(args.config, overrides)
-            code, _ = run_scenario(cfg)
+            code, _ = run_scenario(parse_config(args.config, _flag_values(args, RunConfig)))
             return code
         if args.verb == "sweep":
-            overrides = {
-                k: getattr(args, k)
-                for k in ("n_spins", "t_max", "steps", "path", "out", "summary", "j0_grid", "b_grid")
-                if getattr(args, k) is not None
-            }
-            cfg = _parse_sweep_config(args.config, overrides)
-            code, _ = run_sweep(cfg)
+            overrides = _flag_values(args, SweepConfig)
+            overrides.update((f"{a}_grid", getattr(args, f"{a}_grid")) for a in _GRID_AXES)
+            code, _ = run_sweep(_parse_sweep_config(args.config, overrides))
             return code
-        return _run_verify(args)
+        keys = {"seed": args.seed, "n_models": args.models, "summary": args.summary}
+        return _run_verify(parse_config(overrides={"scenario": "bound-check", **keys}))
     except (ConfigError, ModelFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

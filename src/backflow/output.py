@@ -19,6 +19,7 @@ __all__ = [
     "format_float",
     "write_trajectory_csv",
     "write_sweep_csv",
+    "write_bound_csv",
     "write_summary_json",
 ]
 
@@ -69,6 +70,16 @@ def write_sweep_csv(rows: list[dict], path: str | Path) -> None:
                     row["status"],
                 )
             )
+        )
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_bound_csv(rows: list[dict], path: str | Path) -> None:
+    """One worst-margin row per random model of the bound-check scenario."""
+    lines = ["model,d_env,max_sigma_minus_bound"]
+    for row in rows:
+        lines.append(
+            f"{row['model']},{row['d_env']},{format_float(row['max_sigma_minus_bound'])}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -1,11 +1,15 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import backflow.cli as cli_mod
 from backflow.cli import (
     ConfigError,
+    RunConfig,
+    SweepConfig,
     _parse_sweep_config,
     main,
     parse_config,
@@ -208,8 +212,6 @@ def test_sweep_row_major(tmp_path):
 
 
 def test_sweep_continues_after_point_failure(tmp_path, monkeypatch):
-    import backflow.cli as cli_mod
-
     calls = {"n": 0}
     real = cli_mod.blp_measure
 
@@ -258,6 +260,63 @@ def test_sweep_config_file(tmp_path):
 def test_sweep_missing_grid_is_config_error(capsys):
     assert run_cli("sweep", "--j0-grid", "1", "1", "1") == 2
     assert "b grid" in capsys.readouterr().err
+    # a COUNT given by flag must be integral, as in the file form
+    small = ["--n-spins", "4", "--steps", "10"]
+    assert run_cli("sweep", *small, "--j0-grid", "0.5", "1", "2.6", "--b-grid", "0", "1", "2") == 2
+    assert "'j0.count'" in capsys.readouterr().err
+    assert run_cli("sweep", *small, "--j0-grid", "0.5", "1", "2", "--b-grid", "0", "1", "2.5") == 2
+    assert "'b.count'" in capsys.readouterr().err
+    assert _parse_sweep_config(None, {"j0_grid": [0.5, 1.0, 3.0], "b_grid": [0, 1, 2]}).j0_count == 3
+
+
+def test_sweep_shares_run_checks(capsys):
+    grids = ["--j0-grid", "1", "1", "1", "--b-grid", "0", "0", "1"]
+    for bad, message in (
+        (["--n-spins", "1"], "n_spins must be at least 2, got 1"),
+        (["--steps", "-1"], "steps must be nonnegative, got -1"),
+        (["--t-max", "0", "--steps", "10"], "t_max must be positive, got 0.0"),
+    ):
+        assert run_cli("sweep", *grids, *bad) == 2
+        assert message in capsys.readouterr().err
+
+
+# a value other than the default for every run and sweep key
+KEY_SAMPLES = {
+    "scenario": "fig2b", "n_spins": 6, "j": 0.7, "j0": 0.3, "b_field": 0.2,
+    "field_on_system": True, "t_max": 2.5, "steps": 40, "pair": "equatorial:3",
+    "path": "dense", "seed": 11, "out": "o.csv", "summary": "s.json",
+    "model_file": "m.json", "n_models": 5,
+}
+CONFIG_FILE_ONLY = {"model_file", "n_models"}
+SWEEP_GRIDS = {"j0": {"min": 0.5, "max": 1.5, "count": 3}, "b": {"min": 0.0, "max": 1.0, "count": 2}}
+
+
+@pytest.mark.parametrize(
+    "verb,key",
+    [("run", f.name) for f in dataclasses.fields(RunConfig)]
+    + [("sweep", f.name) for f in dataclasses.fields(SweepConfig)
+       if f.default is not dataclasses.MISSING],
+)
+def test_flag_and_config_key_agree(verb, key, tmp_path, monkeypatch):
+    seen = []
+    runner = "run_scenario" if verb == "run" else "run_sweep"
+    monkeypatch.setattr(cli_mod, runner, lambda cfg: seen.append(cfg) or (0, None))
+    value = KEY_SAMPLES[key]
+    if verb == "run":
+        base_flags = [] if key == "scenario" else ["--scenario", "custom"]
+        doc = {"scenario": "custom", key: value}
+    else:
+        base_flags = ["--j0-grid", "0.5", "1.5", "3", "--b-grid", "0", "1", "2"]
+        doc = {"sweep": {**SWEEP_GRIDS, key: value}}
+    flag = "--" + key.replace("_", "-")
+    assert main([verb, "--config", write_json(tmp_path, doc)]) == 0
+    assert getattr(seen[0], key) == value
+    if key in CONFIG_FILE_ONLY:
+        with pytest.raises(SystemExit):
+            main([verb, *base_flags, flag, str(value)])
+        return
+    assert main([verb, *base_flags, *([flag] if value is True else [flag, str(value)])]) == 0
+    assert seen[1] == seen[0]
 
 
 def test_verify_quick(capsys, tmp_path):
@@ -270,6 +329,14 @@ def test_verify_quick(capsys, tmp_path):
     doc = json.loads(summary.read_text())
     assert doc["passed"] is True
     assert all(c["passed"] for c in doc["checks"])
+
+
+def test_verify_models_must_be_positive(tmp_path, capsys):
+    summary = tmp_path / "verify.json"
+    for models in ("0", "-3"):
+        assert run_cli("verify", "--models", models, "--summary", str(summary)) == 2
+        assert f"n_models must be positive, got {models}" in capsys.readouterr().err
+    assert not summary.exists()
 
 
 def test_exit_code_two_paths(tmp_path, capsys):
