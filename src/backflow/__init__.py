@@ -14,7 +14,6 @@ from .diagnostics import (
     distinguishability_bound,
     env_indistinguishability,
     mutual_information,
-    sigma_series,
     trace_distance,
 )
 from .evolution import (
@@ -27,7 +26,6 @@ from .evolution import (
 )
 from .linalg import (
     Bipartition,
-    DensityMatrix,
     haar_random_state,
     hermitian_eig,
     kron,
@@ -72,7 +70,6 @@ __all__ = [
     "ChainParams",
     "CheckResult",
     "CorrelatedInitialStateError",
-    "DensityMatrix",
     "DimensionMismatchError",
     "EquatorialScan",
     "MeasureReport",
@@ -109,7 +106,6 @@ __all__ = [
     "purity",
     "random_generic_model",
     "run_trajectory",
-    "sigma_series",
     "structural_suite",
     "total_sz_diagonal",
     "trace_distance",

@@ -169,13 +169,17 @@ def _keys(cls) -> list:
 
 
 def _merge(cls, given: dict, what: str) -> dict:
-    """Coerce the given key values over the defaults of cls; unknown keys are refused."""
+    """Coerce the given key values over the defaults of cls.
+
+    Unknown keys are refused, and so is null where the default is not null.
+    """
     keys = {f.name: f for f in _keys(cls)}
     values = {name: f.default for name, f in keys.items()}
     for key, value in given.items():
         if key not in keys:
             raise ConfigError(f"unknown {what} '{key}'")
-        values[key] = None if value is None else keys[key].metadata["coerce"](key, value)
+        nullable = value is None and keys[key].default is None
+        values[key] = None if nullable else keys[key].metadata["coerce"](key, value)
     return values
 
 
@@ -227,6 +231,8 @@ def _check_common(values: dict, builds_chain: bool) -> None:
             )
     if values["steps"] < 0:
         raise ConfigError(f"steps must be nonnegative, got {values['steps']}")
+    if values["t_max"] < 0:
+        raise ConfigError(f"t_max must be nonnegative, got {values['t_max']}")
     if values["steps"] > 0 and values["t_max"] <= 0:
         raise ConfigError(f"t_max must be positive, got {values['t_max']}")
 
@@ -258,6 +264,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     _check_common(values, values["model_file"] is None and scenario != "bound-check")
     if values["n_models"] < 1:
         raise ConfigError(f"n_models must be positive, got {values['n_models']}")
+    if values["seed"] < 0:
+        raise ConfigError(f"seed must be nonnegative, got {values['seed']}")
     if values["pair"] != "file":
         parse_pair_family(values["pair"], values["seed"])
     elif values["model_file"] is None:
@@ -442,6 +450,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[int, list[dict]]:
                 row["n_measure"] = report.n_measure
                 row["n_intervals"] = len(report.intervals)
                 row["status"] = "ok"
+                del report  # free the record before the next point builds its 2^n H
             except Exception as exc:  # keep sweeping, report at the end
                 row["n_measure"] = None
                 row["n_intervals"] = None

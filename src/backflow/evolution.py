@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import pair_step_series, sigma_series, mutual_information_rate
+from .diagnostics import pair_step_series
 from .linalg import hermitian_eig
 from .model import Model, ProductState, product_pair, total_sz_diagonal
 
@@ -173,31 +173,6 @@ def _spectral_series(w: np.ndarray, vec: np.ndarray, c0: np.ndarray, times: np.n
     return (vec @ (phases * amp[:, None])).T
 
 
-def _finish(times, dt, cols, path_used, states_1, states_2, carrier) -> TrajectoryRecord:
-    n = times.size
-    if n >= 3:
-        sigma = sigma_series(cols["d_system"], dt)
-        didt = mutual_information_rate(cols["mutual_info_1"], dt)
-    elif n == 2:
-        slope_d = (cols["d_system"][1] - cols["d_system"][0]) / dt
-        slope_i = (cols["mutual_info_1"][1] - cols["mutual_info_1"][0]) / dt
-        sigma = np.full(2, slope_d)
-        didt = np.full(2, slope_i)
-    else:
-        sigma = np.zeros(1)
-        didt = np.zeros(1)
-    return TrajectoryRecord(
-        times=times,
-        sigma=sigma,
-        didt_1=didt,
-        path_used=path_used,
-        states_1=states_1,
-        states_2=states_2,
-        carrier=carrier,
-        **cols,
-    )
-
-
 def run_trajectory(
     model: Model,
     grid: TimeGrid,
@@ -240,7 +215,9 @@ def run_trajectory(
             states.append(small)
         sz = (n_total - 2.0 * np.array([bin(int(i)).count("1") for i in carrier]))
         cols = pair_step_series(g, 2, n_total, states[0], states[1], sz_diagonal=sz)
-        return _finish(times, grid.dt, cols, "subspace", states[0], states[1], carrier)
+        return TrajectoryRecord(
+            times, path_used="subspace", states_1=states[0], states_2=states[1], carrier=carrier, **cols
+        )
 
     prop = make_propagator(model)
     s1 = _spectral_series(prop.eigenvalues, prop.eigenvectors, v1, times)
@@ -248,4 +225,4 @@ def run_trajectory(
     sz = total_sz_diagonal(int(np.log2(model.dimension) + 0.5)) if model.sector_basis is not None else None
     bp = model.bipartition
     cols = pair_step_series(model.hamiltonian, bp.d_system, bp.d_environment, s1, s2, sz_diagonal=sz)
-    return _finish(times, grid.dt, cols, "dense", s1, s2, None)
+    return TrajectoryRecord(times, path_used="dense", states_1=s1, states_2=s2, **cols)

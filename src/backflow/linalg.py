@@ -7,13 +7,12 @@ tensor factor; |0> is the sigma_z eigenstate with eigenvalue +1.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Bipartition",
-    "DensityMatrix",
     "kron",
     "hermitian_eig",
     "trace_norm",
@@ -25,21 +24,8 @@ __all__ = [
 
 HERMITIAN_ATOL = 1e-12
 EIG_HERMITIAN_ATOL = 1e-10
-TRACE_ATOL = 1e-12
 NORM_ATOL = 1e-12
-PSD_FLOOR = -1e-10
 ENTROPY_CUTOFF = 1e-14
-
-
-def _matrix_of(a) -> np.ndarray:
-    """Underlying complex matrix of `a` (plain array or DensityMatrix)."""
-    return np.asarray(getattr(a, "matrix", a), dtype=np.complex128)
-
-
-def _dims_tuple(dims) -> tuple[int, ...]:
-    if isinstance(dims, Bipartition):
-        return (dims.d_system, dims.d_environment)
-    return tuple(int(d) for d in dims)
 
 
 @dataclass(frozen=True)
@@ -59,50 +45,6 @@ class Bipartition:
     @property
     def d_joint(self) -> int:
         return self.d_system * self.d_environment
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Unit-trace, Hermitian, positive semidefinite operator.
-
-    `dims` records the tensor factorization of the underlying space,
-    e.g. (2, 512) for one qubit against a nine-spin environment.
-    `check_psd=False` skips the eigenvalue scan; it is reserved for
-    matrices that are positive by construction (outer products).
-    """
-
-    matrix: np.ndarray
-    dims: tuple[int, ...]
-    check_psd: InitVar[bool] = True
-
-    def __post_init__(self, check_psd: bool) -> None:
-        m = np.ascontiguousarray(np.asarray(self.matrix, dtype=np.complex128))
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", _dims_tuple(self.dims))
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        n = m.shape[0]
-        if int(np.prod(self.dims)) != n:
-            raise ValueError(f"dims {self.dims} do not factor dimension {n}")
-        asym = float(np.max(np.abs(m - m.conj().T)))
-        if asym > HERMITIAN_ATOL:
-            raise ValueError(f"density matrix not Hermitian, max asymmetry {asym:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"density matrix trace {tr:.17g} differs from 1")
-        if check_psd:
-            low = float(np.linalg.eigvalsh(m)[0])
-            if low < PSD_FLOOR:
-                raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
-
-    @classmethod
-    def from_state_vector(cls, amplitudes: np.ndarray, dims) -> "DensityMatrix":
-        v = np.asarray(amplitudes, dtype=np.complex128).ravel()
-        return cls(np.outer(v, v.conj()), _dims_tuple(dims), check_psd=False)
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,9 +85,9 @@ def partial_trace(m, bipartition: Bipartition, keep: str = "system") -> np.ndarr
     """Reduce a joint operator to one factor of `bipartition`.
 
     keep="system" traces out the environment, keep="environment" traces
-    out the system. Accepts a plain array or a DensityMatrix.
+    out the system.
     """
-    x = _matrix_of(m)
+    x = np.asarray(m, dtype=np.complex128)
     ds, de = bipartition.d_system, bipartition.d_environment
     if x.shape != (ds * de, ds * de):
         raise ValueError(f"operator shape {x.shape} does not match bipartition ({ds}, {de})")
@@ -163,7 +105,7 @@ def von_neumann_entropy(rho) -> float:
     Eigenvalues below 1e-14 are treated as exactly zero so that rounding
     noise from reductions of pure states cannot contribute.
     """
-    w = np.linalg.eigvalsh(_matrix_of(rho))
+    w = np.linalg.eigvalsh(np.asarray(rho, dtype=np.complex128))
     w = np.where(w < ENTROPY_CUTOFF, 0.0, w)
     logs = np.zeros_like(w)
     np.log2(w, out=logs, where=w > 0)
@@ -172,7 +114,7 @@ def von_neumann_entropy(rho) -> float:
 
 def purity(rho) -> float:
     """Tr(rho^2) as a real number."""
-    m = _matrix_of(rho)
+    m = np.asarray(rho, dtype=np.complex128)
     return float(np.real(np.einsum("ij,ji->", m, m)))
 
 

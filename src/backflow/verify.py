@@ -19,12 +19,13 @@ from .diagnostics import (
     bound_term1_from_couplings,
     correlation_distance,
     correlation_operator,
+    didt_from_generator,
     distinguishability_bound,
     mutual_information,
-    trace_distance,
+    sigma_from_generator,
 )
 from .evolution import TimeGrid, make_propagator, run_trajectory
-from .linalg import Bipartition, DensityMatrix, haar_random_state, partial_trace, trace_norm
+from .linalg import Bipartition, haar_random_state, partial_trace, trace_norm
 from .model import ChainParams, Model, build_chain_model
 from .output import TRAJECTORY_CSV
 
@@ -36,7 +37,6 @@ __all__ = [
 ]
 
 BOUND_TOLERANCE = 1e-6
-SIGMA_DELTA = 1e-5
 
 # record fields compared between the dense and subspace paths
 TRAJECTORY_COLUMNS = tuple(name for _, name in TRAJECTORY_CSV)
@@ -67,28 +67,6 @@ def random_generic_model(rng: np.random.Generator, d_environment: int, d_system:
     return Model(hamiltonian=h, bipartition=Bipartition(d_system, d_environment), initial_pair=pair)
 
 
-def _sigma_and_bound_at(model: Model, prop, t: float, delta: float = SIGMA_DELTA):
-    """Local-difference sigma and the bound at one time."""
-    bp = model.bipartition
-    v = [np.kron(vs, ve) for vs, ve in model.initial_pair]
-    reduced = {}
-    for dt in (-delta, 0.0, +delta):
-        rho = []
-        for vj in v:
-            psi = prop.apply(vj, t + dt)
-            rho.append(psi.reshape(bp.d_system, bp.d_environment))
-        reduced[dt] = [p @ p.conj().T for p in rho]
-    d_minus = trace_distance(reduced[-delta][0], reduced[-delta][1])
-    d_plus = trace_distance(reduced[+delta][0], reduced[+delta][1])
-    sigma = (d_plus - d_minus) / (2.0 * delta)
-    psi1 = prop.apply(v[0], t)
-    psi2 = prop.apply(v[1], t)
-    r1 = DensityMatrix.from_state_vector(psi1, (bp.d_system, bp.d_environment))
-    r2 = DensityMatrix.from_state_vector(psi2, (bp.d_system, bp.d_environment))
-    bound = distinguishability_bound(model, r1, r2)
-    return sigma, bound
-
-
 def bound_suite(
     n_models: int = 50,
     seed: int = 7,
@@ -111,10 +89,11 @@ def bound_suite(
         d_env = int(d_env_choices[i % len(d_env_choices)])
         model = random_generic_model(rng, d_env)
         prop = make_propagator(model)
+        vecs = [np.kron(vs, ve) for vs, ve in model.initial_pair]
         model_worst = -np.inf
         for t in times:
-            sigma, bound = _sigma_and_bound_at(model, prop, float(t))
-            margin = sigma - bound.total
+            rho = [np.outer(p, p.conj()) for p in (prop.apply(v, float(t)) for v in vecs)]
+            margin = sigma_from_generator(model, *rho) - distinguishability_bound(model, *rho).total
             model_worst = max(model_worst, margin)
             if margin > worst:
                 worst = margin
@@ -202,6 +181,8 @@ def _kernel_oracle_check(tag: str, model: Model, record) -> CheckResult:
             "bound_total": bound.total,
             "mutual_info_1": mutual_information(rho_se[0], bp),
             "mutual_info_2": mutual_information(rho_se[1], bp),
+            "sigma": sigma_from_generator(model, *rho_se),
+            "didt_1": didt_from_generator(model, rho_se[0]),
         }
         for col, value in expected.items():
             gap = abs(float(getattr(record, col)[i]) - value)
@@ -261,8 +242,6 @@ def structural_suite(
 
     sub_params = ChainParams(n_total=n_total_subspace, b_field=b_field)
     sub_model = build_chain_model(sub_params)
-    # the bound comparison below needs the fine default grid; a coarser
-    # one leaks finite-difference error into sigma past the tolerance
     sub_grid = TimeGrid(t_max=float(n_total_subspace - 1), n_steps=2000)
     big_rec = run_trajectory(sub_model, sub_grid, path="subspace")
     checks += _trajectory_checks(f"subspace n={n_total_subspace}", sub_model, big_rec)

@@ -280,6 +280,48 @@ def test_sweep_shares_run_checks(capsys):
         assert message in capsys.readouterr().err
 
 
+def test_null_stands_for_a_default_only_where_it_is_null(tmp_path, capsys):
+    small = {"n_spins": 4, "steps": 10}
+    out = tmp_path / "never.csv"
+    for doc, verb in (
+        ({"scenario": "fig1a", **small, "steps": None}, "run"),
+        ({"scenario": "measure", **small, "pair": "random:2", "seed": None}, "run"),
+        ({"sweep": {**SWEEP_GRIDS, **small, "steps": None}}, "sweep"),
+    ):
+        code = main([verb, "--config", write_json(tmp_path, doc), "--out", str(out)])
+        assert code == 2
+        assert "got None" in capsys.readouterr().err
+    assert not out.exists()
+    # null t_max, summary and out keep their defaults
+    cfg = parse_config(overrides={"scenario": "fig1a", "t_max": None, "summary": None})
+    assert cfg.t_max == 9.0 and cfg.summary is None
+
+
+def test_negative_seed_and_t_max_exit_2(tmp_path, capsys):
+    out, summary = tmp_path / "never.csv", tmp_path / "never.json"
+    outputs = ["--out", str(out), "--summary", str(summary)]
+    for argv, message in (
+        (["run", "--scenario", "bound-check", "--seed", "-1", *outputs], "seed must be nonnegative"),
+        (["run", "--scenario", "fig1a", "--pair", "random:2", "--seed", "-1", *outputs],
+         "seed must be nonnegative"),
+        (["verify", "--seed", "-1", "--summary", str(summary)], "seed must be nonnegative"),
+        (["run", "--scenario", "fig1a", "--n-spins", "4", "--steps", "0", "--t-max", "-1", *outputs],
+         "t_max must be nonnegative"),
+        (["sweep", "--n-spins", "4", "--steps", "0", "--t-max", "-1", "--j0-grid", "1", "1", "1",
+          "--b-grid", "0", "0", "1", *outputs], "t_max must be nonnegative"),
+    ):
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err
+    assert not out.exists() and not summary.exists()
+
+
+def test_coarse_grid_passes_the_bound_check(tmp_path):
+    summary = tmp_path / "s.json"
+    argv = ["run", "--scenario", "fig1a", "--steps", "200", "--summary", str(summary)]
+    assert main([*argv, "--out", str(tmp_path / "s.csv")]) == 0
+    assert json.loads(summary.read_text())["max_bound_violation"] <= 1e-13
+
+
 # a value other than the default for every run and sweep key
 KEY_SAMPLES = {
     "scenario": "fig2b", "n_spins": 6, "j": 0.7, "j0": 0.3, "b_field": 0.2,

@@ -12,9 +12,7 @@ from backflow.diagnostics import (
     distinguishability_bound,
     env_indistinguishability,
     mutual_information,
-    mutual_information_rate,
     pair_step_series,
-    sigma_series,
     trace_distance,
 )
 from backflow.linalg import (
@@ -60,23 +58,6 @@ def test_trace_distance_contractivity():
                 partial_trace(r1, bp, "system"), partial_trace(r2, bp, "system")
             )
             assert red <= full + 1e-12
-
-
-def test_sigma_series_tracks_derivative():
-    t = np.linspace(0.0, 2.0, 2001)
-    d = np.cos(t)
-    sigma = sigma_series(d, t[1] - t[0])
-    # interior samples are second order accurate
-    assert np.max(np.abs(sigma[1:-1] + np.sin(t[1:-1]))) < 1e-6
-    rate = mutual_information_rate(d, t[1] - t[0])
-    assert np.array_equal(rate, sigma)
-
-
-def test_sigma_series_input_checks():
-    with pytest.raises(ValueError):
-        sigma_series(np.array([1.0, 0.9]), 0.1)
-    with pytest.raises(ValueError):
-        sigma_series(np.array([1.0, 0.9, 0.8]), 0.0)
 
 
 def test_correlation_operator_bell():

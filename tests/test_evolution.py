@@ -129,8 +129,47 @@ def test_auto_path_selection():
         run_trajectory(model2, TimeGrid(t_max=1.0, n_steps=10), path="subspace")
 
 
-def test_two_point_grid_sigma():
-    model = build_chain_model(ChainParams(n_total=3))
-    rec = run_trajectory(model, TimeGrid(t_max=0.1, n_steps=1))
-    slope = (rec.d_system[1] - rec.d_system[0]) / 0.1
-    assert np.allclose(rec.sigma, [slope, slope])
+def _plus_minus_closed_form(n_total, times):
+    """D(t) = |f(t)| and sigma = Re(conj(f) f') / |f| for j0 = j = 1 in a uniform field.
+
+    f(t) = (2/(n+1)) sum_k sin^2(k pi/(n+1)) exp(8i cos(k pi/(n+1)) t), n = n_total,
+    is the amplitude of the qubit excitation staying on the qubit.
+    """
+    x = np.arange(1, n_total + 1) * np.pi / (n_total + 1)
+    weights = 2.0 / (n_total + 1) * np.sin(x) ** 2
+    phases = np.exp(8j * np.outer(times, np.cos(x)))
+    f = phases @ weights
+    f_dot = phases @ (8j * np.cos(x) * weights)
+    return np.abs(f), np.real(f.conj() * f_dot) / np.abs(f)
+
+
+@pytest.mark.parametrize(
+    "n_total, b_field, field_on_system, t_max, n_steps, path",
+    [
+        (10, 0.0, False, 40.0, 4000, "subspace"),
+        (12, 0.0, False, 40.0, 4000, "subspace"),
+        (10, 0.3, True, 40.0, 4000, "subspace"),
+        (10, 0.0, False, 0.1, 1, "subspace"),
+        (6, 0.0, False, 40.0, 4000, "dense"),
+    ],
+    ids=["n10", "n12", "n10-field-on-system", "n10-one-step", "n6-dense"],
+)
+def test_plus_minus_pair_matches_closed_form(n_total, b_field, field_on_system, t_max, n_steps, path):
+    # through the revivals: the trace distance dips close to zero and recovers
+    params = ChainParams(n_total=n_total, b_field=b_field, field_on_system=field_on_system)
+    rec = run_trajectory(build_chain_model(params), TimeGrid(t_max, n_steps), path=path)
+    d, sigma = _plus_minus_closed_form(n_total, rec.times)
+    assert np.max(np.abs(rec.d_system - d)) <= 1e-12
+    # sigma has a kink wherever D touches zero
+    away = d > 1e-6
+    assert np.max(np.abs(rec.sigma - sigma)[away]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n_total, n_steps, path",
+    [(10, 50, "auto"), (10, 200, "auto"), (10, 2000, "auto"), (10, 20000, "auto"), (8, 200, "dense")],
+)
+def test_bound_holds_on_every_grid(n_total, n_steps, path):
+    model = build_chain_model(ChainParams(n_total=n_total))
+    rec = run_trajectory(model, TimeGrid(t_max=n_total - 1.0, n_steps=n_steps), path=path)
+    assert np.max(rec.sigma - rec.bound_total) <= 1e-13

@@ -3,7 +3,6 @@ import pytest
 
 from backflow.linalg import (
     Bipartition,
-    DensityMatrix,
     haar_random_state,
     hermitian_eig,
     kron,
@@ -134,32 +133,6 @@ def test_kron_matches_numpy():
     assert np.array_equal(kron(a, b), np.kron(a, b))
     with pytest.raises(ValueError):
         kron(a, np.ones(4))
-
-
-def test_density_matrix_validation():
-    bp = Bipartition(2, 2)
-    good = np.eye(4) / 4
-    DensityMatrix(good, bp)
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(4) / 2, bp)  # trace 2
-    bad = good.copy().astype(complex)
-    bad[0, 1] = 0.2
-    with pytest.raises(ValueError):
-        DensityMatrix(bad, bp)  # not hermitian
-    neg = np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex)
-    with pytest.raises(ValueError):
-        DensityMatrix(neg, bp)
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(6) / 6, bp)  # wrong joint dimension
-
-
-def test_from_state_vector_is_projector():
-    rng = np.random.default_rng(7)
-    bp = Bipartition(2, 3)
-    psi = haar_random_state(6, rng)
-    rho = DensityMatrix.from_state_vector(psi, bp)
-    assert np.max(np.abs(rho.matrix - np.outer(psi, psi.conj()))) < 1e-14
-    assert abs(purity(rho.matrix) - 1.0) < 1e-12
 
 
 def test_entropy_values():
