@@ -183,14 +183,32 @@ def _ptrace_stack(x: np.ndarray, ds: int, de: int, keep: str) -> np.ndarray:
     return np.einsum("cabae->cbe", t)
 
 
-def _tn_hermitian_stack(x: np.ndarray) -> np.ndarray:
-    return np.abs(np.linalg.eigvalsh(x)).sum(axis=-1)
-
-
-def _eigen_rate_stack(x: np.ndarray, x_dot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w_k of each Hermitian x and their rates <u_k| x_dot |u_k>."""
+def _eigen_rate_stack(x: np.ndarray, x_dot: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues w_k of each Hermitian x, ascending, and, given x_dot, their rates <u_k| x_dot |u_k>."""
+    if x_dot is None:
+        return np.linalg.eigvalsh(x), None
     w, u = np.linalg.eigh(x)
     return w, np.einsum("cak,cab,cbk->ck", u.conj(), x_dot, u).real
+
+
+def _eigen_rate_2x2(x: np.ndarray, x_dot: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """_eigen_rate_stack for 2 x 2 x, in closed form.
+
+    With m = Tr x / 2 and r = hypot((x_00 - x_11) / 2, |x_01|) the
+    eigenvalues are m -+ r, and the rates are (Tr x_dot -+ Tr((x - m)
+    x_dot) / r) / 2, both Tr x_dot / 2 where r = 0.
+    """
+    half = 0.5 * (x[:, 0, 0].real - x[:, 1, 1].real)
+    m = 0.5 * (x[:, 0, 0].real + x[:, 1, 1].real)
+    r = np.hypot(half, np.abs(x[:, 0, 1]))
+    w = np.stack([m - r, m + r], axis=-1)
+    if x_dot is None:
+        return w, None
+    tr = x_dot[:, 0, 0].real + x_dot[:, 1, 1].real
+    # Tr((x - m) x_dot) = half (x_dot_00 - x_dot_11) + 2 Re(x_01 x_dot_10) for Hermitian x
+    proj = half * (x_dot[:, 0, 0].real - x_dot[:, 1, 1].real) + 2.0 * (x[:, 0, 1] * x_dot[:, 1, 0]).real
+    split = np.divide(proj, r, out=np.zeros_like(r), where=r > 0)
+    return w, 0.5 * np.stack([tr - split, tr + split], axis=-1)
 
 
 def _log2_kept(w: np.ndarray) -> np.ndarray:
@@ -227,14 +245,41 @@ def _compressed_hamiltonian(h: np.ndarray, q: np.ndarray, ds: int, de: int) -> n
     return hc.reshape(n, k, ds, ds, k).transpose(0, 2, 1, 3, 4).reshape(n, ds * k, ds * k)
 
 
-def _commutator_trace_norm(hc: np.ndarray, x: np.ndarray, ds: int, k: int) -> np.ndarray:
+def _trace_norm_stack(x: np.ndarray, eig=_eigen_rate_stack) -> np.ndarray:
+    """Trace norms of stacked Hermitian x, from eigenvalues by `eig`."""
+    return np.abs(eig(x)[0]).sum(axis=-1)
+
+
+def _commutator_trace_norm(hc: np.ndarray, x: np.ndarray, ds: int, k: int, eig) -> np.ndarray:
     """|| Tr_E [H, X] ||_1 for Hermitian X = U x U^dagger, from compressed hc and x.
 
     Tr_E[H, X] = M - M^dagger with M = Tr_E[H X] = Tr_k[hc x]; the
     difference is anti-Hermitian, so its trace norm is that of i(M - M^dagger).
     """
     m = _ptrace_stack(hc @ x, ds, k, "system")
-    return _tn_hermitian_stack(1j * (m - m.conj().transpose(0, 2, 1)))
+    return _trace_norm_stack(1j * (m - m.conj().transpose(0, 2, 1)), eig)
+
+
+def _det_2xk(c: np.ndarray) -> np.ndarray:
+    """det(c c^dagger) of each 2 x k c by Cauchy-Binet: sum over i < l of |c_0i c_1l - c_0l c_1i|^2.
+
+    Unlike p_0 p_1 from eigenvalues, it keeps full relative precision near
+    a product state, where the small Schmidt weight is lost to round-off.
+    """
+    minors = c[:, 0, :, None] * c[:, 1, None, :]
+    return 0.5 * (np.abs(minors - minors.transpose(0, 2, 1)) ** 2).sum(axis=(1, 2))
+
+
+def _support_spectrum(rho_e: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Eigenvalues of rho_E = c^T c^* compressed onto range(c^T), for 2 x k c.
+
+    That range holds all of rho_E's support and has dimension min(k, 2),
+    so the compressed operator is at most 2 x 2.
+    """
+    if rho_e.shape[1] == 1:
+        return rho_e[:, :, 0].real
+    b = np.linalg.qr(c.transpose(0, 2, 1))[0]
+    return _eigen_rate_2x2(b.conj().transpose(0, 2, 1) @ rho_e @ b)[0]
 
 
 def pair_step_series(
@@ -263,9 +308,6 @@ def pair_step_series(
     of W and compressed coefficients c_j = R_j^T, and every operator the
     diagnostics need (joint states, marginals, correlation operators chi_j
     and their difference, rho_S (x) Delta_E) lives on C^d_system (x) W.
-    All norms and entropies are eigenvalues of at most
-    (d_system * k)-square matrices, 8 x 8 for a qubit; the joint entropy
-    is computed from the compressed rank-one state, not assumed zero.
     Each commutator term Tr_E[H, X] is M - M^dagger with M read off the
     compressed Hamiltonian (I (x) Q)^dagger H (I (x) Q), so a step costs
     O(d^2 * d_system * k) and no d x d matrix is formed. The
@@ -281,9 +323,24 @@ def pair_step_series(
     I_1 = 2 S(rho_S^1) for a pure joint state; terms with p_k <
     ENTROPY_CUTOFF are dropped, as the entropy drops them.
 
-    Work is chunked along the time axis so that the largest intermediate,
-    the (chunk, d, d_system * k) product H (I (x) Q), holds at most
-    chunk_elements entries (but always at least one time).
+    For a qubit (d_system = 2) only two eigenproblems per time go to
+    LAPACK: Delta_E (k x k) and chi_1 - chi_2 (8 x 8). The rest are
+    closed forms:
+    - every 2 x 2 Hermitian spectrum (rho_S^j, Delta, the three
+      commutator terms) and the eigenvalue rates behind sigma and didt_1;
+      the small eigenvalue of rho_S^j is det rho_S^j over the large one,
+      with the determinant by Cauchy-Binet from c_j
+    - ||chi_j||_1 = 2 sqrt(det rho_S^j) + 2 det rho_S^j
+    - the joint entropy, from the rank-one state's one eigenvalue
+      ||v_j||^2, computed rather than assumed 1
+    - S(rho_E^j), from rho_E^j compressed onto range(c_j^T), at most 2 x 2
+    Other d_system take every spectrum from LAPACK, in matrices of at
+    most (d_system * k)-square.
+
+    Work is chunked along the time axis so that the arrays a chunk holds
+    at once (H (I (x) Q) and its reordered copy, (chunk, d, d_system * k)
+    each, plus the QR factors and the (d_system * k)-square stacks) hold
+    at most chunk_elements entries (but always at least one time).
     """
     h = np.asarray(h, dtype=np.complex128)
     s1 = np.atleast_2d(np.asarray(states_1, dtype=np.complex128))
@@ -295,7 +352,10 @@ def pair_step_series(
     if s1.shape != s2.shape or s1.shape[1] != d:
         raise ValueError("state stacks must share shape (n_times, d_system*d_environment)")
     n_times = s1.shape[0]
-    chunk = max(1, int(chunk_elements) // (d * ds * min(de, 2 * ds)))
+    w = ds * min(de, 2 * ds)
+    # entries per time: H (I (x) Q) and its reordered copy, the QR's input and Q,
+    # and the w x w stacks alive at once (hc, chi_j, their difference, commutator terms)
+    chunk = max(1, int(chunk_elements) // (2 * d * w + 4 * d + 8 * w * w))
     # an empty stack still runs one (empty) chunk, so every key is present
     parts = [
         _chunk_series(h, ds, de, s1[a : a + chunk], s2[a : a + chunk], sz_diagonal)
@@ -312,6 +372,8 @@ def _chunk_series(h, ds, de, s1, s2, sz_diagonal) -> dict[str, np.ndarray]:
     q, r = np.linalg.qr(f)
     k = q.shape[2]
     hc = _compressed_hamiltonian(h, q, ds, de)
+    qubit = ds == 2
+    eig = _eigen_rate_2x2 if qubit else _eigen_rate_stack
     out, rho_s, rho_e, chi, rho_dot = {}, {}, {}, {}, {}
     for j in (1, 2):
         c = r[:, :, (j - 1) * ds : j * ds].transpose(0, 2, 1)
@@ -323,35 +385,42 @@ def _chunk_series(h, ds, de, s1, s2, sz_diagonal) -> dict[str, np.ndarray]:
         # d rho_S/dt = -i (M - M^dagger) with M = Tr_k[hc v v^dagger]
         m = (hc @ v[:, :, None]).reshape(n, ds, k) @ c.conj().transpose(0, 2, 1)
         rho_dot[j] = -1j * (m - m.conj().transpose(0, 2, 1))
-        if j == 1:
-            p, rates = _eigen_rate_stack(rho_s[1], rho_dot[1])
-            out["didt_1"] = -2.0 * (rates * _log2_kept(p)).sum(axis=-1)
+        # only didt_1 needs the eigenvalue rates
+        p, rates = eig(rho_s[j], rho_dot[j] if j == 1 else None)
+        if qubit:
+            det = _det_2xk(c)
+            # det / p_1 keeps the small eigenvalue's relative precision, which m - r loses
+            p[:, 0] = det / p[:, 1]
+            out[f"chi{j}_norm"] = 2.0 * np.sqrt(det) + 2.0 * det
+            s_env = _entropy_stack(_support_spectrum(rho_e[j], c))
+            s_joint = _entropy_stack((np.abs(v) ** 2).sum(axis=1)[:, None])
         else:
-            p = np.linalg.eigvalsh(rho_s[2])
+            out[f"chi{j}_norm"] = _trace_norm_stack(chi[j])
+            s_env, s_joint = (_entropy_stack(np.linalg.eigvalsh(x)) for x in (rho_e[j], rho_se))
+        if j == 1:
+            out["didt_1"] = -2.0 * (rates * _log2_kept(p)).sum(axis=-1)
         svn_system = _entropy_stack(p)
         out[f"svn_system_{j}"] = svn_system
-        s_env, s_joint = (_entropy_stack(np.linalg.eigvalsh(x)) for x in (rho_e[j], rho_se))
         out[f"mutual_info_{j}"] = svn_system + s_env - s_joint
         probs = np.abs(psi[j]) ** 2
         out[f"purity_{j}"] = probs.sum(axis=1) ** 2
         out[f"magnetization_{j}"] = np.full(n, np.nan) if sz_diagonal is None else probs @ sz_diagonal
-        out[f"chi{j}_norm"] = _tn_hermitian_stack(chi[j])
         out[f"chi{j}_ptrace_sys"] = np.abs(_ptrace_stack(chi[j], ds, k, "system")).max(axis=(1, 2))
         out[f"chi{j}_ptrace_env"] = np.abs(_ptrace_stack(chi[j], ds, k, "environment")).max(axis=(1, 2))
 
-    w, rates = _eigen_rate_stack(rho_s[1] - rho_s[2], rho_dot[1] - rho_dot[2])
+    w, rates = eig(rho_s[1] - rho_s[2], rho_dot[1] - rho_dot[2])
     out["d_system"] = 0.5 * np.abs(w).sum(axis=-1)
     out["sigma"] = 0.5 * (np.sign(w) * rates).sum(axis=-1)
-    del rho_se, rho_dot, m  # not read below; frees ~2 MiB before the 8 x 8 commutator terms
+    del rho_se, rho_dot, m  # not read below; freed before the (d_system k)-square commutator terms
     delta_e = rho_e[1] - rho_e[2]
-    out["d_env"] = 0.5 * _tn_hermitian_stack(delta_e)
+    out["d_env"] = 0.5 * _trace_norm_stack(delta_e)
     out["e_indist"] = 1.0 - out["d_env"]
     dchi = chi[1] - chi[2]
-    out["x_corr"] = 0.5 * _tn_hermitian_stack(dchi)
+    out["x_corr"] = 0.5 * _trace_norm_stack(dchi)
 
     for j in (1, 2):
-        out[f"term1_branch{j}"] = _commutator_trace_norm(hc, _kron_stack(rho_s[j], delta_e), ds, k)
-    out["bound_term2"] = _commutator_trace_norm(hc, dchi, ds, k)
+        out[f"term1_branch{j}"] = _commutator_trace_norm(hc, _kron_stack(rho_s[j], delta_e), ds, k, eig)
+    out["bound_term2"] = _commutator_trace_norm(hc, dchi, ds, k, eig)
     out["bound_term1"] = np.minimum(out["term1_branch1"], out["term1_branch2"])
     out["bound_total"] = 0.5 * (out["bound_term1"] + out["bound_term2"])
     return out

@@ -56,10 +56,6 @@ class TimeGrid:
             return np.zeros(1)
         return np.linspace(0.0, self.t_max, self.n_steps + 1)
 
-    @property
-    def dt(self) -> float:
-        return self.t_max / self.n_steps if self.n_steps else 0.0
-
 
 @dataclass(frozen=True)
 class Propagator:

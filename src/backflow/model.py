@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import HERMITIAN_ATOL, NORM_ATOL, Bipartition, kron
+from .linalg import CHECK_TILE, HERMITIAN_ATOL, NORM_ATOL, Bipartition, kron, max_asymmetry
 
 __all__ = [
     "PAULI",
@@ -45,9 +45,6 @@ _ID2 = np.eye(2, dtype=np.complex128)
 
 INTERACTION_RESIDUAL_ATOL = 1e-12
 SECTOR_ATOL = 1e-14
-# edge of the square tiles the Hermiticity check compares, small enough to stay in
-# cache; also the row-block height of the sector check
-CHECK_TILE = 256
 
 
 class ModelFileError(ValueError):
@@ -118,18 +115,6 @@ class ChainParams:
             raise ValueError("j_env must be nonzero; ratios are taken against it")
 
 
-def _max_asymmetry(h: np.ndarray) -> float:
-    """max |h - h^dagger| entrywise, compared tile by tile with no d x d temporary."""
-    d = h.shape[0]
-    worst = 0.0
-    for i in range(0, d, CHECK_TILE):
-        for j in range(i, d, CHECK_TILE):
-            upper = h[i : i + CHECK_TILE, j : j + CHECK_TILE]
-            lower = h[j : j + CHECK_TILE, i : i + CHECK_TILE]
-            worst = max(worst, float(np.max(np.abs(upper - lower.conj().T))))
-    return worst
-
-
 ProductState = tuple[np.ndarray, np.ndarray]
 
 
@@ -194,7 +179,7 @@ class Model:
         if h.shape != (d, d):
             raise ValueError(f"hamiltonian shape {h.shape} does not match bipartition dimension {d}")
         object.__setattr__(self, "initial_pair", product_pair(self.initial_pair, self.bipartition))
-        asym = _max_asymmetry(h)
+        asym = max_asymmetry(h)
         if asym > HERMITIAN_ATOL:
             raise ValueError(f"hamiltonian not Hermitian, max asymmetry {asym:.3e}")
         if self.interaction_terms is not None:
@@ -418,7 +403,7 @@ def load_generic_model(path: str | Path) -> Model:
         raise DimensionMismatchError(
             f"{path}: hamiltonian shape {h.shape} does not match dims product {d}"
         )
-    asym = float(np.max(np.abs(h - h.conj().T)))
+    asym = max_asymmetry(h)
     if asym > HERMITIAN_ATOL:
         raise NonHermitianHamiltonianError(
             f"{path}: hamiltonian not Hermitian, max asymmetry {asym:.3e}"

@@ -9,10 +9,12 @@ from backflow.diagnostics import (
     bound_term1_from_couplings,
     correlation_distance,
     correlation_operator,
+    didt_from_generator,
     distinguishability_bound,
     env_indistinguishability,
     mutual_information,
     pair_step_series,
+    sigma_from_generator,
     trace_distance,
 )
 from backflow.linalg import (
@@ -183,7 +185,7 @@ def test_coupling_route_needs_terms():
 
 
 def assert_kernel_matches_oracles(h, bp, s1, s2, sz_diagonal=None, **kw):
-    """Every kernel column at every time against the full-matrix functions."""
+    """Every kernel column at every time against the full-matrix functions; returns the kernel's columns."""
     model = SimpleNamespace(hamiltonian=h, bipartition=bp)
     out = pair_step_series(h, bp.d_system, bp.d_environment, s1, s2, sz_diagonal=sz_diagonal, **kw)
     for i in range(s1.shape[0]):
@@ -201,6 +203,8 @@ def assert_kernel_matches_oracles(h, bp, s1, s2, sz_diagonal=None, **kw):
             "bound_term1": bound.term1,
             "bound_term2": bound.term2,
             "bound_total": bound.total,
+            "sigma": sigma_from_generator(model, rho[0], rho[1]),
+            "didt_1": didt_from_generator(model, rho[0]),
         }
         for j in (1, 2):
             expected[f"chi{j}_norm"] = trace_norm(chi[j - 1])
@@ -217,6 +221,16 @@ def assert_kernel_matches_oracles(h, bp, s1, s2, sz_diagonal=None, **kw):
     if sz_diagonal is None:
         assert np.all(np.isnan(out["magnetization_1"]))
         assert np.all(np.isnan(out["magnetization_2"]))
+    return out
+
+
+def random_hamiltonian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (a + a.conj().T) / 2
+
+
+def haar_stack(rng, d, n_times=4):
+    return np.array([haar_random_state(d, rng) for _ in range(n_times)])
 
 
 def test_pair_step_series_matches_scalar_reference():
@@ -236,19 +250,12 @@ def test_pair_step_series_matches_scalar_reference():
 
 def test_pair_step_series_matches_oracles_on_edge_shapes():
     rng = np.random.default_rng(9)
-
-    def random_hamiltonian(d):
-        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        return (a + a.conj().T) / 2
-
-    def haar_stack(d, n_times=4):
-        return np.array([haar_random_state(d, rng) for _ in range(n_times)])
-
-    # a qutrit on a qubit environment (k = d_E < 2 d_S) and a trivial system
-    for ds, de in ((3, 2), (1, 5)):
+    # a qutrit on a qubit environment (k = d_E < 2 d_S), a trivial system, and
+    # qubits on environments with k = d_E < 4, the last three on the closed forms
+    for ds, de in ((3, 2), (1, 5), (2, 1), (2, 2), (2, 3)):
         d = ds * de
         assert_kernel_matches_oracles(
-            random_hamiltonian(d), Bipartition(ds, de), haar_stack(d), haar_stack(d)
+            random_hamiltonian(rng, d), Bipartition(ds, de), haar_stack(rng, d), haar_stack(rng, d)
         )
 
     model = build_chain_model(ChainParams(n_total=4))
@@ -263,9 +270,58 @@ def test_pair_step_series_matches_oracles_on_edge_shapes():
     assert env_rank(v1, v2) == 1
     assert_kernel_matches_oracles(model.hamiltonian, model.bipartition, v1[None], v2[None], sz)
     # Haar-random entangled states: k = 2 d_S
-    s1, s2 = haar_stack(16), haar_stack(16)
+    s1, s2 = haar_stack(rng, 16), haar_stack(rng, 16)
     assert env_rank(s1[0], s2[0]) == 4
     assert_kernel_matches_oracles(model.hamiltonian, model.bipartition, s1, s2, sz)
+
+
+def entangled_stack(rng, de, weight, n_times=3):
+    """sqrt(1 - weight)|a>|b> + sqrt(weight)|a'>|b'> with random orthonormal pairs, one per time."""
+    out = []
+    for _ in range(n_times):
+        sys_basis = np.linalg.qr(random_hamiltonian(rng, 2))[0]
+        env_basis = np.linalg.qr(random_hamiltonian(rng, de))[0]
+        out.append(
+            np.sqrt(1.0 - weight) * np.kron(sys_basis[:, 0], env_basis[:, 0])
+            + np.sqrt(weight) * np.kron(sys_basis[:, 1], env_basis[:, 1])
+        )
+    return np.array(out)
+
+
+def test_qubit_route_on_product_identical_and_maximally_entangled_pairs():
+    rng = np.random.default_rng(14)
+    bp = Bipartition(2, 4)
+    h = random_hamiltonian(rng, 8)
+    # product states, as at t = 0: rank-one coefficients, det rho_S = 0
+    product = entangled_stack(rng, 4, 0.0)
+    out = assert_kernel_matches_oracles(h, bp, product, entangled_stack(rng, 4, 0.0))
+    assert np.all(out["chi1_norm"] < 1e-15) and np.all(out["chi2_norm"] < 1e-15)
+    # an identical pair: Delta = 0, so D = 0 and sigma = 0
+    same = haar_stack(rng, 8)
+    out = assert_kernel_matches_oracles(h, bp, same, same.copy())
+    assert np.all(np.abs(out["sigma"]) < 1e-14) and np.all(out["d_system"] < 1e-14)
+    # maximally entangled states: rho_S^1 = I/2 is degenerate in didt_1
+    bell = entangled_stack(rng, 4, 0.5)
+    out = assert_kernel_matches_oracles(h, bp, bell, haar_stack(rng, 8, n_times=3))
+    assert np.allclose(out["svn_system_1"], 1.0, atol=1e-14)
+    assert np.allclose(out["chi1_norm"], 1.5, atol=1e-14)
+    # the same Bell state twice: rho_S^1 = I/2 and Delta = 0 with no round-off at all
+    bell = np.zeros((1, 8), dtype=complex)
+    bell[0, [0, 5]] = 1.0 / np.sqrt(2.0)
+    out = assert_kernel_matches_oracles(h, bp, bell, bell.copy())
+    assert out["sigma"][0] == 0.0 and out["didt_1"][0] == 0.0
+
+
+def test_qubit_route_keeps_chi_norm_near_a_product_state():
+    # Schmidt weight 1e-20: det rho_S = 1e-20 (1 - 1e-20) and ||chi||_1 = 2 sqrt(det) + 2 det,
+    # which p_0 p_1 from round-off eigenvalues would put off by up to ~1e-8
+    rng = np.random.default_rng(15)
+    weight = 1e-20
+    s1, s2 = entangled_stack(rng, 4, weight), entangled_stack(rng, 4, weight)
+    out = assert_kernel_matches_oracles(random_hamiltonian(rng, 8), Bipartition(2, 4), s1, s2)
+    exact = 2.0 * np.sqrt(weight * (1.0 - weight)) + 2.0 * weight * (1.0 - weight)
+    for key in ("chi1_norm", "chi2_norm"):
+        assert np.max(np.abs(out[key] - exact)) < 1e-13, key
 
 
 def test_pair_step_series_memory_stays_below_one_dense_matrix():
@@ -284,6 +340,20 @@ def test_pair_step_series_memory_stays_below_one_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < d * d * np.dtype(np.complex128).itemsize, peak
+
+
+def test_pair_step_series_chunk_bounds_every_per_time_array(chain10_model, chain10_record):
+    # the default figure run in carrier coordinates: 2001 times, with every array of a
+    # chunk together under the default chunk_elements complex entries
+    carrier = chain10_record.carrier
+    h = chain10_model.hamiltonian[np.ix_(carrier, carrier)]
+    tracemalloc.start()
+    try:
+        pair_step_series(h, 2, 10, chain10_record.states_1, chain10_record.states_2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000 * np.dtype(np.complex128).itemsize, peak
 
 
 def test_pair_step_series_chunking_invariant():

@@ -13,7 +13,6 @@ COLUMNS = tuple(name for _, name in TRAJECTORY_CSV)
 def test_time_grid():
     g = TimeGrid(t_max=2.0, n_steps=4)
     assert np.array_equal(g.times, [0.0, 0.5, 1.0, 1.5, 2.0])
-    assert g.dt == 0.5
     single = TimeGrid(t_max=0.0, n_steps=0)
     assert np.array_equal(single.times, [0.0])
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,20 @@ def test_hermitian_eig_rejects_asymmetry():
     h[0, 1] = 1e-3
     with pytest.raises(ValueError):
         hermitian_eig(h)
+
+
+def test_hermitian_eig_allocates_no_dense_temporary():
+    # the eigenvector matrix is the only d x d array it may allocate
+    d = 384
+    a = random_complex(np.random.default_rng(7), d)
+    h = (a + a.conj().T) / 2
+    tracemalloc.start()
+    try:
+        hermitian_eig(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * d * d * np.dtype(np.complex128).itemsize, peak
 
 
 def test_kron_matches_numpy():
