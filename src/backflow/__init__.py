@@ -20,7 +20,6 @@ from .evolution import (
     Propagator,
     TimeGrid,
     TrajectoryRecord,
-    carrier_indices,
     make_propagator,
     run_trajectory,
 )
@@ -46,6 +45,7 @@ from .measure import (
     interval_contributions,
 )
 from .model import (
+    ChainModel,
     ChainParams,
     CorrelatedInitialStateError,
     DimensionMismatchError,
@@ -53,6 +53,7 @@ from .model import (
     ModelFileError,
     NonHermitianHamiltonianError,
     build_chain_model,
+    carrier_indices,
     equatorial_pair,
     excitation_sectors,
     load_generic_model,
@@ -67,6 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Bipartition",
     "BoundTerms",
+    "ChainModel",
     "ChainParams",
     "CheckResult",
     "CorrelatedInitialStateError",

@@ -16,6 +16,7 @@ entries of the JSON summary vary between repeated runs.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
@@ -42,6 +43,7 @@ from .model import (
     ModelFileError,
     build_chain_model,
     chain_build_peak_bytes,
+    chain_factor_peak_bytes,
     load_generic_model,
 )
 from .output import (
@@ -221,13 +223,17 @@ def _check_common(values: dict, builds_chain: bool) -> None:
     if values["n_spins"] < 2:
         raise ConfigError(f"n_spins must be at least 2, got {values['n_spins']}")
     if builds_chain:
-        # refuse a chain whose dense build cannot fit in physical memory
-        need = chain_build_peak_bytes(values["n_spins"])
+        # refuse a chain run that cannot fit in physical memory: only the dense
+        # path builds the 2^n H, the others hold 2^(n-1) environment factors
+        if values["path"] == "dense":
+            need, what = chain_build_peak_bytes(values["n_spins"]), "build the chain Hamiltonian"
+        else:
+            need, what = chain_factor_peak_bytes(values["n_spins"]), "hold the environment factors"
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             raise ConfigError(
-                f"n_spins={values['n_spins']} needs an estimated {need} bytes to build the "
-                f"chain Hamiltonian, more than the {have} bytes of physical memory"
+                f"n_spins={values['n_spins']} needs an estimated {need} bytes to {what}, "
+                f"more than the {have} bytes of physical memory"
             )
     if values["steps"] < 0:
         raise ConfigError(f"steps must be nonnegative, got {values['steps']}")
@@ -450,7 +456,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[int, list[dict]]:
                 row["n_measure"] = report.n_measure
                 row["n_intervals"] = len(report.intervals)
                 row["status"] = "ok"
-                del report  # free the record before the next point builds its 2^n H
+                del report  # free the record before the next point runs
             except Exception as exc:  # keep sweeping, report at the end
                 row["n_measure"] = None
                 row["n_intervals"] = None
@@ -538,7 +544,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters and the values main pins them to
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_BYTES, _MMAP_BYTES = 32 << 20, 16 << 20
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's malloc trim and mmap thresholds for this process.
+
+    glibc starts both low (128 KiB) and raises them only after the
+    process frees a large mmapped block. Left dynamic, the diagnostics
+    kernel's chunk arrays (at most chunk_elements complex entries in all,
+    8 MB at the default) are handed back to the OS when a chunk or call
+    ends and page-faulted in again by the next, unless something earlier
+    in the process happened to free a bigger block. Pinned, the
+    kernel reuses resident heap whatever ran before it; blocks of 16 MiB
+    and up are still mapped and unmapped one by one. A no-op where the C
+    library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+
+
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -75,13 +75,19 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def bound_term1_branch(model, rho_k_s: np.ndarray, delta_env: np.ndarray) -> float:
-    """One k-branch of the environment-difference term, by direct commutator.
+    """One k-branch of the environment-difference term, read from H's blocks.
 
-    Evaluates || Tr_E [H, rho_k_S (x) (rho1_E - rho2_E)] ||.
+    Evaluates || Tr_E [H, rho_k_S (x) (rho1_E - rho2_E)] ||. With H_su the
+    (s, u) environment block of H, Tr_E [H, rho (x) Delta] = [G, rho]
+    where G_su = Tr(H_su Delta), so one contraction of H against Delta,
+    O(d^2), replaces the d x d commutator. It reads H directly and is
+    independent of the interaction terms and of the kernel's compressed
+    coordinates.
     """
-    h = model.hamiltonian
-    joint = np.kron(np.asarray(rho_k_s), np.asarray(delta_env))
-    return trace_norm(partial_trace(_commutator(h, joint), model.bipartition, "system"))
+    bp = model.bipartition
+    blocks = np.asarray(model.hamiltonian).reshape(bp.d_system, bp.d_environment, bp.d_system, bp.d_environment)
+    g = np.einsum("aebf,fe->ab", blocks, np.asarray(delta_env, dtype=np.complex128))
+    return trace_norm(_commutator(g, np.asarray(rho_k_s, dtype=np.complex128)))
 
 
 def bound_term1_from_couplings(model, rho_k_s: np.ndarray, delta_env: np.ndarray) -> float:
@@ -89,8 +95,8 @@ def bound_term1_from_couplings(model, rho_k_s: np.ndarray, delta_env: np.ndarray
 
     With H = sum_a A_a (x) B_a plus an environment-local remainder, the
     partial trace collapses to || [sum_a gamma_a A_a, rho_k_S] || with
-    gamma_a = Tr(B_a delta_env). Environment-local parts drop out because
-    delta_env is traceless.
+    gamma_a = Tr(B_a delta_env), summed entry by entry. Environment-local
+    parts drop out because delta_env is traceless.
     """
     if model.interaction_terms is None:
         raise ValueError("model carries no interaction terms")
@@ -98,7 +104,7 @@ def bound_term1_from_couplings(model, rho_k_s: np.ndarray, delta_env: np.ndarray
     g = np.zeros((ds, ds), dtype=np.complex128)
     delta = np.asarray(delta_env, dtype=np.complex128)
     for a, b in model.interaction_terms:
-        gamma = complex(np.trace(np.asarray(b) @ delta))
+        gamma = complex(np.einsum("ij,ji->", np.asarray(b), delta))
         g += gamma * np.asarray(a)
     return trace_norm(_commutator(g, np.asarray(rho_k_s, dtype=np.complex128)))
 

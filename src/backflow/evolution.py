@@ -9,7 +9,9 @@ Two interchangeable routes produce the same diagnostics:
   0- and 1-excitation sectors. Both evolving states, their marginals and
   their correlation operators then live on a fixed carrier of 2*n_total
   computational basis states, so every per-step quantity reduces to
-  small-matrix algebra. The compression is exact, not approximate.
+  small-matrix algebra on the chain's carrier block of H, which is
+  written from the chain parameters. The compression is exact, not
+  approximate.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .diagnostics import pair_step_series
 from .linalg import hermitian_eig
-from .model import Model, ProductState, product_pair, total_sz_diagonal
+from .model import ChainModel, Model, ProductState, carrier_indices, product_pair, total_sz_diagonal
 
 __all__ = [
     "TimeGrid",
@@ -28,7 +30,6 @@ __all__ = [
     "TrajectoryRecord",
     "make_propagator",
     "run_trajectory",
-    "carrier_indices",
 ]
 
 
@@ -73,27 +74,7 @@ class Propagator:
         return self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * amp)
 
 
-def carrier_indices(n_total: int) -> np.ndarray:
-    """Full-space indices of the subspace carrier |s>_S (x) |e_k>_E.
-
-    s runs over the qubit states, e_0 is the environment vacuum and e_k
-    flips chain site k. Ordered s-major so the carrier is a product
-    basis of shape (2, n_total). The first n_total + 1 entries are the
-    0- and 1-excitation sector, which is closed under the dynamics; the
-    rest support the product terms rho_S (x) rho_E.
-    """
-    big_n = n_total - 1
-    env = [0] + [1 << (big_n - k) for k in range(1, big_n + 1)]
-    return np.array([(s << big_n) + e for s in (0, 1) for e in env], dtype=np.int64)
-
-
-def _initial_vectors(pair: tuple[ProductState, ProductState]) -> tuple[np.ndarray, np.ndarray]:
-    """Joint state vectors of a pair of product states."""
-    (vs1, ve1), (vs2, ve2) = pair
-    return np.kron(vs1, ve1), np.kron(vs2, ve2)
-
-
-def make_propagator(model: Model) -> Propagator:
+def make_propagator(model: Model | ChainModel) -> Propagator:
     """Factorize the full Hamiltonian once, for repeated time evolution."""
     w, v = hermitian_eig(model.hamiltonian)
     return Propagator(dimension=model.dimension, eigenvalues=w, eigenvectors=v)
@@ -148,18 +129,22 @@ class TrajectoryRecord:
         return self.times.size
 
 
-def _subspace_applicable(model: Model, v1: np.ndarray, v2: np.ndarray) -> bool:
-    if model.sector_basis is None or model.bipartition.d_system != 2:
-        return False
-    n_total = int(np.log2(model.dimension) + 0.5)
-    if 2**n_total != model.dimension or n_total < 2:
-        return False
-    low = np.concatenate([model.sector_basis[0], model.sector_basis[1]])
-    for v in (v1, v2):
-        outside = np.linalg.norm(v) ** 2 - np.linalg.norm(v[low]) ** 2
+def _carrier_coordinates(model: ChainModel, pair: tuple[ProductState, ProductState]):
+    """Both states in carrier coordinates, or None if either leaves the 0- and 1-excitation sectors.
+
+    The coordinates of (vs, ve) are vs (x) ve read at the environment
+    carrier; the two sectors are exactly their first n_total + 1 slots.
+    """
+    n_total = model.params.n_total
+    env = carrier_indices(n_total)[:n_total]
+    coords = []
+    for vs, ve in pair:
+        c = np.kron(vs, ve[env])
+        outside = (np.linalg.norm(vs) * np.linalg.norm(ve)) ** 2 - np.linalg.norm(c[: n_total + 1]) ** 2
         if outside > 1e-12:
-            return False
-    return True
+            return None
+        coords.append(c)
+    return coords
 
 
 def _spectral_series(w: np.ndarray, vec: np.ndarray, c0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -170,7 +155,7 @@ def _spectral_series(w: np.ndarray, vec: np.ndarray, c0: np.ndarray, times: np.n
 
 
 def run_trajectory(
-    model: Model,
+    model: Model | ChainModel,
     grid: TimeGrid,
     path: str = "auto",
     pair: tuple[ProductState, ProductState] | None = None,
@@ -182,32 +167,30 @@ def run_trajectory(
     under the same, already validated, Hamiltonian.
 
     path is one of 'dense', 'subspace' or 'auto'. Auto prefers the
-    subspace route whenever the model carries sector metadata and the
-    initial pair sits inside the lowest two excitation sectors of a
-    qubit-plus-chain register; it falls back to dense otherwise.
+    subspace route whenever the model is a ChainModel and the pair sits
+    inside its lowest two excitation sectors; it falls back to dense
+    otherwise. The subspace route reads only the chain's carrier block,
+    so the 2^n_total Hamiltonian is built by the dense route alone.
     """
     if path not in ("auto", "dense", "subspace"):
         raise ValueError(f"unknown path {path!r}")
     pair = model.initial_pair if pair is None else product_pair(pair, model.bipartition)
-    v1, v2 = _initial_vectors(pair)
-    eligible = _subspace_applicable(model, v1, v2)
-    if path == "subspace" and not eligible:
-        raise ValueError("subspace path needs sector metadata and a low-excitation initial pair")
-    use_subspace = eligible if path == "auto" else (path == "subspace")
+    chain = isinstance(model, ChainModel)
+    coords = _carrier_coordinates(model, pair) if chain and path != "dense" else None
+    if path == "subspace" and coords is None:
+        raise ValueError("subspace path needs a chain model and a low-excitation initial pair")
     times = grid.times
-    if use_subspace:
-        n_total = int(np.log2(model.dimension) + 0.5)
+    if coords is not None:
+        n_total = model.params.n_total
         carrier = carrier_indices(n_total)
-        m = carrier.size
-        g = model.hamiltonian[np.ix_(carrier, carrier)]
+        g = model.carrier.hamiltonian
         # the 0- and 1-excitation sector occupies the first n_total + 1 slots
         n_evo = n_total + 1
         w, vec = hermitian_eig(g[:n_evo, :n_evo])
         states = []
-        for v in (v1, v2):
-            c0 = v[carrier[:n_evo]]
-            small = np.zeros((times.size, m), dtype=np.complex128)
-            small[:, :n_evo] = _spectral_series(w, vec, c0, times)
+        for c in coords:
+            small = np.zeros((times.size, carrier.size), dtype=np.complex128)
+            small[:, :n_evo] = _spectral_series(w, vec, c[:n_evo], times)
             states.append(small)
         sz = (n_total - 2.0 * np.array([bin(int(i)).count("1") for i in carrier]))
         cols = pair_step_series(g, 2, n_total, states[0], states[1], sz_diagonal=sz)
@@ -215,10 +198,11 @@ def run_trajectory(
             times, path_used="subspace", states_1=states[0], states_2=states[1], carrier=carrier, **cols
         )
 
+    v1, v2 = (np.kron(vs, ve) for vs, ve in pair)
     prop = make_propagator(model)
     s1 = _spectral_series(prop.eigenvalues, prop.eigenvectors, v1, times)
     s2 = _spectral_series(prop.eigenvalues, prop.eigenvectors, v2, times)
-    sz = total_sz_diagonal(int(np.log2(model.dimension) + 0.5)) if model.sector_basis is not None else None
+    sz = total_sz_diagonal(model.params.n_total) if chain else None
     bp = model.bipartition
     cols = pair_step_series(model.hamiltonian, bp.d_system, bp.d_environment, s1, s2, sz_diagonal=sz)
     return TrajectoryRecord(times, path_used="dense", states_1=s1, states_2=s2, **cols)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .evolution import TimeGrid, TrajectoryRecord, run_trajectory
 from .linalg import haar_random_state
-from .model import ChainParams, Model, build_chain_model, equatorial_states
+from .model import ChainModel, ChainParams, Model, build_chain_model, equatorial_states
 
 __all__ = [
     "PlusMinusPair",
@@ -138,7 +138,7 @@ def blp_integral(d_values: np.ndarray) -> float:
     return float(steps[steps > INCREASE_THRESHOLD].sum())
 
 
-def _pair_candidates(family: PairFamily, model: Model):
+def _pair_candidates(family: PairFamily, model: Model | ChainModel):
     """(label, pair) for each system pair of the family, against the model's environment.
 
     Every candidate keeps the environment factor of the model's first
@@ -166,7 +166,7 @@ def _pair_candidates(family: PairFamily, model: Model):
 
 
 def blp_measure(
-    model_or_params: Model | ChainParams,
+    model_or_params: Model | ChainModel | ChainParams,
     grid: TimeGrid,
     pair_family: PairFamily = PlusMinusPair(),
     path: str = "auto",
@@ -174,8 +174,9 @@ def blp_measure(
     """Maximize accumulated backflow over a family of input pairs.
 
     Accepts either chain parameters (the chain is built once) or a
-    prebuilt model. Every candidate pair runs under the same validated
-    Hamiltonian and keeps the model's environment preparation.
+    prebuilt model. Every candidate pair runs under the same Hamiltonian,
+    validated once (for a chain, the block its path reads), and keeps the
+    model's environment preparation.
     """
     if isinstance(model_or_params, ChainParams):
         model = build_chain_model(model_or_params)

@@ -2,12 +2,14 @@
 
 The chain couples a single qubit (site 0) to the first site of an XX
 chain in a transverse field. Total magnetization is conserved, so the
-Hamiltonian is block diagonal over fixed-excitation sectors; the sector
-index sets are attached to the model for the fast evolution path.
+Hamiltonian is block diagonal over fixed-excitation sectors; the fast
+evolution path works on the 0- and 1-excitation sectors alone, and the
+chain model builds the full 2^n Hamiltonian only when asked for it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,8 +28,11 @@ __all__ = [
     "CorrelatedInitialStateError",
     "pauli_on_site",
     "product_pair",
+    "ChainModel",
     "build_chain_model",
+    "carrier_indices",
     "chain_build_peak_bytes",
+    "chain_factor_peak_bytes",
     "plus_minus_pair",
     "equatorial_states",
     "equatorial_pair",
@@ -163,7 +168,10 @@ class Model:
     interaction_terms, when present, lists (system operator, environment
     operator) factors whose kron-sum plus a purely environment-local
     remainder reproduces the Hamiltonian. sector_basis, when present,
-    lists index sets over which the Hamiltonian is block diagonal.
+    lists index sets over which the Hamiltonian is block diagonal; it is
+    checked, but does not select the subspace evolution path, which only
+    a ChainModel (from build_chain_model) takes. A Model runs dense and
+    records NaN magnetization.
     """
 
     hamiltonian: np.ndarray
@@ -265,7 +273,7 @@ def plus_minus_pair(n_total: int) -> tuple[ProductState, ProductState]:
 
 
 def chain_build_peak_bytes(n_total: int) -> int:
-    """Upper bound on the memory build_chain_model needs for n_total spins.
+    """Upper bound on the memory the dense chain Model needs for n_total spins.
 
     Four dense 2^n_total-square complex128 matrices: the Hamiltonian
     plus the temporaries of the Model checks run on it.
@@ -273,11 +281,33 @@ def chain_build_peak_bytes(n_total: int) -> int:
     return 4 * np.dtype(np.complex128).itemsize * 4**n_total
 
 
-def build_chain_model(
-    params: ChainParams,
-    initial_pair: tuple[ProductState, ProductState] | None = None,
-) -> Model:
-    """Assemble the chain Hamiltonian with sector metadata.
+def chain_factor_peak_bytes(n_total: int) -> int:
+    """Upper bound on the memory of a chain run that never builds the dense Model.
+
+    Two 2^(n_total - 1) complex128 environment factor vectors, one per
+    state of the pair (the command line's pairs share one). Every other
+    array of such a run grows with n_total and the grid, not with 2^n_total.
+    """
+    return 2 * np.dtype(np.complex128).itemsize * 2 ** (n_total - 1)
+
+
+def carrier_indices(n_total: int) -> np.ndarray:
+    """Full-space indices of the subspace carrier |s>_S (x) |e_k>_E.
+
+    s runs over the qubit states, e_0 is the environment vacuum and e_k
+    flips chain site k. Ordered s-major so the carrier is a product
+    basis of shape (2, n_total), and its first n_total entries are the
+    environment carrier. The first n_total + 1 entries are the 0- and
+    1-excitation sector, which is closed under the dynamics; the rest
+    support the product terms rho_S (x) rho_E.
+    """
+    big_n = n_total - 1
+    env = [0] + [1 << (big_n - k) for k in range(1, big_n + 1)]
+    return np.array([(s << big_n) + e for s in (0, 1) for e in env], dtype=np.int64)
+
+
+def _chain_hamiltonian(params: ChainParams, idx: np.ndarray) -> np.ndarray:
+    """The chain Hamiltonian on the basis states idx, as an idx.size-square matrix.
 
     H = -2 j_sys (sx_0 sx_1 + sy_0 sy_1)
         -2 j_env sum_{n=1..N-1} (sx_n sx_{n+1} + sy_n sy_{n+1})
@@ -286,47 +316,119 @@ def build_chain_model(
     with N = n_total - 1 environment spins.
 
     H is written entry by entry from the bits of the basis index (site s
-    is bit n_total - 1 - s), O(n_total 2^n_total) writes: since
+    is bit n_total - 1 - s), O(n_total idx.size) writes: since
     sx sx + sy sy = 2 (s+ s- + s- s+), each bond connects a basis state
     whose two bond bits differ to the state with both flipped, with
-    amplitude -4 J. The field terms are the diagonal, summed site by
-    site in the order above.
+    amplitude -4 J; a partner outside idx is dropped. The field terms
+    are the diagonal, summed site by site in the order above. Every
+    entry is therefore the one the full 2^n_total matrix holds at the
+    same pair of basis states.
     """
     n = params.n_total
-    big_n = n - 1
-    d = 2**n
-    idx = np.arange(d)
-    h = np.zeros((d, d), dtype=np.complex128)
-    for site in range(big_n):
+    slots = np.arange(idx.size)
+    order = np.argsort(idx)
+    ranked = idx[order]
+    h = np.zeros((idx.size, idx.size), dtype=np.complex128)
+    for site in range(n - 1):
         j = params.j_sys if site == 0 else params.j_env
         mask = 3 << (n - 2 - site)
         bond_bits = idx & mask
-        movers = idx[(bond_bits != 0) & (bond_bits != mask)]
-        h[movers, movers ^ mask] = -4.0 * j
-    diag = np.zeros(d)
+        movers = slots[(bond_bits != 0) & (bond_bits != mask)]
+        partners = idx[movers] ^ mask
+        at = np.minimum(np.searchsorted(ranked, partners), idx.size - 1)
+        inside = ranked[at] == partners
+        h[movers[inside], order[at[inside]]] = -4.0 * j
+    diag = np.zeros(idx.size)
     field_sites = list(range(1, n)) + ([0] if params.field_on_system else [])
     for site in field_sites:
         sz = 1.0 - 2.0 * ((idx >> (n - 1 - site)) & 1)
         diag -= 2.0 * params.b_field * sz
-    h[idx, idx] = diag
+    h[slots, slots] = diag
+    return h
 
-    d_env = 2**big_n
-    terms: list[tuple[np.ndarray, np.ndarray]] = []
-    for axis in ("x", "y"):
-        env_op = -2.0 * params.j_sys * pauli_on_site(axis, 0, big_n)
-        terms.append((PAULI[axis].copy(), env_op))
-    if params.field_on_system:
-        terms.append((PAULI["z"].copy(), -2.0 * params.b_field * np.eye(d_env, dtype=np.complex128)))
 
+class ChainModel:
+    """The qubit-plus-XX-chain model, held as its parameters and initial pair.
+
+    Nothing of size 2^n_total x 2^n_total exists until something reads
+    `dense` (or `hamiltonian`/`interaction_terms`, which read it): the
+    dense path and verify. The subspace path reads `carrier` instead,
+    the 2 n_total-square block of H on the carrier states.
+    """
+
+    def __init__(self, params: ChainParams, initial_pair: tuple[ProductState, ProductState]) -> None:
+        self.params = params
+        self.bipartition = Bipartition(2, 2 ** (params.n_total - 1))
+        self.initial_pair = product_pair(initial_pair, self.bipartition)
+
+    @property
+    def dimension(self) -> int:
+        return self.bipartition.d_joint
+
+    @functools.cached_property
+    def dense(self) -> Model:
+        """The full Hamiltonian with interaction terms and excitation sectors, built and validated once."""
+        n = self.params.n_total
+        d_env = self.bipartition.d_environment
+        terms: list[tuple[np.ndarray, np.ndarray]] = []
+        for axis in ("x", "y"):
+            env_op = -2.0 * self.params.j_sys * pauli_on_site(axis, 0, n - 1)
+            terms.append((PAULI[axis].copy(), env_op))
+        if self.params.field_on_system:
+            terms.append(
+                (PAULI["z"].copy(), -2.0 * self.params.b_field * np.eye(d_env, dtype=np.complex128))
+            )
+        return Model(
+            hamiltonian=_chain_hamiltonian(self.params, np.arange(2**n)),
+            bipartition=self.bipartition,
+            initial_pair=self.initial_pair,
+            interaction_terms=tuple(terms),
+            sector_basis=excitation_sectors(n),
+        )
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        return self.dense.hamiltonian
+
+    @property
+    def interaction_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return self.dense.interaction_terms
+
+    @functools.cached_property
+    def carrier(self) -> Model:
+        """H on the carrier_indices states, validated once as a Model of its own.
+
+        Its bipartition is (2, n_total). Its initial pair puts the
+        chain's system factors against the environment vacuum, which is
+        the chain's pair in carrier coordinates whenever that pair starts
+        in the vacuum, and a valid pair even when it does not; each run
+        evolves its own pair. The sector check enforces what the subspace
+        path assumes: the first n_total + 1 slots, the 0- and
+        1-excitation sectors, are closed under H.
+        """
+        n = self.params.n_total
+        vacuum = np.zeros(n, dtype=np.complex128)
+        vacuum[0] = 1.0
+        return Model(
+            hamiltonian=_chain_hamiltonian(self.params, carrier_indices(n)),
+            bipartition=Bipartition(2, n),
+            initial_pair=tuple((vs, vacuum) for vs, _ in self.initial_pair),
+            sector_basis=(np.arange(n + 1), np.arange(n + 1, 2 * n)),
+        )
+
+
+def build_chain_model(
+    params: ChainParams,
+    initial_pair: tuple[ProductState, ProductState] | None = None,
+) -> ChainModel:
+    """The chain of `params` with an initial pair, |+> and |-> against all-|0> by default.
+
+    Only the pair is checked here; the Hamiltonian is built and
+    validated when a run first needs it (see ChainModel).
+    """
     if initial_pair is None:
-        initial_pair = plus_minus_pair(n)
-    return Model(
-        hamiltonian=h,
-        bipartition=Bipartition(2, d_env),
-        initial_pair=initial_pair,
-        interaction_terms=tuple(terms),
-        sector_basis=excitation_sectors(n),
-    )
+        initial_pair = plus_minus_pair(params.n_total)
+    return ChainModel(params, initial_pair)
 
 
 def _complex_array(node, where: str, path: str) -> np.ndarray:

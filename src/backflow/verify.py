@@ -25,8 +25,8 @@ from .diagnostics import (
     sigma_from_generator,
 )
 from .evolution import TimeGrid, make_propagator, run_trajectory
-from .linalg import Bipartition, haar_random_state, partial_trace, trace_norm
-from .model import ChainParams, Model, build_chain_model
+from .linalg import Bipartition, haar_random_state, trace_norm
+from .model import ChainModel, ChainParams, Model, build_chain_model
 from .output import TRAJECTORY_CSV
 
 __all__ = [
@@ -108,7 +108,7 @@ def bound_suite(
     return [check], float(worst), rows
 
 
-def _trajectory_checks(tag: str, model: Model, record) -> list[CheckResult]:
+def _trajectory_checks(tag: str, model: Model | ChainModel, record) -> list[CheckResult]:
     checks = []
     purity_drift = max(
         float(np.max(np.abs(record.purity_1 - 1.0))),
@@ -141,27 +141,26 @@ def _sample_indices(record) -> np.ndarray:
     return np.linspace(0, record.n_times - 1, 5).astype(int)
 
 
-def _gamma_route_check(tag: str, model: Model, record) -> CheckResult:
-    """Both routes to the first bound term agree along the trajectory."""
+def _gamma_route_check(tag: str, model: Model | ChainModel, record) -> CheckResult:
+    """Both routes to the first bound term agree along the trajectory.
+
+    rho_S = P P^dagger and rho_E = P^T P^* come from each joint vector
+    reshaped to its d_S x d_E coefficient matrix P; no d x d matrix is formed.
+    """
     bp = model.bipartition
     worst = 0.0
     for i in _sample_indices(record):
-        rho_se = _joint_density(model, record, int(i))
-        delta_env = partial_trace(rho_se[0], bp, "environment") - partial_trace(
-            rho_se[1], bp, "environment"
-        )
-        rho_s_pair = [partial_trace(r, bp, "system") for r in rho_se]
-        # only the reduced states are needed from here on: free the two d x d
-        # joint states before the direct route forms its own d x d products
-        del rho_se
-        for rho_s, branch in zip(rho_s_pair, (record.term1_branch1, record.term1_branch2)):
+        p = [v.reshape(bp.d_system, bp.d_environment) for v in _joint_vectors(model, record, int(i))]
+        delta_env = p[0].T @ p[0].conj() - p[1].T @ p[1].conj()
+        for pj, branch in zip(p, (record.term1_branch1, record.term1_branch2)):
+            rho_s = pj @ pj.conj().T
             via_couplings = bound_term1_from_couplings(model, rho_s, delta_env)
             direct = bound_term1_branch(model, rho_s, delta_env)
             worst = max(worst, abs(via_couplings - float(branch[i])), abs(direct - float(branch[i])))
     return CheckResult(f"{tag}: coupling route", worst <= 1e-10, f"max mismatch {worst:.3e}")
 
 
-def _kernel_oracle_check(tag: str, model: Model, record) -> CheckResult:
+def _kernel_oracle_check(tag: str, model: Model | ChainModel, record) -> CheckResult:
     """Kernel columns against the full-matrix oracles along the trajectory.
 
     Both paths share the diagnostics kernel, so this is the comparison
@@ -170,7 +169,7 @@ def _kernel_oracle_check(tag: str, model: Model, record) -> CheckResult:
     bp = model.bipartition
     worst, worst_col = 0.0, ""
     for i in _sample_indices(record):
-        rho_se = _joint_density(model, record, int(i))
+        rho_se = [np.outer(v, v.conj()) for v in _joint_vectors(model, record, int(i))]
         chi = [correlation_operator(r, bp) for r in rho_se]
         bound = distinguishability_bound(model, *rho_se)
         expected = {
@@ -193,19 +192,16 @@ def _kernel_oracle_check(tag: str, model: Model, record) -> CheckResult:
     )
 
 
-def _joint_density(model: Model, record, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full-space joint density matrices at sample i, from carrier states."""
-    d = model.dimension
+def _joint_vectors(model: Model | ChainModel, record, i: int) -> list[np.ndarray]:
+    """Full-space joint state vectors at sample i, from carrier states."""
     out = []
     for states in (record.states_1, record.states_2):
-        c = states[i]
+        v = states[i]
         if record.carrier is not None:
-            v = np.zeros(d, dtype=np.complex128)
-            v[record.carrier] = c
-        else:
-            v = c
-        out.append(np.outer(v, v.conj()))
-    return out[0], out[1]
+            v = np.zeros(model.dimension, dtype=np.complex128)
+            v[record.carrier] = states[i]
+        out.append(v)
+    return out
 
 
 def structural_suite(

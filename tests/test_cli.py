@@ -1,6 +1,11 @@
 import csv
+import ctypes
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +21,7 @@ from backflow.cli import (
     parse_pair_family,
 )
 from backflow.measure import EquatorialScan, PlusMinusPair, RandomPairs
-from backflow.model import chain_build_peak_bytes
+from backflow.model import chain_build_peak_bytes, chain_factor_peak_bytes
 
 CSV_HEADER = (
     "t,D_system,sigma,bound_total,bound_term1,bound_term2,D_env,E_indist,"
@@ -97,23 +102,41 @@ def run_cli(*args):
     return main(list(args))
 
 
-def test_infeasible_chain_size_exits_2_before_building(tmp_path, capsys):
-    # refused at config time: nothing is allocated, so no output file appears
-    need = str(chain_build_peak_bytes(30))
+def test_infeasible_chain_size_exits_2_before_building(tmp_path, capsys, monkeypatch):
+    # refused at config time: nothing is allocated, so no output file appears. The
+    # estimate follows the path: the dense path builds 2^n-square matrices, the others
+    # hold 2^(n-1) environment factors. Physical memory is pinned to 8 GiB so that no
+    # row depends on the machine, and n = 30 is refused on every path
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**33 // 4096}
+    sysconf = cli_mod.os.sysconf
+    monkeypatch.setattr(cli_mod.os, "sysconf", lambda name: sizes.get(name) or sysconf(name))
     out = tmp_path / "never.csv"
-    code = run_cli("run", "--scenario", "fig1a", "--n-spins", "30", "--out", str(out))
-    assert code == 2
-    assert need in capsys.readouterr().err
-    code = run_cli(
-        "sweep", "--n-spins", "30", "--j0-grid", "0.5", "1.0", "2",
-        "--b-grid", "0.0", "1.0", "2", "--out", str(out),
-    )
-    assert code == 2
-    assert need in capsys.readouterr().err
+    sweep = ["sweep", "--j0-grid", "0.5", "1.0", "2", "--b-grid", "0.0", "1.0", "2", "--out", str(out)]
+    for n, path, need in (
+        (30, "auto", chain_factor_peak_bytes(30)),
+        (30, "subspace", chain_factor_peak_bytes(30)),
+        (14, "dense", chain_build_peak_bytes(14)),
+    ):
+        flags = ["--n-spins", str(n), "--path", path]
+        assert run_cli("run", "--scenario", "fig1a", *flags, "--out", str(out)) == 2
+        assert str(need) in capsys.readouterr().err
+        assert run_cli(*sweep, *flags) == 2
+        assert str(need) in capsys.readouterr().err
     assert not out.exists()
     assert parse_config(overrides={"scenario": "fig1a", "n_spins": 10}).n_spins == 10
     grids = {"j0_grid": [0.5, 1.0, 2], "b_grid": [0.0, 1.0, 2]}
     assert _parse_sweep_config(None, {"n_spins": 10, **grids}).n_spins == 10
+    # sizes only the dense path could not reach run on the subspace path
+    summary = tmp_path / "n16.json"
+    code = run_cli(
+        "run", "--scenario", "fig1a", "--n-spins", "16",
+        "--out", str(tmp_path / "n16.csv"), "--summary", str(summary),
+    )
+    assert code == 0
+    assert json.loads(summary.read_text())["path_used"] == "subspace"
+    sweep_out = tmp_path / "sweep16.csv"
+    assert run_cli(*sweep[:-1], str(sweep_out), "--n-spins", "16") == 0
+    assert [row["status"] for row in csv.DictReader(sweep_out.open())] == ["ok"] * 4
 
 
 def test_run_scenario_outputs(tmp_path):
@@ -499,3 +522,38 @@ def test_measure_scenario_equatorial(tmp_path):
     values = [p["n_measure"] for p in doc["per_pair"]]
     assert len(values) == 3
     assert max(values) - min(values) < 1e-9
+
+
+
+_KERNEL_FAULTS_SCRIPT = """
+import resource, sys
+from backflow import ChainParams, TimeGrid, build_chain_model, run_trajectory
+from backflow.cli import main
+from backflow.diagnostics import pair_step_series
+
+main(sys.argv[1:])
+model = build_chain_model(ChainParams(n_total=10))
+rec = run_trajectory(model, TimeGrid(9.0, 2000))
+g = model.carrier.hamiltonian
+pair_step_series(g, 2, 10, rec.states_1, rec.states_2)
+start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    pair_step_series(g, 2, 10, rec.states_1, rec.states_2)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+"""
+
+
+def test_kernel_reuses_resident_heap_after_main(tmp_path):
+    pytest.importorskip("resource")
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("the C library has no mallopt")
+    argv = ["run", "--scenario", "fig1a", "--n-spins", "4", "--steps", "10"]
+    argv += ["--out", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")]
+    # a fresh process, so that nothing run before main has raised glibc's thresholds
+    env = {**os.environ, "PYTHONPATH": str(Path(cli_mod.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", _KERNEL_FAULTS_SCRIPT, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    # each call's chunks hold about 8 MB; under glibc's dynamic thresholds they
+    # are unmapped and faulted in again, some 3000 pages a call
+    assert int(out.stdout.split()[-1]) < 300, out.stdout

@@ -172,6 +172,23 @@ def test_coupling_route_equals_direct():
         assert abs(direct - via) < 1e-10
 
 
+def test_term1_branch_contracts_hamiltonian_blocks():
+    # Tr_E [H, rho (x) Delta] = [G, rho] with G_su = Tr(H_su Delta), against the commutator itself
+    rng = np.random.default_rng(13)
+    for d_sys, d_env in ((2, 3), (3, 2), (2, 8)):
+        bp = Bipartition(d_sys, d_env)
+        d = d_sys * d_env
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = (a + a.conj().T) / 2
+        model = SimpleNamespace(hamiltonian=h, bipartition=bp)
+        for _ in range(5):
+            rho_s = random_density(rng, d_sys)
+            delta = random_density(rng, d_env) - random_density(rng, d_env)
+            joint = np.kron(rho_s, delta)
+            want = trace_norm(partial_trace(h @ joint - joint @ h, bp, "system"))
+            assert abs(bound_term1_branch(model, rho_s, delta) - want) <= 1e-12
+
+
 def test_coupling_route_needs_terms():
     bp = Bipartition(2, 2)
 

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from backflow.evolution import TimeGrid, carrier_indices, make_propagator, run_trajectory
+from backflow.evolution import TimeGrid, make_propagator, run_trajectory
 from backflow.linalg import partial_trace
-from backflow.model import ChainParams, Model, build_chain_model, equatorial_pair, plus_minus_pair
+from backflow.model import ChainParams, build_chain_model, carrier_indices, equatorial_pair, plus_minus_pair
 from backflow.output import TRAJECTORY_CSV
 
 COLUMNS = tuple(name for _, name in TRAJECTORY_CSV)
@@ -115,17 +117,15 @@ def test_auto_path_selection():
     flipped_env[4] = 1.0  # chain site 1 flipped
     sys_pair = equatorial_pair(0.0, 1)  # single-qubit pair, dims (2, 1)
     pair = tuple((vs, flipped_env) for vs, _ in sys_pair)
-    model2 = Model(
-        chain.hamiltonian,
-        chain.bipartition,
-        pair,
-        interaction_terms=chain.interaction_terms,
-        sector_basis=chain.sector_basis,
-    )
+    model2 = build_chain_model(chain.params, pair)
     rec2 = run_trajectory(model2, TimeGrid(t_max=1.0, n_steps=10), path="auto")
     assert rec2.path_used == "dense"
     with pytest.raises(ValueError):
         run_trajectory(model2, TimeGrid(t_max=1.0, n_steps=10), path="subspace")
+    # the route follows the pair of the run, not the pair the chain was built with
+    rec3 = run_trajectory(model2, TimeGrid(t_max=1.0, n_steps=10), pair=chain.initial_pair)
+    assert rec3.path_used == "subspace"
+    assert np.array_equal(rec3.d_system, rec.d_system)
 
 
 def _plus_minus_closed_form(n_total, times):
@@ -147,11 +147,18 @@ def _plus_minus_closed_form(n_total, times):
     [
         (10, 0.0, False, 40.0, 4000, "subspace"),
         (12, 0.0, False, 40.0, 4000, "subspace"),
+        (16, 0.0, False, 40.0, 4000, "subspace"),
+        (20, 0.0, False, 40.0, 4000, "subspace"),
         (10, 0.3, True, 40.0, 4000, "subspace"),
+        (16, 0.3, True, 40.0, 4000, "subspace"),
+        (20, 0.3, True, 40.0, 4000, "subspace"),
         (10, 0.0, False, 0.1, 1, "subspace"),
         (6, 0.0, False, 40.0, 4000, "dense"),
     ],
-    ids=["n10", "n12", "n10-field-on-system", "n10-one-step", "n6-dense"],
+    ids=[
+        "n10", "n12", "n16", "n20", "n10-field-on-system", "n16-field-on-system",
+        "n20-field-on-system", "n10-one-step", "n6-dense",
+    ],
 )
 def test_plus_minus_pair_matches_closed_form(n_total, b_field, field_on_system, t_max, n_steps, path):
     # through the revivals: the trace distance dips close to zero and recovers
@@ -172,3 +179,18 @@ def test_bound_holds_on_every_grid(n_total, n_steps, path):
     model = build_chain_model(ChainParams(n_total=n_total))
     rec = run_trajectory(model, TimeGrid(t_max=n_total - 1.0, n_steps=n_steps), path=path)
     assert np.max(rec.sigma - rec.bound_total) <= 1e-13
+
+
+@pytest.mark.parametrize("n_total", [12, 20])
+def test_subspace_run_never_builds_the_dense_hamiltonian(n_total):
+    # one dense H is 16 * 4^n bytes, 256 MiB at n = 12; the whole run stays below a quarter of that
+    model = build_chain_model(ChainParams(n_total=n_total))
+    tracemalloc.start()
+    try:
+        rec = run_trajectory(model, TimeGrid(float(n_total - 1), 2000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.path_used == "subspace"
+    assert peak <= 64 * 2**20, peak
+    assert "dense" not in vars(model)

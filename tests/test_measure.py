@@ -89,13 +89,7 @@ def test_equatorial_values_coincide():
 def test_pair_swap_invariance():
     # the trace distance is symmetric in its two arguments
     chain = build_chain_model(ChainParams(n_total=4))
-    swapped = Model(
-        chain.hamiltonian,
-        chain.bipartition,
-        (chain.initial_pair[1], chain.initial_pair[0]),
-        interaction_terms=chain.interaction_terms,
-        sector_basis=chain.sector_basis,
-    )
+    swapped = build_chain_model(chain.params, (chain.initial_pair[1], chain.initial_pair[0]))
     grid = TimeGrid(t_max=3.0, n_steps=150)
     a = run_trajectory(chain, grid)
     b = run_trajectory(swapped, grid)

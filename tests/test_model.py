@@ -14,6 +14,7 @@ from backflow.model import (
     ModelFileError,
     NonHermitianHamiltonianError,
     build_chain_model,
+    carrier_indices,
     chain_build_peak_bytes,
     equatorial_pair,
     excitation_sectors,
@@ -100,7 +101,7 @@ def test_model_rejects_nonhermitian():
 
 def test_model_rejects_sector_leak():
     # d = 512 spans two row blocks of the sector check; rows 257 and 300 sit in the second
-    chain = build_chain_model(ChainParams(n_total=9))
+    chain = build_chain_model(ChainParams(n_total=9)).dense
     d = chain.dimension
     for i, j, size in ((0, d - 1, 1e-3), (300, 257, 5e-14)):
         h = chain.hamiltonian.copy()
@@ -290,7 +291,7 @@ def test_load_rejects_wrong_interaction_terms(tmp_path):
 
 
 def test_chain_sector_basis_covers_space():
-    model = build_chain_model(ChainParams(n_total=4))
+    model = build_chain_model(ChainParams(n_total=4)).dense
     assert sum(len(v) for v in model.sector_basis) == 16
 
 
@@ -314,16 +315,20 @@ def _kron_chain_hamiltonian(params):
 
 def test_chain_builder_matches_kron_reference():
     rng = np.random.default_rng(12)
-    for n in range(2, 9):
+    for n in range(2, 11):
         for field_on_system in (False, True):
             j_sys, j_env, b_field = rng.uniform(-2.0, 2.0, 3)
             params = ChainParams(n, j_env, j_sys, b_field, field_on_system)
             model = build_chain_model(params)
-            gap = np.max(np.abs(model.hamiltonian - _kron_chain_hamiltonian(params)))
+            dense = model.dense
+            gap = np.max(np.abs(dense.hamiltonian - _kron_chain_hamiltonian(params)))
             assert gap <= 1e-15, (n, field_on_system, gap)
             # the model's own metadata still passes its checks on this H
-            model._check_interaction_terms(model.hamiltonian)
-            model._check_sectors(model.hamiltonian)
+            dense._check_interaction_terms(dense.hamiltonian)
+            dense._check_sectors(dense.hamiltonian)
+            # the subspace path's carrier block is the dense block, bit for bit
+            carrier = carrier_indices(n)
+            assert np.array_equal(model.carrier.hamiltonian, dense.hamiltonian[np.ix_(carrier, carrier)])
 
 
 def test_chain_build_memory_stays_below_four_dense_matrices():
@@ -333,7 +338,8 @@ def test_chain_build_memory_stays_below_four_dense_matrices():
     assert chain_build_peak_bytes(11) == budget
     tracemalloc.start()
     try:
-        build_chain_model(ChainParams(n_total=11))
+        # the dense Model is built and validated lazily; read it so its build is measured
+        build_chain_model(ChainParams(n_total=11)).dense
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
