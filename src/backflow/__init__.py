@@ -17,10 +17,9 @@ from .diagnostics import (
     trace_distance,
 )
 from .evolution import (
-    Propagator,
     TimeGrid,
     TrajectoryRecord,
-    make_propagator,
+    evolve,
     run_trajectory,
 )
 from .linalg import (
@@ -36,12 +35,12 @@ from .linalg import (
 from .measure import (
     EquatorialScan,
     MeasureReport,
+    ModelPair,
     PlusMinusPair,
     RandomPairs,
     blp_integral,
     blp_measure,
     down_up_crossings,
-    increasing_intervals,
     interval_contributions,
 )
 from .model import (
@@ -54,7 +53,6 @@ from .model import (
     NonHermitianHamiltonianError,
     build_chain_model,
     carrier_indices,
-    equatorial_pair,
     excitation_sectors,
     load_generic_model,
     pauli_on_site,
@@ -77,9 +75,9 @@ __all__ = [
     "MeasureReport",
     "Model",
     "ModelFileError",
+    "ModelPair",
     "NonHermitianHamiltonianError",
     "PlusMinusPair",
-    "Propagator",
     "RandomPairs",
     "TimeGrid",
     "TrajectoryRecord",
@@ -92,15 +90,13 @@ __all__ = [
     "distinguishability_bound",
     "down_up_crossings",
     "env_indistinguishability",
-    "equatorial_pair",
+    "evolve",
     "excitation_sectors",
     "haar_random_state",
     "hermitian_eig",
-    "increasing_intervals",
     "interval_contributions",
     "kron",
     "load_generic_model",
-    "make_propagator",
     "mutual_information",
     "partial_trace",
     "pauli_on_site",

@@ -19,6 +19,7 @@ import argparse
 import ctypes
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -27,16 +28,16 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .evolution import TimeGrid, run_trajectory
+# run_trajectory is not called here; perfbench/spans.py hooks it under this module's name
+from .evolution import TimeGrid, run_trajectory  # noqa: F401
 from .measure import (
     EquatorialScan,
-    MeasureReport,
+    ModelPair,
     PlusMinusPair,
     RandomPairs,
     blp_integral,
     blp_measure,
     down_up_crossings,
-    interval_contributions,
 )
 from .model import (
     ChainParams,
@@ -44,7 +45,9 @@ from .model import (
     build_chain_model,
     chain_build_peak_bytes,
     chain_factor_peak_bytes,
+    chain_run_peak_bytes,
     load_generic_model,
+    run_peak_bytes,
 )
 from .output import (
     write_bound_csv,
@@ -94,7 +97,11 @@ _GRID_AXES = ("j0", "b")
 def _want_float(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key '{key}' must be a number, got {value!r}")
-    return float(value)
+    # an integer beyond the float range is as unusable as inf
+    number = float(value) if abs(value) < 2**1024 else math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"key '{key}' must be finite, got {value!r}")
+    return number
 
 
 def _want_int(key: str, value) -> int:
@@ -197,9 +204,11 @@ def _load_config_file(path: str) -> dict:
 
 
 def parse_pair_family(text: str, seed: int):
-    """Decode a pair-family string: paper, equatorial:K or random:N."""
+    """Decode a pair-family string: paper, equatorial:K, random:N or file."""
     if text == "paper":
         return PlusMinusPair()
+    if text == "file":
+        return ModelPair()
     kind, _, arg = text.partition(":")
     if kind == "equatorial" and arg:
         try:
@@ -211,7 +220,7 @@ def parse_pair_family(text: str, seed: int):
             return RandomPairs(int(arg), seed=seed)
         except ValueError as exc:
             raise ConfigError(f"bad random pair count {arg!r}") from exc
-    raise ConfigError(f"pair must be paper, equatorial:K or random:N, got {text!r}")
+    raise ConfigError(f"pair must be paper, equatorial:K, random:N or file, got {text!r}")
 
 
 def _check_common(values: dict, builds_chain: bool) -> None:
@@ -222,25 +231,31 @@ def _check_common(values: dict, builds_chain: bool) -> None:
         raise ConfigError(f"path must be one of {_PATHS}, got {values['path']!r}")
     if values["n_spins"] < 2:
         raise ConfigError(f"n_spins must be at least 2, got {values['n_spins']}")
-    if builds_chain:
-        # refuse a chain run that cannot fit in physical memory: only the dense
-        # path builds the 2^n H, the others hold 2^(n-1) environment factors
-        if values["path"] == "dense":
-            need, what = chain_build_peak_bytes(values["n_spins"]), "build the chain Hamiltonian"
-        else:
-            need, what = chain_factor_peak_bytes(values["n_spins"]), "hold the environment factors"
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise ConfigError(
-                f"n_spins={values['n_spins']} needs an estimated {need} bytes to {what}, "
-                f"more than the {have} bytes of physical memory"
-            )
     if values["steps"] < 0:
         raise ConfigError(f"steps must be nonnegative, got {values['steps']}")
     if values["t_max"] < 0:
         raise ConfigError(f"t_max must be nonnegative, got {values['t_max']}")
     if values["steps"] > 0 and values["t_max"] <= 0:
         raise ConfigError(f"t_max must be positive, got {values['t_max']}")
+    if builds_chain:
+        # refuse a chain run that cannot fit in physical memory: only the dense
+        # path builds the 2^n H, the others hold 2^(n-1) environment factors
+        n, steps, dense = values["n_spins"], values["steps"], values["path"] == "dense"
+        if dense:
+            _check_fits(chain_build_peak_bytes(n), f"n_spins={n}", "build the chain Hamiltonian")
+        else:
+            _check_fits(chain_factor_peak_bytes(n), f"n_spins={n}", "hold the environment factors")
+        _check_fits(chain_run_peak_bytes(n, steps, dense), f"steps={steps}", "hold the run's states")
+
+
+def _check_fits(need: int, who: str, what: str) -> None:
+    """Refuse, before anything is allocated, what needs more than the physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"{who} needs an estimated {need} bytes to {what}, "
+            f"more than the {have} bytes of physical memory"
+        )
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
@@ -272,9 +287,10 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         raise ConfigError(f"n_models must be positive, got {values['n_models']}")
     if values["seed"] < 0:
         raise ConfigError(f"seed must be nonnegative, got {values['seed']}")
-    if values["pair"] != "file":
-        parse_pair_family(values["pair"], values["seed"])
-    elif values["model_file"] is None:
+    if values["j"] == 0.0:
+        raise ConfigError("j must be nonzero; ratios are taken against it")
+    family = parse_pair_family(values["pair"], values["seed"])
+    if isinstance(family, ModelPair) and values["model_file"] is None:
         raise ConfigError("pair 'file' needs a model_file; a chain has no input pair of its own")
     return RunConfig(**values)
 
@@ -318,17 +334,6 @@ def _parameters_dict(cfg: RunConfig) -> dict:
     return {k: v for k, v in dataclasses.asdict(cfg).items() if k not in skip}
 
 
-def _single_pair_report(record) -> MeasureReport:
-    value = blp_integral(record.d_system)
-    return MeasureReport(
-        n_measure=value,
-        intervals=tuple(interval_contributions(record.d_system, record.times)),
-        best_pair="file",
-        per_pair_values=(("file", value),),
-        best_record=record,
-    )
-
-
 def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
     """Execute one run scenario; returns (exit code, summary dict)."""
     start = time.perf_counter()
@@ -338,6 +343,8 @@ def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
     grid = TimeGrid(t_max=cfg.t_max, n_steps=cfg.steps)
     if cfg.model_file is not None:
         model = load_generic_model(cfg.model_file)
+        d = model.dimension
+        _check_fits(run_peak_bytes(cfg.steps, d, d), f"steps={cfg.steps}", "hold the run's states")
     else:
         model = build_chain_model(
             ChainParams(
@@ -348,12 +355,7 @@ def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
                 field_on_system=cfg.field_on_system,
             )
         )
-    if cfg.pair == "file":
-        record = run_trajectory(model, grid, path=cfg.path)
-        report = _single_pair_report(record)
-    else:
-        family = parse_pair_family(cfg.pair, cfg.seed)
-        report = blp_measure(model, grid, family, path=cfg.path)
+    report = blp_measure(model, grid, parse_pair_family(cfg.pair, cfg.seed), path=cfg.path)
     record = report.best_record
 
     violations = []
@@ -554,7 +556,7 @@ def _pin_malloc_thresholds() -> None:
 
     glibc starts both low (128 KiB) and raises them only after the
     process frees a large mmapped block. Left dynamic, the diagnostics
-    kernel's chunk arrays (at most chunk_elements complex entries in all,
+    kernel's chunk arrays (at most CHUNK_ELEMENTS complex entries in all,
     8 MB at the default) are handed back to the OS when a chunk or call
     ends and page-faulted in again by the next, unless something earlier
     in the process happened to free a bigger block. Pinned, the

@@ -37,6 +37,9 @@ __all__ = [
     "pair_step_series",
 ]
 
+# complex entries that the arrays of one pair_step_series chunk hold at most, 8 MB
+CHUNK_ELEMENTS = 500_000
+
 
 def trace_distance(r1, r2) -> float:
     """Half the trace norm of the difference of two density operators."""
@@ -295,7 +298,6 @@ def pair_step_series(
     states_1: np.ndarray,
     states_2: np.ndarray,
     sz_diagonal: np.ndarray | None = None,
-    chunk_elements: int = 500_000,
 ) -> dict[str, np.ndarray]:
     """Evaluate every per-time diagnostic for two pure-state trajectories.
 
@@ -346,7 +348,7 @@ def pair_step_series(
     Work is chunked along the time axis so that the arrays a chunk holds
     at once (H (I (x) Q) and its reordered copy, (chunk, d, d_system * k)
     each, plus the QR factors and the (d_system * k)-square stacks) hold
-    at most chunk_elements entries (but always at least one time).
+    at most CHUNK_ELEMENTS entries (but always at least one time).
     """
     h = np.asarray(h, dtype=np.complex128)
     s1 = np.atleast_2d(np.asarray(states_1, dtype=np.complex128))
@@ -361,7 +363,7 @@ def pair_step_series(
     w = ds * min(de, 2 * ds)
     # entries per time: H (I (x) Q) and its reordered copy, the QR's input and Q,
     # and the w x w stacks alive at once (hc, chi_j, their difference, commutator terms)
-    chunk = max(1, int(chunk_elements) // (2 * d * w + 4 * d + 8 * w * w))
+    chunk = max(1, CHUNK_ELEMENTS // (2 * d * w + 4 * d + 8 * w * w))
     # an empty stack still runs one (empty) chunk, so every key is present
     parts = [
         _chunk_series(h, ds, de, s1[a : a + chunk], s2[a : a + chunk], sz_diagonal)

@@ -1,17 +1,20 @@
 """Exact unitary propagation and trajectory evaluation.
 
-Two interchangeable routes produce the same diagnostics:
+Every trajectory takes one route: factorize a Hermitian matrix once,
+evolve both states of the pair under it (evolve), and hand the two state
+stacks to the diagnostics kernel (pair_step_series). The routes differ
+only in the basis the states are written in:
 
-* dense: eigendecompose the full Hamiltonian and carry full joint state
-  vectors. The reference route, and the only one for generic models.
+* dense: the full computational basis of the model, with the full
+  Hamiltonian. The reference route, and the only one for generic models.
 * subspace: for a qubit coupled to a magnetization-conserving chain
   prepared with at most one flipped spin, the dynamics stays inside the
   0- and 1-excitation sectors. Both evolving states, their marginals and
   their correlation operators then live on a fixed carrier of 2*n_total
-  computational basis states, so every per-step quantity reduces to
-  small-matrix algebra on the chain's carrier block of H, which is
-  written from the chain parameters. The compression is exact, not
-  approximate.
+  computational basis states, and the Hamiltonian is the chain's carrier
+  block, written from the chain parameters. Only the closed sectors at
+  the head of the carrier are factorized and evolved; the rest of the
+  carrier stays zero. The compression is exact, not approximate.
 """
 
 from __future__ import annotations
@@ -26,9 +29,8 @@ from .model import ChainModel, Model, ProductState, carrier_indices, product_pai
 
 __all__ = [
     "TimeGrid",
-    "Propagator",
     "TrajectoryRecord",
-    "make_propagator",
+    "evolve",
     "run_trajectory",
 ]
 
@@ -58,26 +60,25 @@ class TimeGrid:
         return np.linspace(0.0, self.t_max, self.n_steps + 1)
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """Spectral form of exp(-i H t): eigenvalues and orthonormal eigenvector columns."""
+def evolve(h: np.ndarray, vectors, times: np.ndarray) -> list[np.ndarray]:
+    """exp(-i h t) v at every sample time, one (times.size, h.shape[0]) stack per vector v.
 
-    dimension: int
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def apply(self, psi: np.ndarray, t: float) -> np.ndarray:
-        psi = np.asarray(psi, dtype=np.complex128)
-        if psi.shape != (self.dimension,):
-            raise ValueError(f"state shape {psi.shape} does not match dimension {self.dimension}")
-        amp = self.eigenvectors.conj().T @ psi
-        return self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * amp)
-
-
-def make_propagator(model: Model | ChainModel) -> Propagator:
-    """Factorize the full Hamiltonian once, for repeated time evolution."""
-    w, v = hermitian_eig(model.hamiltonian)
-    return Propagator(dimension=model.dimension, eigenvalues=w, eigenvectors=v)
+    h is factorized once for all vectors. Vectors shorter than h, all of
+    one length m, evolve under the leading m x m block of h, which the
+    caller guarantees is closed under h, and are zero-padded to h.shape[0].
+    """
+    m = len(vectors[0])
+    w, vec = hermitian_eig(h[:m, :m])
+    phases = np.exp(-1j * np.outer(w, times))
+    stacks = []
+    for v in vectors:
+        series = (vec @ (phases * (vec.conj().T @ v)[:, None])).T
+        if m < h.shape[0]:
+            padded = np.zeros((series.shape[0], h.shape[0]), dtype=np.complex128)
+            padded[:, :m] = series
+            series = padded
+        stacks.append(series)
+    return stacks
 
 
 @dataclass(frozen=True)
@@ -129,31 +130,6 @@ class TrajectoryRecord:
         return self.times.size
 
 
-def _carrier_coordinates(model: ChainModel, pair: tuple[ProductState, ProductState]):
-    """Both states in carrier coordinates, or None if either leaves the 0- and 1-excitation sectors.
-
-    The coordinates of (vs, ve) are vs (x) ve read at the environment
-    carrier; the two sectors are exactly their first n_total + 1 slots.
-    """
-    n_total = model.params.n_total
-    env = carrier_indices(n_total)[:n_total]
-    coords = []
-    for vs, ve in pair:
-        c = np.kron(vs, ve[env])
-        outside = (np.linalg.norm(vs) * np.linalg.norm(ve)) ** 2 - np.linalg.norm(c[: n_total + 1]) ** 2
-        if outside > 1e-12:
-            return None
-        coords.append(c)
-    return coords
-
-
-def _spectral_series(w: np.ndarray, vec: np.ndarray, c0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """States at all sample times, stacked as rows."""
-    amp = vec.conj().T @ c0
-    phases = np.exp(-1j * np.outer(w, times))
-    return (vec @ (phases * amp[:, None])).T
-
-
 def run_trajectory(
     model: Model | ChainModel,
     grid: TimeGrid,
@@ -176,33 +152,22 @@ def run_trajectory(
         raise ValueError(f"unknown path {path!r}")
     pair = model.initial_pair if pair is None else product_pair(pair, model.bipartition)
     chain = isinstance(model, ChainModel)
-    coords = _carrier_coordinates(model, pair) if chain and path != "dense" else None
+    coords = model.carrier_coordinates(pair) if chain and path != "dense" else None
     if path == "subspace" and coords is None:
         raise ValueError("subspace path needs a chain model and a low-excitation initial pair")
-    times = grid.times
     if coords is not None:
-        n_total = model.params.n_total
-        carrier = carrier_indices(n_total)
-        g = model.carrier.hamiltonian
-        # the 0- and 1-excitation sector occupies the first n_total + 1 slots
-        n_evo = n_total + 1
-        w, vec = hermitian_eig(g[:n_evo, :n_evo])
-        states = []
-        for c in coords:
-            small = np.zeros((times.size, carrier.size), dtype=np.complex128)
-            small[:, :n_evo] = _spectral_series(w, vec, c[:n_evo], times)
-            states.append(small)
-        sz = (n_total - 2.0 * np.array([bin(int(i)).count("1") for i in carrier]))
-        cols = pair_step_series(g, 2, n_total, states[0], states[1], sz_diagonal=sz)
-        return TrajectoryRecord(
-            times, path_used="subspace", states_1=states[0], states_2=states[1], carrier=carrier, **cols
-        )
-
-    v1, v2 = (np.kron(vs, ve) for vs, ve in pair)
-    prop = make_propagator(model)
-    s1 = _spectral_series(prop.eigenvalues, prop.eigenvectors, v1, times)
-    s2 = _spectral_series(prop.eigenvalues, prop.eigenvectors, v2, times)
-    sz = total_sz_diagonal(model.params.n_total) if chain else None
-    bp = model.bipartition
-    cols = pair_step_series(model.hamiltonian, bp.d_system, bp.d_environment, s1, s2, sz_diagonal=sz)
-    return TrajectoryRecord(times, path_used="dense", states_1=s1, states_2=s2, **cols)
+        target, vectors, basis = model.carrier, coords, carrier_indices(model.params.n_total)
+    else:
+        target, vectors, basis = model, [np.kron(vs, ve) for vs, ve in pair], None
+    h, bp, times = target.hamiltonian, target.bipartition, grid.times
+    s1, s2 = evolve(h, vectors, times)
+    sz = total_sz_diagonal(model.params.n_total, basis) if chain else None
+    cols = pair_step_series(h, bp.d_system, bp.d_environment, s1, s2, sz_diagonal=sz)
+    return TrajectoryRecord(
+        times,
+        path_used="dense" if basis is None else "subspace",
+        states_1=s1,
+        states_2=s2,
+        carrier=basis,
+        **cols,
+    )

@@ -22,9 +22,9 @@ __all__ = [
     "PlusMinusPair",
     "EquatorialScan",
     "RandomPairs",
+    "ModelPair",
     "PairFamily",
     "MeasureReport",
-    "increasing_intervals",
     "interval_contributions",
     "blp_integral",
     "blp_measure",
@@ -65,7 +65,14 @@ class RandomPairs:
             raise ValueError(f"n must be positive, got {self.n}")
 
 
-PairFamily = Union[PlusMinusPair, EquatorialScan, RandomPairs]
+@dataclass(frozen=True)
+class ModelPair:
+    """The model's own initial pair (wire name: file)."""
+
+    label: str = "file"
+
+
+PairFamily = Union[PlusMinusPair, EquatorialScan, RandomPairs, ModelPair]
 
 
 @dataclass(frozen=True)
@@ -76,42 +83,26 @@ class MeasureReport:
     intervals: tuple[tuple[float, float, float], ...]
     best_pair: str
     per_pair_values: tuple[tuple[str, float], ...]
-    best_record: TrajectoryRecord | None = field(default=None, repr=False, compare=False)
-
-
-def _rising_runs(d_values: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal index runs [i, j] over which every step strictly increases."""
-    d = np.asarray(d_values, dtype=np.float64)
-    rising = np.diff(d) > INCREASE_THRESHOLD
-    runs = []
-    start = None
-    for i, up in enumerate(rising):
-        if up and start is None:
-            start = i
-        elif not up and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(rising)))
-    return runs
-
-
-def increasing_intervals(d_values: np.ndarray, times: np.ndarray) -> list[tuple[float, float]]:
-    """Time intervals over which the distance series strictly increases."""
-    times = np.asarray(times, dtype=np.float64)
-    return [(float(times[i]), float(times[j])) for i, j in _rising_runs(d_values)]
+    best_record: TrajectoryRecord = field(repr=False, compare=False)
 
 
 def interval_contributions(
     d_values: np.ndarray, times: np.ndarray
 ) -> list[tuple[float, float, float]]:
-    """increasing_intervals plus each interval's distance gain."""
+    """(start, end, gain) of each maximal interval over which the distance strictly increases."""
     d = np.asarray(d_values, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
-    return [
-        (float(times[i]), float(times[j]), float(d[j] - d[i]))
-        for i, j in _rising_runs(d_values)
-    ]
+    # a closing False ends a run that reaches the last sample
+    rising = np.append(np.diff(d) > INCREASE_THRESHOLD, False)
+    out = []
+    start = None
+    for i, up in enumerate(rising):
+        if up and start is None:
+            start = i
+        elif not up and start is not None:
+            out.append((float(times[start]), float(times[i]), float(d[i] - d[start])))
+            start = None
+    return out
 
 
 def down_up_crossings(sigma: np.ndarray, times: np.ndarray) -> list[float]:
@@ -139,11 +130,15 @@ def blp_integral(d_values: np.ndarray) -> float:
 
 
 def _pair_candidates(family: PairFamily, model: Model | ChainModel):
-    """(label, pair) for each system pair of the family, against the model's environment.
+    """(label, pair) for each pair of the family.
 
-    Every candidate keeps the environment factor of the model's first
+    ModelPair yields the model's own initial pair. Every other candidate
+    is a system pair against the environment factor of the model's first
     initial state.
     """
+    if isinstance(family, ModelPair):
+        yield family.label, model.initial_pair
+        return
     ds = model.bipartition.d_system
     env = model.initial_pair[0][1]
     if isinstance(family, RandomPairs):
@@ -152,7 +147,7 @@ def _pair_candidates(family: PairFamily, model: Model | ChainModel):
             yield f"random:{k}", tuple((haar_random_state(ds, rng), env) for _ in range(2))
         return
     if isinstance(family, PlusMinusPair):
-        labelled = [("paper", 0.0)]
+        labelled = [(family.label, 0.0)]
     elif isinstance(family, EquatorialScan):
         phis = [np.pi * k / family.n_phi for k in range(family.n_phi)]
         labelled = [(f"equatorial:phi={phi:.12g}", phi) for phi in phis]

@@ -33,9 +33,10 @@ __all__ = [
     "carrier_indices",
     "chain_build_peak_bytes",
     "chain_factor_peak_bytes",
+    "chain_run_peak_bytes",
+    "run_peak_bytes",
     "plus_minus_pair",
     "equatorial_states",
-    "equatorial_pair",
     "load_generic_model",
     "total_sz_diagonal",
     "excitation_sectors",
@@ -82,18 +83,20 @@ def pauli_on_site(axis: str, site: int, n_total: int) -> np.ndarray:
     return kron(kron(left, PAULI[axis]), right)
 
 
-def total_sz_diagonal(n_total: int) -> np.ndarray:
-    """Diagonal of sum_n sigma_n^z in the computational basis."""
-    idx = np.arange(2**n_total)
-    bits = (idx[:, None] >> np.arange(n_total)[::-1]) & 1
-    return (n_total - 2 * bits.sum(axis=1)).astype(np.float64)
+def _excitations(n_total: int, idx: np.ndarray) -> np.ndarray:
+    """Number of flipped spins (set bits) of each computational-basis index in idx."""
+    return ((idx[:, None] >> np.arange(n_total)) & 1).sum(axis=1)
+
+
+def total_sz_diagonal(n_total: int, idx: np.ndarray | None = None) -> np.ndarray:
+    """Diagonal of sum_n sigma_n^z on the basis states idx, by default all 2^n_total."""
+    idx = np.arange(2**n_total) if idx is None else np.asarray(idx)
+    return (n_total - 2 * _excitations(n_total, idx)).astype(np.float64)
 
 
 def excitation_sectors(n_total: int) -> tuple[np.ndarray, ...]:
     """Computational-basis index sets with fixed number of flipped spins."""
-    idx = np.arange(2**n_total)
-    bits = (idx[:, None] >> np.arange(n_total)[::-1]) & 1
-    weight = bits.sum(axis=1)
+    weight = _excitations(n_total, np.arange(2**n_total))
     return tuple(np.flatnonzero(weight == k) for k in range(n_total + 1))
 
 
@@ -254,22 +257,16 @@ def equatorial_states(phi: float) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-def equatorial_pair(phi: float, n_total: int) -> tuple[ProductState, ProductState]:
-    """Antipodal equatorial qubit pair against an all-|0> environment.
+def plus_minus_pair(n_total: int) -> tuple[ProductState, ProductState]:
+    """|+> and |-> against an all-|0> environment, as (system, environment) factors.
 
-    Each state is returned as its (system, environment) factors; the
-    system factors are equatorial_states(phi). The pair is orthogonal,
+    The system factors are equatorial_states(0). The pair is orthogonal,
     so the joint trace distance starts at 1.
     """
     env = np.zeros(2 ** (n_total - 1), dtype=np.complex128)
     env[0] = 1.0
-    plus, minus = equatorial_states(phi)
+    plus, minus = equatorial_states(0.0)
     return (plus, env), (minus, env)
-
-
-def plus_minus_pair(n_total: int) -> tuple[ProductState, ProductState]:
-    """|+> and |-> against an all-|0> environment (phi = 0 equatorial pair)."""
-    return equatorial_pair(0.0, n_total)
 
 
 def chain_build_peak_bytes(n_total: int) -> int:
@@ -289,6 +286,26 @@ def chain_factor_peak_bytes(n_total: int) -> int:
     array of such a run grows with n_total and the grid, not with 2^n_total.
     """
     return 2 * np.dtype(np.complex128).itemsize * 2 ** (n_total - 1)
+
+
+def run_peak_bytes(n_steps: int, dim: int, block: int) -> int:
+    """Lower bound on the memory of the per-time arrays of one run.
+
+    Per sample time: the float64 time, two complex128 states of dim
+    coordinates, and the complex128 phases of the factorized block of H.
+    """
+    return (n_steps + 1) * (8 + 16 * (2 * dim + block))
+
+
+def chain_run_peak_bytes(n_total: int, n_steps: int, dense: bool) -> int:
+    """run_peak_bytes of a chain run with n_steps intervals.
+
+    The dense path evolves the whole 2^n_total space; the others carry the
+    2 n_total carrier and factorize its closed first n_total + 1 slots.
+    """
+    if dense:
+        return run_peak_bytes(n_steps, 2**n_total, 2**n_total)
+    return run_peak_bytes(n_steps, 2 * n_total, n_total + 1)
 
 
 def carrier_indices(n_total: int) -> np.ndarray:
@@ -393,6 +410,25 @@ class ChainModel:
     @property
     def interaction_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         return self.dense.interaction_terms
+
+    def carrier_coordinates(self, pair: tuple[ProductState, ProductState]) -> list[np.ndarray] | None:
+        """Both states of pair on the carrier's closed slots, or None if either leaves them.
+
+        The carrier coordinates of (vs, ve) are vs (x) ve read at the
+        environment carrier. Their first n_total + 1 slots are the 0- and
+        1-excitation sectors, which H keeps closed; a state inside them
+        has zeros in every other slot, at all times.
+        """
+        n = self.params.n_total
+        env = carrier_indices(n)[:n]
+        coords = []
+        for vs, ve in pair:
+            c = np.kron(vs, ve[env])
+            outside = (np.linalg.norm(vs) * np.linalg.norm(ve)) ** 2 - np.linalg.norm(c[: n + 1]) ** 2
+            if outside > 1e-12:
+                return None
+            coords.append(c[: n + 1])
+        return coords
 
     @functools.cached_property
     def carrier(self) -> Model:

@@ -24,7 +24,7 @@ from .diagnostics import (
     mutual_information,
     sigma_from_generator,
 )
-from .evolution import TimeGrid, make_propagator, run_trajectory
+from .evolution import TimeGrid, evolve, run_trajectory
 from .linalg import Bipartition, haar_random_state, trace_norm
 from .model import ChainModel, ChainParams, Model, build_chain_model
 from .output import TRAJECTORY_CSV
@@ -37,6 +37,17 @@ __all__ = [
 ]
 
 BOUND_TOLERANCE = 1e-6
+
+# bound suite: sample times in [0.25, BOUND_T_MAX] and the environment dimensions, cycled
+BOUND_N_TIMES = 20
+BOUND_T_MAX = 5.0
+BOUND_D_ENVS = (2, 3, 4, 8)
+
+# structural suite: the dense and the subspace chain, the dense grid and the field
+STRUCTURAL_N_DENSE = 6
+STRUCTURAL_N_SUBSPACE = 10
+STRUCTURAL_STEPS = 300
+STRUCTURAL_B_FIELD = 0.01
 
 # record fields compared between the dense and subspace paths
 TRAJECTORY_COLUMNS = tuple(name for _, name in TRAJECTORY_CSV)
@@ -67,13 +78,7 @@ def random_generic_model(rng: np.random.Generator, d_environment: int, d_system:
     return Model(hamiltonian=h, bipartition=Bipartition(d_system, d_environment), initial_pair=pair)
 
 
-def bound_suite(
-    n_models: int = 50,
-    seed: int = 7,
-    n_times: int = 20,
-    t_max: float = 5.0,
-    d_env_choices: tuple[int, ...] = (2, 3, 4, 8),
-) -> tuple[list[CheckResult], float, list[dict]]:
+def bound_suite(n_models: int = 50, seed: int = 7) -> tuple[list[CheckResult], float, list[dict]]:
     """sigma <= bound on random models.
 
     Returns the check list, the worst margin max(sigma - bound_total)
@@ -81,18 +86,17 @@ def bound_suite(
     passes), and one bookkeeping row per model.
     """
     rng = np.random.default_rng(seed)
-    times = np.linspace(0.25, t_max, n_times)
+    times = np.linspace(0.25, BOUND_T_MAX, BOUND_N_TIMES)
     worst = -np.inf
     worst_where = ""
     rows = []
     for i in range(n_models):
-        d_env = int(d_env_choices[i % len(d_env_choices)])
+        d_env = BOUND_D_ENVS[i % len(BOUND_D_ENVS)]
         model = random_generic_model(rng, d_env)
-        prop = make_propagator(model)
-        vecs = [np.kron(vs, ve) for vs, ve in model.initial_pair]
+        states = evolve(model.hamiltonian, [np.kron(vs, ve) for vs, ve in model.initial_pair], times)
         model_worst = -np.inf
-        for t in times:
-            rho = [np.outer(p, p.conj()) for p in (prop.apply(v, float(t)) for v in vecs)]
+        for k, t in enumerate(times):
+            rho = [np.outer(s[k], s[k].conj()) for s in states]
             margin = sigma_from_generator(model, *rho) - distinguishability_bound(model, *rho).total
             model_worst = max(model_worst, margin)
             if margin > worst:
@@ -204,23 +208,18 @@ def _joint_vectors(model: Model | ChainModel, record, i: int) -> list[np.ndarray
     return out
 
 
-def structural_suite(
-    n_total_dense: int = 6,
-    n_total_subspace: int = 10,
-    n_steps: int = 300,
-    b_field: float = 0.01,
-) -> list[CheckResult]:
+def structural_suite() -> list[CheckResult]:
     """Conservation, chi-trace, dual-route, kernel-oracle and cross-path checks on chains."""
     checks: list[CheckResult] = []
 
-    dense_params = ChainParams(n_total=n_total_dense, b_field=b_field)
-    dense_model = build_chain_model(dense_params)
-    grid = TimeGrid(t_max=float(n_total_dense - 1), n_steps=n_steps)
+    n_dense = STRUCTURAL_N_DENSE
+    dense_model = build_chain_model(ChainParams(n_total=n_dense, b_field=STRUCTURAL_B_FIELD))
+    grid = TimeGrid(t_max=float(n_dense - 1), n_steps=STRUCTURAL_STEPS)
     dense_rec = run_trajectory(dense_model, grid, path="dense")
     sub_rec = run_trajectory(dense_model, grid, path="subspace")
-    checks += _trajectory_checks(f"dense n={n_total_dense}", dense_model, dense_rec)
-    checks.append(_gamma_route_check(f"dense n={n_total_dense}", dense_model, dense_rec))
-    checks.append(_kernel_oracle_check(f"dense n={n_total_dense}", dense_model, dense_rec))
+    checks += _trajectory_checks(f"dense n={n_dense}", dense_model, dense_rec)
+    checks.append(_gamma_route_check(f"dense n={n_dense}", dense_model, dense_rec))
+    checks.append(_kernel_oracle_check(f"dense n={n_dense}", dense_model, dense_rec))
 
     worst_col = ""
     worst = 0.0
@@ -230,23 +229,23 @@ def structural_suite(
             worst, worst_col = gap, col
     checks.append(
         CheckResult(
-            f"paths agree n={n_total_dense}",
+            f"paths agree n={n_dense}",
             worst <= 1e-9,
             f"max column gap {worst:.3e} ({worst_col})",
         )
     )
 
-    sub_params = ChainParams(n_total=n_total_subspace, b_field=b_field)
-    sub_model = build_chain_model(sub_params)
-    sub_grid = TimeGrid(t_max=float(n_total_subspace - 1), n_steps=2000)
+    n_sub = STRUCTURAL_N_SUBSPACE
+    sub_model = build_chain_model(ChainParams(n_total=n_sub, b_field=STRUCTURAL_B_FIELD))
+    sub_grid = TimeGrid(t_max=float(n_sub - 1), n_steps=2000)
     big_rec = run_trajectory(sub_model, sub_grid, path="subspace")
-    checks += _trajectory_checks(f"subspace n={n_total_subspace}", sub_model, big_rec)
-    checks.append(_gamma_route_check(f"subspace n={n_total_subspace}", sub_model, big_rec))
+    checks += _trajectory_checks(f"subspace n={n_sub}", sub_model, big_rec)
+    checks.append(_gamma_route_check(f"subspace n={n_sub}", sub_model, big_rec))
 
     sigma_margin = float(np.max(big_rec.sigma - big_rec.bound_total))
     checks.append(
         CheckResult(
-            f"subspace n={n_total_subspace}: bound",
+            f"subspace n={n_sub}: bound",
             sigma_margin <= BOUND_TOLERANCE,
             f"max(sigma - bound) = {sigma_margin:.3e}",
         )

@@ -20,9 +20,10 @@ from backflow import (
     blp_integral,
     build_chain_model,
     down_up_crossings,
-    increasing_intervals,
     blp_measure,
-    make_propagator,
+    evolve,
+    hermitian_eig,
+    interval_contributions,
     partial_trace,
     run_trajectory,
     trace_norm,
@@ -82,7 +83,7 @@ def test_01_bound_on_random_models(report):
 
 def test_02_chain_backflow_and_bound_tightness(report, reference_run):
     _, rec, elapsed = reference_run
-    intervals = increasing_intervals(rec.d_system, rec.times)
+    intervals = [(a, b) for a, b, _ in interval_contributions(rec.d_system, rec.times)]
     has_backflow = len(intervals) >= 1
     holds = bool(np.all(rec.sigma <= rec.bound_total + BOUND_TOLERANCE))
     lo, hi = intervals[0]
@@ -162,15 +163,16 @@ def test_06_generator_first_order_convergence(report):
     # the finite-time increment of either bound ingredient converges to
     # its commutator generator linearly in the step
     model = build_chain_model(ChainParams(n_total=5))
-    prop = make_propagator(model)
     h, bp = model.hamiltonian, model.bipartition
-    vecs, vals = prop.eigenvectors, prop.eigenvalues
+    vals, vecs = hermitian_eig(h)
     v0 = [np.kron(vs, ve) for vs, ve in model.initial_pair]
     deltas = np.array([1e-2, 1e-3, 1e-4])
     rng = np.random.default_rng(7)
     slopes = []
-    for t in rng.uniform(0.3, 4.0, 5):
-        psi = [prop.apply(v, float(t)) for v in v0]
+    times = rng.uniform(0.3, 4.0, 5)
+    states = evolve(h, v0, times)
+    for i in range(times.size):
+        psi = [s[i] for s in states]
         rho = [np.outer(p, p.conj()) for p in psi]
         rho_s = [partial_trace(r, bp, keep="system") for r in rho]
         rho_e = [partial_trace(r, bp, keep="environment") for r in rho]
@@ -248,9 +250,8 @@ def test_07_path_and_kernel_oracles(report):
                 partial_trace(x, bp, keep=keep) - _partial_trace_oracle(x, ds, de, keep)
             ))))
     small = build_chain_model(ChainParams(n_total=3))
-    small_prop = make_propagator(small)
-    u_spectral = (small_prop.eigenvectors * np.exp(-1j * small_prop.eigenvalues * 0.7)) \
-        @ small_prop.eigenvectors.conj().T
+    small_vals, small_vecs = hermitian_eig(small.hamiltonian)
+    u_spectral = (small_vecs * np.exp(-1j * small_vals * 0.7)) @ small_vecs.conj().T
     prop_err = float(np.max(np.abs(u_spectral - _taylor_unitary(small.hamiltonian, 0.7))))
     oracles_ok = tn_err <= 1e-10 and pt_err <= 1e-12 and prop_err <= 1e-10
 

@@ -21,7 +21,12 @@ from backflow.cli import (
     parse_pair_family,
 )
 from backflow.measure import EquatorialScan, PlusMinusPair, RandomPairs
-from backflow.model import chain_build_peak_bytes, chain_factor_peak_bytes
+from backflow.model import (
+    chain_build_peak_bytes,
+    chain_factor_peak_bytes,
+    chain_run_peak_bytes,
+    run_peak_bytes,
+)
 
 CSV_HEADER = (
     "t,D_system,sigma,bound_total,bound_term1,bound_term2,D_env,E_indist,"
@@ -122,7 +127,24 @@ def test_infeasible_chain_size_exits_2_before_building(tmp_path, capsys, monkeyp
         assert str(need) in capsys.readouterr().err
         assert run_cli(*sweep, *flags) == 2
         assert str(need) in capsys.readouterr().err
-    assert not out.exists()
+    # a grid whose states cannot fit is refused the same way, naming steps; a
+    # model file is sized by its own dimension once it is loaded
+    summary = tmp_path / "never.json"
+    huge = ["--steps", "10000000000", "--summary", str(summary)]
+    model_cfg = write_json(
+        tmp_path, {"scenario": "custom", "model_file": write_json(tmp_path, _generic_doc(), "model.json")}
+    )
+    for path in ("auto", "subspace", "dense"):
+        flags = ["--n-spins", "4", "--path", path, *huge]
+        need = chain_run_peak_bytes(4, 10**10, path == "dense")
+        assert run_cli("run", "--scenario", "fig1a", *flags, "--out", str(out)) == 2
+        assert f"steps=10000000000 needs an estimated {need} bytes" in capsys.readouterr().err
+        assert run_cli(*sweep, *flags) == 2
+        assert f"steps=10000000000 needs an estimated {need} bytes" in capsys.readouterr().err
+    assert run_cli("run", "--config", model_cfg, *huge, "--out", str(out)) == 2
+    need = run_peak_bytes(10**10, 6, 6)
+    assert f"steps=10000000000 needs an estimated {need} bytes" in capsys.readouterr().err
+    assert not out.exists() and not summary.exists()
     assert parse_config(overrides={"scenario": "fig1a", "n_spins": 10}).n_spins == 10
     grids = {"j0_grid": [0.5, 1.0, 2], "b_grid": [0.0, 1.0, 2]}
     assert _parse_sweep_config(None, {"n_spins": 10, **grids}).n_spins == 10
@@ -335,6 +357,36 @@ def test_negative_seed_and_t_max_exit_2(tmp_path, capsys):
     ):
         assert main(argv) == 2, argv
         assert message in capsys.readouterr().err
+    assert not out.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--scenario", "fig1a", "--j", "0"], "j must be nonzero"),
+        (["run", "--scenario", "fig1a", "--j", "nan"], "key 'j' must be finite"),
+        (["run", "--scenario", "fig1a", "--j0=-inf"], "key 'j0' must be finite"),
+        (["run", "--scenario", "fig1a", "--b-field", "inf"], "key 'b_field' must be finite"),
+        (["run", "--scenario", "fig1a", "--t-max", "nan"], "key 't_max' must be finite"),
+        (["run", "--scenario", "fig1a", "--t-max", "inf"], "key 't_max' must be finite"),
+        (["run", "--config", "CONFIG"], "key 'b_field' must be finite"),
+        (["run", "--config", "HUGE"], "key 'j0' must be finite"),
+        (["sweep", "--config", "CONFIG", "--j0-grid", "0", "1", "2", "--b-grid", "0", "1", "2"],
+         "key 't_max' must be finite"),
+        (["sweep", "--j0-grid", "nan", "1", "3", "--b-grid", "0", "1", "2"], "key 'j0.min' must be finite"),
+        (["sweep", "--j0-grid", "0", "1", "3", "--b-grid", "0", "inf", "2"], "key 'b.max' must be finite"),
+    ],
+)
+def test_nonfinite_floats_and_zero_j_exit_2(argv, message, tmp_path, capsys):
+    # Python's json reads NaN and Infinity, so a config file can carry them too,
+    # and an integer too large for a float
+    files = {"CONFIG": tmp_path / "nonfinite.json", "HUGE": tmp_path / "huge.json"}
+    files["CONFIG"].write_text('{"scenario": "fig1a", "b_field": NaN, "sweep": {"t_max": Infinity}}')
+    files["HUGE"].write_text('{"scenario": "fig1a", "j0": 1' + "0" * 400 + "}")
+    out, summary = tmp_path / "never.csv", tmp_path / "never.json"
+    argv = [str(files[a]) if a in files else a for a in argv]
+    assert main([*argv, "--out", str(out), "--summary", str(summary)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists() and not summary.exists()
 
 

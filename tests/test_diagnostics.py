@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from backflow import diagnostics
 from backflow.diagnostics import (
     bound_term1_branch,
     bound_term1_from_couplings,
@@ -201,10 +202,10 @@ def test_coupling_route_needs_terms():
         bound_term1_from_couplings(Bare, np.eye(2) / 2, np.zeros((2, 2)))
 
 
-def assert_kernel_matches_oracles(h, bp, s1, s2, sz_diagonal=None, **kw):
+def assert_kernel_matches_oracles(h, bp, s1, s2, sz_diagonal=None):
     """Every kernel column at every time against the full-matrix functions; returns the kernel's columns."""
     model = SimpleNamespace(hamiltonian=h, bipartition=bp)
-    out = pair_step_series(h, bp.d_system, bp.d_environment, s1, s2, sz_diagonal=sz_diagonal, **kw)
+    out = pair_step_series(h, bp.d_system, bp.d_environment, s1, s2, sz_diagonal=sz_diagonal)
     for i in range(s1.shape[0]):
         psi = (s1[i], s2[i])
         rho = [np.outer(v, v.conj()) for v in psi]
@@ -250,7 +251,7 @@ def haar_stack(rng, d, n_times=4):
     return np.array([haar_random_state(d, rng) for _ in range(n_times)])
 
 
-def test_pair_step_series_matches_scalar_reference():
+def test_pair_step_series_matches_scalar_reference(monkeypatch):
     # batched kernel against one-time scalar evaluations, full space
     model = build_chain_model(ChainParams(n_total=3, b_field=0.1))
     h = model.hamiltonian
@@ -262,7 +263,8 @@ def test_pair_step_series_matches_scalar_reference():
     phases = np.exp(-1j * np.outer(times, w))
     s1 = (v @ (phases * (v.conj().T @ psi1)).T).T
     s2 = (v @ (phases * (v.conj().T @ psi2)).T).T
-    assert_kernel_matches_oracles(h, model.bipartition, s1, s2, chunk_elements=64)
+    monkeypatch.setattr(diagnostics, "CHUNK_ELEMENTS", 64)
+    assert_kernel_matches_oracles(h, model.bipartition, s1, s2)
 
 
 def test_pair_step_series_matches_oracles_on_edge_shapes():
@@ -361,7 +363,7 @@ def test_pair_step_series_memory_stays_below_one_dense_matrix():
 
 def test_pair_step_series_chunk_bounds_every_per_time_array(chain10_model, chain10_record):
     # the default figure run in carrier coordinates: 2001 times, with every array of a
-    # chunk together under the default chunk_elements complex entries
+    # chunk together under the default CHUNK_ELEMENTS complex entries
     carrier = chain10_record.carrier
     h = chain10_model.hamiltonian[np.ix_(carrier, carrier)]
     tracemalloc.start()
@@ -373,14 +375,16 @@ def test_pair_step_series_chunk_bounds_every_per_time_array(chain10_model, chain
     assert peak < 500_000 * np.dtype(np.complex128).itemsize, peak
 
 
-def test_pair_step_series_chunking_invariant():
+def test_pair_step_series_chunking_invariant(monkeypatch):
     model = build_chain_model(ChainParams(n_total=3))
     h = model.hamiltonian
     rng = np.random.default_rng(8)
     s1 = np.array([haar_random_state(8, rng) for _ in range(7)])
     s2 = np.array([haar_random_state(8, rng) for _ in range(7)])
-    a = pair_step_series(h, 2, 4, s1, s2, chunk_elements=10**9)
-    b = pair_step_series(h, 2, 4, s1, s2, chunk_elements=64)
+    monkeypatch.setattr(diagnostics, "CHUNK_ELEMENTS", 10**9)
+    a = pair_step_series(h, 2, 4, s1, s2)
+    monkeypatch.setattr(diagnostics, "CHUNK_ELEMENTS", 64)
+    b = pair_step_series(h, 2, 4, s1, s2)
     for key in a:
         ga, gb = a[key], b[key]
         if np.all(np.isnan(ga)) and np.all(np.isnan(gb)):

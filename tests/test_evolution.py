@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from backflow.evolution import TimeGrid, make_propagator, run_trajectory
+from backflow import evolution
+from backflow.evolution import TimeGrid, evolve, run_trajectory
 from backflow.linalg import partial_trace
-from backflow.model import ChainParams, build_chain_model, carrier_indices, equatorial_pair, plus_minus_pair
+from backflow.model import ChainParams, build_chain_model, carrier_indices, equatorial_states, plus_minus_pair
 from backflow.output import TRAJECTORY_CSV
 
 COLUMNS = tuple(name for _, name in TRAJECTORY_CSV)
@@ -25,17 +26,16 @@ def test_time_grid():
 
 def test_propagator_identity_at_zero():
     model = build_chain_model(ChainParams(n_total=4))
-    prop = make_propagator(model)
     rng = np.random.default_rng(0)
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
     v /= np.linalg.norm(v)
-    assert np.max(np.abs(prop.apply(v, 0.0) - v)) < 1e-12
+    (states,) = evolve(model.hamiltonian, [v], np.zeros(1))
+    assert np.max(np.abs(states[0] - v)) < 1e-12
 
 
 def test_propagator_matches_taylor_series():
     model = build_chain_model(ChainParams(n_total=4, b_field=0.23))
     h = model.hamiltonian
-    prop = make_propagator(model)
     rng = np.random.default_rng(1)
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
     v /= np.linalg.norm(v)
@@ -46,7 +46,7 @@ def test_propagator_matches_taylor_series():
     for k in range(1, 40):
         term = (-1j * t / k) * (h @ term)
         acc = acc + term
-    got = prop.apply(v, t)
+    got = evolve(h, [v], np.array([t]))[0][0]
     assert np.max(np.abs(got - acc)) < 1e-10
     # and an independent library route
     assert np.max(np.abs(got - expm(-1j * t * h) @ v)) < 1e-10
@@ -115,8 +115,7 @@ def test_auto_path_selection():
     # two-excitation initial support disqualifies the fast route
     flipped_env = np.zeros(8, dtype=complex)
     flipped_env[4] = 1.0  # chain site 1 flipped
-    sys_pair = equatorial_pair(0.0, 1)  # single-qubit pair, dims (2, 1)
-    pair = tuple((vs, flipped_env) for vs, _ in sys_pair)
+    pair = tuple((vs, flipped_env) for vs in equatorial_states(0.0))
     model2 = build_chain_model(chain.params, pair)
     rec2 = run_trajectory(model2, TimeGrid(t_max=1.0, n_steps=10), path="auto")
     assert rec2.path_used == "dense"
@@ -194,3 +193,39 @@ def test_subspace_run_never_builds_the_dense_hamiltonian(n_total):
     assert rec.path_used == "subspace"
     assert peak <= 64 * 2**20, peak
     assert "dense" not in vars(model)
+
+
+def test_evolve_pads_a_short_vector_with_exact_zeros():
+    # a block-diagonal h: the leading m x m block is closed, as the carrier's sectors are
+    rng = np.random.default_rng(4)
+    d, m = 9, 5
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = (a + a.conj().T) / 2
+    h[:m, m:] = 0.0
+    h[m:, :m] = 0.0
+    v = rng.normal(size=m) + 1j * rng.normal(size=m)
+    v /= np.linalg.norm(v)
+    embedded = np.concatenate([v, np.zeros(d - m)])
+    times = np.linspace(0.0, 3.0, 7)
+    (short,) = evolve(h, [v], times)
+    (full,) = evolve(h, [embedded], times)
+    assert short.shape == (times.size, d)
+    assert np.all(short[:, m:] == 0.0)
+    assert np.max(np.abs(short[:, :m] - full[:, :m])) <= 1e-13
+
+
+@pytest.mark.parametrize("path", ["dense", "subspace"])
+def test_one_factorization_and_one_kernel_call_per_trajectory(path, monkeypatch):
+    calls = {"hermitian_eig": 0, "pair_step_series": 0}
+    for name in calls:
+        original = getattr(evolution, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, name, counted)
+    model = build_chain_model(ChainParams(n_total=5))
+    rec = run_trajectory(model, TimeGrid(t_max=2.0, n_steps=40), path=path)
+    assert rec.path_used == path
+    assert calls == {"hermitian_eig": 1, "pair_step_series": 1}

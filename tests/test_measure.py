@@ -9,7 +9,6 @@ from backflow.measure import (
     blp_integral,
     blp_measure,
     down_up_crossings,
-    increasing_intervals,
     interval_contributions,
 )
 from backflow.model import ChainParams, Model, build_chain_model
@@ -18,8 +17,8 @@ from backflow.model import ChainParams, Model, build_chain_model
 def test_increasing_intervals_by_hand():
     d = np.array([1.0, 0.8, 0.9, 0.95, 0.7, 0.75, 0.7])
     t = np.arange(7.0)
-    assert increasing_intervals(d, t) == [(1.0, 3.0), (4.0, 5.0)]
     contrib = interval_contributions(d, t)
+    assert [(a, b) for a, b, _ in contrib] == [(1.0, 3.0), (4.0, 5.0)]
     assert len(contrib) == 2
     assert abs(contrib[0][2] - 0.15) < 1e-15
     assert abs(contrib[1][2] - 0.05) < 1e-15
@@ -28,7 +27,7 @@ def test_increasing_intervals_by_hand():
 def test_threshold_suppresses_noise():
     d = np.array([0.5, 0.5 + 1e-13, 0.5])
     t = np.arange(3.0)
-    assert increasing_intervals(d, t) == []
+    assert interval_contributions(d, t) == []
     assert blp_integral(d) == 0.0
 
 
@@ -44,7 +43,7 @@ def test_blp_integral_telescopes():
 def test_monotone_series_measures_zero():
     d = np.linspace(1.0, 0.2, 40)
     assert blp_integral(d) == 0.0
-    assert increasing_intervals(d, np.arange(40.0)) == []
+    assert interval_contributions(d, np.arange(40.0)) == []
 
 
 def test_down_up_crossings_interpolation():
@@ -149,7 +148,7 @@ def test_intervals_cover_crossings(chain10_record):
     # each down-up sigma crossing starts a distance-increase interval
     rec = chain10_record
     crossings = down_up_crossings(rec.sigma, rec.times)
-    intervals = increasing_intervals(rec.d_system, rec.times)
+    intervals = [(a, b) for a, b, _ in interval_contributions(rec.d_system, rec.times)]
     dt = rec.times[1] - rec.times[0]
     for c in crossings:
         assert any(a - 2 * dt <= c <= b for a, b in intervals)

@@ -16,7 +16,7 @@ from backflow.model import (
     build_chain_model,
     carrier_indices,
     chain_build_peak_bytes,
-    equatorial_pair,
+    equatorial_states,
     excitation_sectors,
     load_generic_model,
     pauli_on_site,
@@ -131,21 +131,24 @@ def _density(state):
 
 
 def test_equatorial_pair_states():
-    rho1, rho2 = equatorial_pair(0.0, 3)
+    rho1, rho2 = plus_minus_pair(3)
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     vac = np.zeros(4, dtype=complex)
     vac[0] = 1.0
     want = np.kron(plus, vac)
     assert np.max(np.abs(_density(rho1) - np.outer(want, want.conj()))) < 1e-14
     # antipodal pair: distance 1 regardless of phi
+    env = plus_minus_pair(2)[0][1]
     for phi in (0.0, 0.4, np.pi / 2):
-        r1, r2 = equatorial_pair(phi, 2)
+        r1, r2 = ((vs, env) for vs in equatorial_states(phi))
         assert abs(trace_norm(_density(r1) - _density(r2)) / 2 - 1.0) < 1e-12
 
 
 def test_plus_minus_is_phi_zero():
     a = plus_minus_pair(3)
-    b = equatorial_pair(0.0, 3)
+    vac = np.zeros(4, dtype=complex)
+    vac[0] = 1.0
+    b = [(vs, vac) for vs in equatorial_states(0.0)]
     for (xs, xe), (ys, ye) in zip(a, b):
         assert np.array_equal(xs, ys)
         assert np.array_equal(xe, ye)
