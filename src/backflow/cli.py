@@ -97,8 +97,10 @@ _GRID_AXES = ("j0", "b")
 def _want_float(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key '{key}' must be a number, got {value!r}")
-    # an integer beyond the float range is as unusable as inf
-    number = float(value) if abs(value) < 2**1024 else math.inf
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range is as unusable as inf
+        number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"key '{key}' must be finite, got {value!r}")
     return number
@@ -282,13 +284,14 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         implied["pair"] = "file"
     values.update((key, value) for key, value in implied.items() if key not in given)
 
-    _check_common(values, values["model_file"] is None and scenario != "bound-check")
+    builds_chain = values["model_file"] is None and scenario != "bound-check"
+    _check_common(values, builds_chain)
+    if builds_chain and values["j"] == 0.0:
+        raise ConfigError("j must be nonzero; ratios are taken against it")
     if values["n_models"] < 1:
         raise ConfigError(f"n_models must be positive, got {values['n_models']}")
     if values["seed"] < 0:
         raise ConfigError(f"seed must be nonnegative, got {values['seed']}")
-    if values["j"] == 0.0:
-        raise ConfigError("j must be nonzero; ratios are taken against it")
     family = parse_pair_family(values["pair"], values["seed"])
     if isinstance(family, ModelPair) and values["model_file"] is None:
         raise ConfigError("pair 'file' needs a model_file; a chain has no input pair of its own")

@@ -64,17 +64,22 @@ def evolve(h: np.ndarray, vectors, times: np.ndarray) -> list[np.ndarray]:
     """exp(-i h t) v at every sample time, one (times.size, h.shape[0]) stack per vector v.
 
     h is factorized once for all vectors. Vectors shorter than h, all of
-    one length m, evolve under the leading m x m block of h, which the
-    caller guarantees is closed under h, and are zero-padded to h.shape[0].
+    one length m, evolve under the leading m x m block of h and are
+    zero-padded to h.shape[0]. ValueError is raised when that block is
+    not closed under h, or the vectors differ in length or outgrow h.
     """
-    m = len(vectors[0])
+    d, m = h.shape[0], len(vectors[0])
+    if m > d or any(np.shape(v) != (m,) for v in vectors):
+        raise ValueError(f"state shapes do not all match (m,) with m <= dimension {d}")
+    if m < d and np.any(h[:m, m:]):
+        raise ValueError(f"the leading {m} x {m} block of h is not closed under h")
     w, vec = hermitian_eig(h[:m, :m])
     phases = np.exp(-1j * np.outer(w, times))
     stacks = []
     for v in vectors:
         series = (vec @ (phases * (vec.conj().T @ v)[:, None])).T
-        if m < h.shape[0]:
-            padded = np.zeros((series.shape[0], h.shape[0]), dtype=np.complex128)
+        if m < d:
+            padded = np.zeros((series.shape[0], d), dtype=np.complex128)
             padded[:, :m] = series
             series = padded
         stacks.append(series)

@@ -39,8 +39,6 @@ INCREASE_THRESHOLD = 1e-12
 class PlusMinusPair:
     """The canonical |+>/|-> input pair (wire name: paper)."""
 
-    label: str = "paper"
-
 
 @dataclass(frozen=True)
 class EquatorialScan:
@@ -68,8 +66,6 @@ class RandomPairs:
 @dataclass(frozen=True)
 class ModelPair:
     """The model's own initial pair (wire name: file)."""
-
-    label: str = "file"
 
 
 PairFamily = Union[PlusMinusPair, EquatorialScan, RandomPairs, ModelPair]
@@ -137,7 +133,7 @@ def _pair_candidates(family: PairFamily, model: Model | ChainModel):
     initial state.
     """
     if isinstance(family, ModelPair):
-        yield family.label, model.initial_pair
+        yield "file", model.initial_pair
         return
     ds = model.bipartition.d_system
     env = model.initial_pair[0][1]
@@ -147,7 +143,7 @@ def _pair_candidates(family: PairFamily, model: Model | ChainModel):
             yield f"random:{k}", tuple((haar_random_state(ds, rng), env) for _ in range(2))
         return
     if isinstance(family, PlusMinusPair):
-        labelled = [(family.label, 0.0)]
+        labelled = [("paper", 0.0)]
     elif isinstance(family, EquatorialScan):
         phis = [np.pi * k / family.n_phi for k in range(family.n_phi)]
         labelled = [(f"equatorial:phi={phi:.12g}", phi) for phi in phis]

@@ -47,7 +47,6 @@ PAULI = {
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
 }
-_ID2 = np.eye(2, dtype=np.complex128)
 
 INTERACTION_RESIDUAL_ATOL = 1e-12
 SECTOR_ATOL = 1e-14

@@ -371,6 +371,7 @@ def test_negative_seed_and_t_max_exit_2(tmp_path, capsys):
         (["run", "--scenario", "fig1a", "--t-max", "inf"], "key 't_max' must be finite"),
         (["run", "--config", "CONFIG"], "key 'b_field' must be finite"),
         (["run", "--config", "HUGE"], "key 'j0' must be finite"),
+        (["run", "--config", "HUGE_309"], "key 'j0' must be finite"),
         (["sweep", "--config", "CONFIG", "--j0-grid", "0", "1", "2", "--b-grid", "0", "1", "2"],
          "key 't_max' must be finite"),
         (["sweep", "--j0-grid", "nan", "1", "3", "--b-grid", "0", "1", "2"], "key 'j0.min' must be finite"),
@@ -380,14 +381,24 @@ def test_negative_seed_and_t_max_exit_2(tmp_path, capsys):
 def test_nonfinite_floats_and_zero_j_exit_2(argv, message, tmp_path, capsys):
     # Python's json reads NaN and Infinity, so a config file can carry them too,
     # and an integer too large for a float
-    files = {"CONFIG": tmp_path / "nonfinite.json", "HUGE": tmp_path / "huge.json"}
+    files = {"CONFIG": tmp_path / "nonfinite.json", "HUGE": tmp_path / "huge.json",
+             "HUGE_309": tmp_path / "huge_309.json"}
     files["CONFIG"].write_text('{"scenario": "fig1a", "b_field": NaN, "sweep": {"t_max": Infinity}}')
     files["HUGE"].write_text('{"scenario": "fig1a", "j0": 1' + "0" * 400 + "}")
+    # 2**1024 - 1 is below the float range's end but float() rounds it up past it
+    files["HUGE_309"].write_text('{"scenario": "fig1a", "j0": %d}' % (2**1024 - 1))
     out, summary = tmp_path / "never.csv", tmp_path / "never.json"
     argv = [str(files[a]) if a in files else a for a in argv]
     assert main([*argv, "--out", str(out), "--summary", str(summary)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists() and not summary.exists()
+
+
+def test_zero_j_is_refused_only_where_a_chain_is_built():
+    # bound-check and model-file runs never read j
+    for overrides in ({"scenario": "bound-check", "j": 0.0},
+                      {"scenario": "custom", "model_file": "m.json", "j": 0.0}):
+        assert parse_config(overrides=overrides).j == 0.0
 
 
 def test_coarse_grid_passes_the_bound_check(tmp_path):

@@ -214,6 +214,21 @@ def test_evolve_pads_a_short_vector_with_exact_zeros():
     assert np.max(np.abs(short[:, :m] - full[:, :m])) <= 1e-13
 
 
+def test_evolve_refuses_a_vector_that_fits_no_closed_block():
+    rng = np.random.default_rng(5)
+    d, m = 9, 5
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = (a + a.conj().T) / 2
+    times = np.linspace(0.0, 1.0, 3)
+    # the leading block leaks into the rest of h
+    with pytest.raises(ValueError, match="not closed"):
+        evolve(h, [np.ones(m) / np.sqrt(m)], times)
+    with pytest.raises(ValueError, match="do not all match"):
+        evolve(h, [np.ones(d + 1)], times)
+    with pytest.raises(ValueError, match="do not all match"):
+        evolve(h, [np.ones(d), np.ones(m)], times)
+
+
 @pytest.mark.parametrize("path", ["dense", "subspace"])
 def test_one_factorization_and_one_kernel_call_per_trajectory(path, monkeypatch):
     calls = {"hermitian_eig": 0, "pair_step_series": 0}
