@@ -44,7 +44,6 @@ from .model import (
     ModelFileError,
     build_chain_model,
     chain_build_peak_bytes,
-    chain_factor_peak_bytes,
     chain_run_peak_bytes,
     load_generic_model,
     run_peak_bytes,
@@ -241,12 +240,10 @@ def _check_common(values: dict, builds_chain: bool) -> None:
         raise ConfigError(f"t_max must be positive, got {values['t_max']}")
     if builds_chain:
         # refuse a chain run that cannot fit in physical memory: only the dense
-        # path builds the 2^n H, the others hold 2^(n-1) environment factors
+        # path builds the 2^n H, the others hold arrays of n times the grid
         n, steps, dense = values["n_spins"], values["steps"], values["path"] == "dense"
         if dense:
             _check_fits(chain_build_peak_bytes(n), f"n_spins={n}", "build the chain Hamiltonian")
-        else:
-            _check_fits(chain_factor_peak_bytes(n), f"n_spins={n}", "hold the environment factors")
         _check_fits(chain_run_peak_bytes(n, steps, dense), f"steps={steps}", "hold the run's states")
 
 
@@ -328,8 +325,16 @@ def _parse_sweep_config(path: str | None, overrides: dict) -> SweepConfig:
     return SweepConfig(**values)
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+def _write_summary(summary: dict, path: str | None, start: float | None = None) -> None:
+    """Stamp summary with runtime_seconds (when start is given) and timestamp.
+
+    Writes it to path through write_summary_json unless path is None.
+    """
+    if start is not None:
+        summary["runtime_seconds"] = time.perf_counter() - start
+    summary["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    if path is not None:
+        _write_file(write_summary_json, summary, path)
 
 
 def _parameters_dict(cfg: RunConfig) -> dict:
@@ -402,15 +407,13 @@ def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
         "max_bound_violation": max_violation,
         "violations": violations,
         "path_used": record.path_used,
-        "runtime_seconds": time.perf_counter() - start,
-        "timestamp": _timestamp(),
     }
     if window is not None:
         summary["window"] = window
     out = cfg.out if cfg.out is not None else f"{cfg.scenario}.csv"
     _write_file(write_trajectory_csv, record, out)
     summary_path = cfg.summary if cfg.summary is not None else f"{cfg.scenario}.json"
-    _write_file(write_summary_json, summary, summary_path)
+    _write_summary(summary, summary_path, start)
     return (1 if violations else 0, summary)
 
 
@@ -425,13 +428,10 @@ def _run_bound_check(cfg: RunConfig, start: float) -> tuple[int, dict]:
         "max_bound_violation": worst,
         "violations": violations,
         "path_used": "dense",
-        "runtime_seconds": time.perf_counter() - start,
-        "timestamp": _timestamp(),
     }
     if cfg.out is not None:
         _write_file(write_bound_csv, rows, cfg.out)
-    if cfg.summary is not None:
-        _write_file(write_summary_json, summary, cfg.summary)
+    _write_summary(summary, cfg.summary, start)
     return (1 if violations else 0, summary)
 
 
@@ -475,10 +475,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[int, list[dict]]:
             "parameters": dataclasses.asdict(cfg),
             "n_points": len(rows),
             "n_failed": sum(1 for r in rows if r["status"] != "ok"),
-            "runtime_seconds": time.perf_counter() - start,
-            "timestamp": _timestamp(),
         }
-        _write_file(write_summary_json, summary, cfg.summary)
+        _write_summary(summary, cfg.summary, start)
     return (1 if failed else 0, rows)
 
 
@@ -495,9 +493,8 @@ def _run_verify(cfg: RunConfig) -> int:
             ],
             "max_bound_violation": worst,
             "passed": ok,
-            "timestamp": _timestamp(),
         }
-        _write_file(write_summary_json, summary, cfg.summary)
+        _write_summary(summary, cfg.summary)
     print(f"{'OK' if ok else 'FAILED'}  {sum(c.passed for c in checks)}/{len(checks)} checks passed")
     return 0 if ok else 1
 

@@ -7,25 +7,25 @@ only in the basis the states are written in:
 
 * dense: the full computational basis of the model, with the full
   Hamiltonian. The reference route, and the only one for generic models.
-* subspace: for a qubit coupled to a magnetization-conserving chain
-  prepared with at most one flipped spin, the dynamics stays inside the
-  0- and 1-excitation sectors. Both evolving states, their marginals and
-  their correlation operators then live on a fixed carrier of 2*n_total
-  computational basis states, and the Hamiltonian is the chain's carrier
-  block, written from the chain parameters. Only the closed sectors at
-  the head of the carrier are factorized and evolved; the rest of the
-  carrier stays zero. The compression is exact, not approximate.
+* subspace: a ChainModel is the chain on its carrier of 2*n_total
+  states, the vacuum and single flips of the environment against either
+  qubit state. A pair inside the carrier's closed head, the 0- and
+  1-excitation sectors, stays there, so both evolving states, their
+  marginals and their correlation operators live on the carrier. Only
+  that head is factorized and evolved; the rest of the carrier stays
+  zero. The compression is exact, not approximate. A chain pair that
+  leaves the head runs dense, on ChainModel.dense.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import pair_step_series
 from .linalg import hermitian_eig
-from .model import ChainModel, Model, ProductState, carrier_indices, product_pair, total_sz_diagonal
+from .model import ChainModel, Model, ProductState, product_pair, total_sz_diagonal
 
 __all__ = [
     "TimeGrid",
@@ -94,9 +94,8 @@ class TrajectoryRecord:
     remaining fields keep bookkeeping used by structural checks (purity
     and magnetization drift, partial-trace residuals of the correlation
     operators, both branches of the first bound term) plus the evolved
-    state vectors in carrier coordinates. carrier holds the full-space
-    indices of those coordinates on the subspace path and is None on the
-    dense path.
+    state vectors: carrier coordinates on the subspace path
+    (ChainModel.full_vector embeds them), the full space on the dense path.
     """
 
     times: np.ndarray
@@ -128,7 +127,6 @@ class TrajectoryRecord:
     chi2_ptrace_env: np.ndarray
     states_1: np.ndarray
     states_2: np.ndarray
-    carrier: np.ndarray | None = field(default=None)
 
     @property
     def n_times(self) -> int:
@@ -136,7 +134,7 @@ class TrajectoryRecord:
 
 
 def run_trajectory(
-    model: Model | ChainModel,
+    model: Model,
     grid: TimeGrid,
     path: str = "auto",
     pair: tuple[ProductState, ProductState] | None = None,
@@ -147,32 +145,36 @@ def run_trajectory(
     defaults to the model's initial_pair; passing it evolves another pair
     under the same, already validated, Hamiltonian.
 
-    path is one of 'dense', 'subspace' or 'auto'. Auto prefers the
-    subspace route whenever the model is a ChainModel and the pair sits
-    inside its lowest two excitation sectors; it falls back to dense
-    otherwise. The subspace route reads only the chain's carrier block,
-    so the 2^n_total Hamiltonian is built by the dense route alone.
+    path is one of 'dense', 'subspace' or 'auto'. Auto takes the subspace
+    route whenever the model is a ChainModel and the pair sits inside its
+    lowest two excitation sectors, and falls back to dense otherwise. A
+    chain's dense route evolves ChainModel.dense, so the 2^n_total
+    Hamiltonian is built by that route alone.
     """
     if path not in ("auto", "dense", "subspace"):
         raise ValueError(f"unknown path {path!r}")
     pair = model.initial_pair if pair is None else product_pair(pair, model.bipartition)
+    vectors = [np.kron(vs, ve) for vs, ve in pair]
     chain = isinstance(model, ChainModel)
-    coords = model.carrier_coordinates(pair) if chain and path != "dense" else None
-    if path == "subspace" and coords is None:
+    n = model.params.n_total if chain else 0
+    # the carrier's head, its first n + 1 slots, is closed: a pair inside it stays there
+    closed = chain and all(np.vdot(v[n + 1 :], v[n + 1 :]).real <= 1e-12 for v in vectors)
+    subspace = closed and path != "dense"
+    if path == "subspace" and not subspace:
         raise ValueError("subspace path needs a chain model and a low-excitation initial pair")
-    if coords is not None:
-        target, vectors, basis = model.carrier, coords, carrier_indices(model.params.n_total)
-    else:
-        target, vectors, basis = model, [np.kron(vs, ve) for vs, ve in pair], None
-    h, bp, times = target.hamiltonian, target.bipartition, grid.times
+    sz = None
+    if subspace:
+        vectors, sz = [v[: n + 1] for v in vectors], model.sz_diagonal
+    elif chain:
+        vectors, sz = [model.full_vector(v) for v in vectors], total_sz_diagonal(n)
+        model = model.dense
+    h, bp, times = model.hamiltonian, model.bipartition, grid.times
     s1, s2 = evolve(h, vectors, times)
-    sz = total_sz_diagonal(model.params.n_total, basis) if chain else None
     cols = pair_step_series(h, bp.d_system, bp.d_environment, s1, s2, sz_diagonal=sz)
     return TrajectoryRecord(
         times,
-        path_used="dense" if basis is None else "subspace",
+        path_used="subspace" if subspace else "dense",
         states_1=s1,
         states_2=s2,
-        carrier=basis,
         **cols,
     )

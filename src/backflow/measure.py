@@ -16,7 +16,7 @@ import numpy as np
 
 from .evolution import TimeGrid, TrajectoryRecord, run_trajectory
 from .linalg import haar_random_state
-from .model import ChainModel, ChainParams, Model, build_chain_model, equatorial_states
+from .model import ChainParams, Model, build_chain_model, equatorial_states
 
 __all__ = [
     "PlusMinusPair",
@@ -125,7 +125,7 @@ def blp_integral(d_values: np.ndarray) -> float:
     return float(steps[steps > INCREASE_THRESHOLD].sum())
 
 
-def _pair_candidates(family: PairFamily, model: Model | ChainModel):
+def _pair_candidates(family: PairFamily, model: Model):
     """(label, pair) for each pair of the family.
 
     ModelPair yields the model's own initial pair. Every other candidate
@@ -157,7 +157,7 @@ def _pair_candidates(family: PairFamily, model: Model | ChainModel):
 
 
 def blp_measure(
-    model_or_params: Model | ChainModel | ChainParams,
+    model_or_params: Model | ChainParams,
     grid: TimeGrid,
     pair_family: PairFamily = PlusMinusPair(),
     path: str = "auto",
@@ -166,7 +166,8 @@ def blp_measure(
 
     Accepts either chain parameters (the chain is built once) or a
     prebuilt model. Every candidate pair runs under the same Hamiltonian,
-    validated once (for a chain, the block its path reads), and keeps the
+    validated once (for a chain, the carrier block when it is built, and
+    ChainModel.dense the first time a pair runs dense), and keeps the
     model's environment preparation.
     """
     if isinstance(model_or_params, ChainParams):

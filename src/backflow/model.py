@@ -2,16 +2,17 @@
 
 The chain couples a single qubit (site 0) to the first site of an XX
 chain in a transverse field. Total magnetization is conserved, so the
-Hamiltonian is block diagonal over fixed-excitation sectors; the fast
-evolution path works on the 0- and 1-excitation sectors alone, and the
-chain model builds the full 2^n Hamiltonian only when asked for it.
+Hamiltonian is block diagonal over fixed-excitation sectors. The chain
+model lives on its 2n-state carrier, which holds the 0- and
+1-excitation sectors; the full 2^n space exists only in its dense model,
+built when a run first asks for it.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "build_chain_model",
     "carrier_indices",
     "chain_build_peak_bytes",
-    "chain_factor_peak_bytes",
     "chain_run_peak_bytes",
     "run_peak_bytes",
     "plus_minus_pair",
@@ -87,10 +87,9 @@ def _excitations(n_total: int, idx: np.ndarray) -> np.ndarray:
     return ((idx[:, None] >> np.arange(n_total)) & 1).sum(axis=1)
 
 
-def total_sz_diagonal(n_total: int, idx: np.ndarray | None = None) -> np.ndarray:
-    """Diagonal of sum_n sigma_n^z on the basis states idx, by default all 2^n_total."""
-    idx = np.arange(2**n_total) if idx is None else np.asarray(idx)
-    return (n_total - 2 * _excitations(n_total, idx)).astype(np.float64)
+def total_sz_diagonal(n_total: int) -> np.ndarray:
+    """Diagonal of sum_n sigma_n^z on all 2^n_total computational basis states."""
+    return (n_total - 2 * _excitations(n_total, np.arange(2**n_total))).astype(np.float64)
 
 
 def excitation_sectors(n_total: int) -> tuple[np.ndarray, ...]:
@@ -257,12 +256,14 @@ def equatorial_states(phi: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def plus_minus_pair(n_total: int) -> tuple[ProductState, ProductState]:
-    """|+> and |-> against an all-|0> environment, as (system, environment) factors.
+    """|+> and |-> against the chain's vacuum, as (system, environment) factors.
 
-    The system factors are equatorial_states(0). The pair is orthogonal,
-    so the joint trace distance starts at 1.
+    The environment factor is in carrier coordinates (see ChainModel):
+    n_total slots, the vacuum first. The system factors are
+    equatorial_states(0). The pair is orthogonal, so the joint trace
+    distance starts at 1.
     """
-    env = np.zeros(2 ** (n_total - 1), dtype=np.complex128)
+    env = np.zeros(n_total, dtype=np.complex128)
     env[0] = 1.0
     plus, minus = equatorial_states(0.0)
     return (plus, env), (minus, env)
@@ -275,16 +276,6 @@ def chain_build_peak_bytes(n_total: int) -> int:
     plus the temporaries of the Model checks run on it.
     """
     return 4 * np.dtype(np.complex128).itemsize * 4**n_total
-
-
-def chain_factor_peak_bytes(n_total: int) -> int:
-    """Upper bound on the memory of a chain run that never builds the dense Model.
-
-    Two 2^(n_total - 1) complex128 environment factor vectors, one per
-    state of the pair (the command line's pairs share one). Every other
-    array of such a run grows with n_total and the grid, not with 2^n_total.
-    """
-    return 2 * np.dtype(np.complex128).itemsize * 2 ** (n_total - 1)
 
 
 def run_peak_bytes(n_steps: int, dim: int, block: int) -> int:
@@ -308,22 +299,39 @@ def chain_run_peak_bytes(n_total: int, n_steps: int, dense: bool) -> int:
 
 
 def carrier_indices(n_total: int) -> np.ndarray:
-    """Full-space indices of the subspace carrier |s>_S (x) |e_k>_E.
+    """Full-space indices of the carrier slots (s, k), in slot order.
 
-    s runs over the qubit states, e_0 is the environment vacuum and e_k
-    flips chain site k. Ordered s-major so the carrier is a product
-    basis of shape (2, n_total), and its first n_total entries are the
-    environment carrier. The first n_total + 1 entries are the 0- and
-    1-excitation sector, which is closed under the dynamics; the rest
-    support the product terms rho_S (x) rho_E.
+    Slot (s, k) is |s>_S (x) |e_k>_E: s is the qubit state, e_0 the
+    environment vacuum and e_k flips chain site k. The order is s-major,
+    so the carrier is a product basis of shape (2, n_total).
     """
     big_n = n_total - 1
     env = [0] + [1 << (big_n - k) for k in range(1, big_n + 1)]
     return np.array([(s << big_n) + e for s in (0, 1) for e in env], dtype=np.int64)
 
 
-def _chain_hamiltonian(params: ChainParams, idx: np.ndarray) -> np.ndarray:
-    """The chain Hamiltonian on the basis states idx, as an idx.size-square matrix.
+def _carrier_slots(n_total: int) -> tuple[np.ndarray, np.ndarray]:
+    """The labels (s, k) of the 2 n_total carrier slots, in slot order."""
+    return np.repeat([0, 1], n_total), np.tile(np.arange(n_total), 2)
+
+
+def _field_diagonal(params: ChainParams, flipped) -> np.ndarray:
+    """The field terms -2 b_field sz_site, summed site by site in one fixed order.
+
+    flipped(site) is 1 on the basis states that flip site and 0 on the
+    others. Both Hamiltonian writers sum through here, so the carrier
+    block and the dense H hold bit-identical diagonals.
+    """
+    n = params.n_total
+    diag = 0.0
+    for site in list(range(1, n)) + ([0] if params.field_on_system else []):
+        sz = 1.0 - 2.0 * flipped(site)
+        diag = diag - 2.0 * params.b_field * sz
+    return diag
+
+
+def _chain_hamiltonian(params: ChainParams) -> np.ndarray:
+    """The chain Hamiltonian on all 2^n_total computational basis states.
 
     H = -2 j_sys (sx_0 sx_1 + sy_0 sy_1)
         -2 j_env sum_{n=1..N-1} (sx_n sx_{n+1} + sy_n sy_{n+1})
@@ -332,60 +340,70 @@ def _chain_hamiltonian(params: ChainParams, idx: np.ndarray) -> np.ndarray:
     with N = n_total - 1 environment spins.
 
     H is written entry by entry from the bits of the basis index (site s
-    is bit n_total - 1 - s), O(n_total idx.size) writes: since
-    sx sx + sy sy = 2 (s+ s- + s- s+), each bond connects a basis state
-    whose two bond bits differ to the state with both flipped, with
-    amplitude -4 J; a partner outside idx is dropped. The field terms
-    are the diagonal, summed site by site in the order above. Every
-    entry is therefore the one the full 2^n_total matrix holds at the
-    same pair of basis states.
+    is bit n_total - 1 - s): since sx sx + sy sy = 2 (s+ s- + s- s+),
+    each bond connects a basis state whose two bond bits differ to the
+    state with both flipped, with amplitude -4 J. The field terms are
+    the diagonal (_field_diagonal).
     """
     n = params.n_total
-    slots = np.arange(idx.size)
-    order = np.argsort(idx)
-    ranked = idx[order]
+    idx = np.arange(2**n)
     h = np.zeros((idx.size, idx.size), dtype=np.complex128)
     for site in range(n - 1):
         j = params.j_sys if site == 0 else params.j_env
         mask = 3 << (n - 2 - site)
         bond_bits = idx & mask
-        movers = slots[(bond_bits != 0) & (bond_bits != mask)]
-        partners = idx[movers] ^ mask
-        at = np.minimum(np.searchsorted(ranked, partners), idx.size - 1)
-        inside = ranked[at] == partners
-        h[movers[inside], order[at[inside]]] = -4.0 * j
-    diag = np.zeros(idx.size)
-    field_sites = list(range(1, n)) + ([0] if params.field_on_system else [])
-    for site in field_sites:
-        sz = 1.0 - 2.0 * ((idx >> (n - 1 - site)) & 1)
-        diag -= 2.0 * params.b_field * sz
-    h[slots, slots] = diag
+        movers = idx[(bond_bits != 0) & (bond_bits != mask)]
+        h[movers, movers ^ mask] = -4.0 * j
+    h[idx, idx] = _field_diagonal(params, lambda site: (idx >> (n - 1 - site)) & 1)
     return h
 
 
-class ChainModel:
-    """The qubit-plus-XX-chain model, held as its parameters and initial pair.
+def _carrier_hamiltonian(params: ChainParams) -> np.ndarray:
+    """The 2 n_total-square block of the chain Hamiltonian on the carrier slots.
 
-    Nothing of size 2^n_total x 2^n_total exists until something reads
-    `dense` (or `hamiltonian`/`interaction_terms`, which read it): the
-    dense path and verify. The subspace path reads `carrier` instead,
-    the 2 n_total-square block of H on the carrier states.
+    Written from the slot labels (s, k) by the bond rules of
+    _chain_hamiltonian: the system bond joins (1, 0) and (0, 1), bond
+    (m, m+1) of the chain joins (s, m) and (s, m+1), and a partner
+    outside the carrier is dropped. Every entry is the one the dense H
+    holds at the same pair of basis states, bit for bit.
+    """
+    n = params.n_total
+    s, k = _carrier_slots(n)
+    h = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    h[n, 1] = h[1, n] = -4.0 * params.j_sys
+    m = np.arange(1, n - 1)
+    for row in (m, n + m):
+        h[row, row + 1] = h[row + 1, row] = -4.0 * params.j_env
+    slots = np.arange(2 * n)
+    h[slots, slots] = _field_diagonal(params, lambda site: s if site == 0 else k == site)
+    return h
+
+
+@dataclass(frozen=True)
+class ChainModel(Model):
+    """The qubit-plus-XX-chain model on its carrier of 2 n_total states.
+
+    The carrier slot (s, k) is |s>_S (x) |e_k>_E, with e_0 the
+    environment vacuum and e_k chain site k flipped (carrier_indices).
+    hamiltonian is the carrier block of H, bipartition is (2, n_total)
+    and the initial pair's environment factors are carrier coordinates.
+    The first n_total + 1 slots, the 0- and 1-excitation sectors, are
+    closed under H; evolve checks that exactly before a run relies on it
+    (test_evolve_refuses_a_vector_that_fits_no_closed_block). A pair
+    inside them runs on the carrier. Every other run reads `dense`, the
+    only place the 2^n_total space exists.
     """
 
-    def __init__(self, params: ChainParams, initial_pair: tuple[ProductState, ProductState]) -> None:
-        self.params = params
-        self.bipartition = Bipartition(2, 2 ** (params.n_total - 1))
-        self.initial_pair = product_pair(initial_pair, self.bipartition)
-
-    @property
-    def dimension(self) -> int:
-        return self.bipartition.d_joint
+    params: ChainParams = field(kw_only=True)
 
     @functools.cached_property
     def dense(self) -> Model:
-        """The full Hamiltonian with interaction terms and excitation sectors, built and validated once."""
+        """The full Hamiltonian with interaction terms and excitation sectors, built and validated once.
+
+        Its initial pair is the chain's, embedded through carrier_indices.
+        """
         n = self.params.n_total
-        d_env = self.bipartition.d_environment
+        d_env = 2 ** (n - 1)
         terms: list[tuple[np.ndarray, np.ndarray]] = []
         for axis in ("x", "y"):
             env_op = -2.0 * self.params.j_sys * pauli_on_site(axis, 0, n - 1)
@@ -394,76 +412,53 @@ class ChainModel:
             terms.append(
                 (PAULI["z"].copy(), -2.0 * self.params.b_field * np.eye(d_env, dtype=np.complex128))
             )
+        env = carrier_indices(n)[:n]
+        pair = []
+        for vs, ve in self.initial_pair:
+            full = np.zeros(d_env, dtype=np.complex128)
+            full[env] = ve
+            pair.append((vs, full))
         return Model(
-            hamiltonian=_chain_hamiltonian(self.params, np.arange(2**n)),
-            bipartition=self.bipartition,
-            initial_pair=self.initial_pair,
+            hamiltonian=_chain_hamiltonian(self.params),
+            bipartition=Bipartition(2, d_env),
+            initial_pair=tuple(pair),
             interaction_terms=tuple(terms),
             sector_basis=excitation_sectors(n),
         )
 
-    @property
-    def hamiltonian(self) -> np.ndarray:
-        return self.dense.hamiltonian
+    def full_vector(self, c: np.ndarray) -> np.ndarray:
+        """The 2^n_total joint vector of carrier coordinates c."""
+        v = np.zeros(2**self.params.n_total, dtype=np.complex128)
+        v[carrier_indices(self.params.n_total)] = c
+        return v
 
     @property
-    def interaction_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        return self.dense.interaction_terms
-
-    def carrier_coordinates(self, pair: tuple[ProductState, ProductState]) -> list[np.ndarray] | None:
-        """Both states of pair on the carrier's closed slots, or None if either leaves them.
-
-        The carrier coordinates of (vs, ve) are vs (x) ve read at the
-        environment carrier. Their first n_total + 1 slots are the 0- and
-        1-excitation sectors, which H keeps closed; a state inside them
-        has zeros in every other slot, at all times.
-        """
-        n = self.params.n_total
-        env = carrier_indices(n)[:n]
-        coords = []
-        for vs, ve in pair:
-            c = np.kron(vs, ve[env])
-            outside = (np.linalg.norm(vs) * np.linalg.norm(ve)) ** 2 - np.linalg.norm(c[: n + 1]) ** 2
-            if outside > 1e-12:
-                return None
-            coords.append(c[: n + 1])
-        return coords
-
-    @functools.cached_property
-    def carrier(self) -> Model:
-        """H on the carrier_indices states, validated once as a Model of its own.
-
-        Its bipartition is (2, n_total). Its initial pair puts the
-        chain's system factors against the environment vacuum, which is
-        the chain's pair in carrier coordinates whenever that pair starts
-        in the vacuum, and a valid pair even when it does not; each run
-        evolves its own pair. The sector check enforces what the subspace
-        path assumes: the first n_total + 1 slots, the 0- and
-        1-excitation sectors, are closed under H.
-        """
-        n = self.params.n_total
-        vacuum = np.zeros(n, dtype=np.complex128)
-        vacuum[0] = 1.0
-        return Model(
-            hamiltonian=_chain_hamiltonian(self.params, carrier_indices(n)),
-            bipartition=Bipartition(2, n),
-            initial_pair=tuple((vs, vacuum) for vs, _ in self.initial_pair),
-            sector_basis=(np.arange(n + 1), np.arange(n + 1, 2 * n)),
-        )
+    def sz_diagonal(self) -> np.ndarray:
+        """Total magnetization on the carrier slots, n_total - 2 (s + [k > 0])."""
+        s, k = _carrier_slots(self.params.n_total)
+        return (self.params.n_total - 2 * (s + (k > 0))).astype(np.float64)
 
 
 def build_chain_model(
     params: ChainParams,
     initial_pair: tuple[ProductState, ProductState] | None = None,
 ) -> ChainModel:
-    """The chain of `params` with an initial pair, |+> and |-> against all-|0> by default.
+    """The chain of `params` on its carrier, with an initial pair.
 
-    Only the pair is checked here; the Hamiltonian is built and
-    validated when a run first needs it (see ChainModel).
+    initial_pair holds (system, environment) factors with the environment
+    in carrier coordinates, n_total of them; it defaults to
+    plus_minus_pair. Only the 2 n_total-square carrier block is built
+    and validated here; the 2^n_total Model is built when a run first
+    reads ChainModel.dense.
     """
     if initial_pair is None:
         initial_pair = plus_minus_pair(params.n_total)
-    return ChainModel(params, initial_pair)
+    return ChainModel(
+        hamiltonian=_carrier_hamiltonian(params),
+        bipartition=Bipartition(2, params.n_total),
+        initial_pair=initial_pair,
+        params=params,
+    )
 
 
 def _complex_array(node, where: str, path: str) -> np.ndarray:

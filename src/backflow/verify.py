@@ -112,7 +112,7 @@ def bound_suite(n_models: int = 50, seed: int = 7) -> tuple[list[CheckResult], f
     return [check], float(worst), rows
 
 
-def _trajectory_checks(tag: str, model: Model | ChainModel, record) -> list[CheckResult]:
+def _trajectory_checks(tag: str, record) -> list[CheckResult]:
     checks = []
     purity_drift = max(
         float(np.max(np.abs(record.purity_1 - 1.0))),
@@ -145,16 +145,17 @@ def _sample_indices(record) -> np.ndarray:
     return np.linspace(0, record.n_times - 1, 5).astype(int)
 
 
-def _gamma_route_check(tag: str, model: Model | ChainModel, record) -> CheckResult:
+def _gamma_route_check(tag: str, chain: ChainModel, record) -> CheckResult:
     """Both routes to the first bound term agree along the trajectory.
 
     rho_S = P P^dagger and rho_E = P^T P^* come from each joint vector
     reshaped to its d_S x d_E coefficient matrix P; no d x d matrix is formed.
     """
+    model = chain.dense
     bp = model.bipartition
     worst = 0.0
     for i in _sample_indices(record):
-        p = [v.reshape(bp.d_system, bp.d_environment) for v in _joint_vectors(model, record, int(i))]
+        p = [v.reshape(bp.d_system, bp.d_environment) for v in _joint_vectors(chain, record, int(i))]
         delta_env = p[0].T @ p[0].conj() - p[1].T @ p[1].conj()
         for pj, branch in zip(p, (record.term1_branch1, record.term1_branch2)):
             rho_s = pj @ pj.conj().T
@@ -164,16 +165,17 @@ def _gamma_route_check(tag: str, model: Model | ChainModel, record) -> CheckResu
     return CheckResult(f"{tag}: coupling route", worst <= 1e-10, f"max mismatch {worst:.3e}")
 
 
-def _kernel_oracle_check(tag: str, model: Model | ChainModel, record) -> CheckResult:
+def _kernel_oracle_check(tag: str, chain: ChainModel, record) -> CheckResult:
     """Kernel columns against the full-matrix oracles along the trajectory.
 
     Both paths share the diagnostics kernel, so this is the comparison
     with an independent implementation.
     """
+    model = chain.dense
     bp = model.bipartition
     worst, worst_col = 0.0, ""
     for i in _sample_indices(record):
-        rho_se = [np.outer(v, v.conj()) for v in _joint_vectors(model, record, int(i))]
+        rho_se = [np.outer(v, v.conj()) for v in _joint_vectors(chain, record, int(i))]
         chi = [correlation_operator(r, bp) for r in rho_se]
         bound = distinguishability_bound(model, *rho_se)
         expected = {
@@ -196,16 +198,10 @@ def _kernel_oracle_check(tag: str, model: Model | ChainModel, record) -> CheckRe
     )
 
 
-def _joint_vectors(model: Model | ChainModel, record, i: int) -> list[np.ndarray]:
-    """Full-space joint state vectors at sample i, from carrier states."""
-    out = []
-    for states in (record.states_1, record.states_2):
-        v = states[i]
-        if record.carrier is not None:
-            v = np.zeros(model.dimension, dtype=np.complex128)
-            v[record.carrier] = states[i]
-        out.append(v)
-    return out
+def _joint_vectors(chain: ChainModel, record, i: int) -> list[np.ndarray]:
+    """Full-space joint state vectors at sample i; a subspace record holds carrier coordinates."""
+    states = [record.states_1[i], record.states_2[i]]
+    return states if record.path_used == "dense" else [chain.full_vector(v) for v in states]
 
 
 def structural_suite() -> list[CheckResult]:
@@ -217,7 +213,7 @@ def structural_suite() -> list[CheckResult]:
     grid = TimeGrid(t_max=float(n_dense - 1), n_steps=STRUCTURAL_STEPS)
     dense_rec = run_trajectory(dense_model, grid, path="dense")
     sub_rec = run_trajectory(dense_model, grid, path="subspace")
-    checks += _trajectory_checks(f"dense n={n_dense}", dense_model, dense_rec)
+    checks += _trajectory_checks(f"dense n={n_dense}", dense_rec)
     checks.append(_gamma_route_check(f"dense n={n_dense}", dense_model, dense_rec))
     checks.append(_kernel_oracle_check(f"dense n={n_dense}", dense_model, dense_rec))
 
@@ -239,7 +235,7 @@ def structural_suite() -> list[CheckResult]:
     sub_model = build_chain_model(ChainParams(n_total=n_sub, b_field=STRUCTURAL_B_FIELD))
     sub_grid = TimeGrid(t_max=float(n_sub - 1), n_steps=2000)
     big_rec = run_trajectory(sub_model, sub_grid, path="subspace")
-    checks += _trajectory_checks(f"subspace n={n_sub}", sub_model, big_rec)
+    checks += _trajectory_checks(f"subspace n={n_sub}", big_rec)
     checks.append(_gamma_route_check(f"subspace n={n_sub}", sub_model, big_rec))
 
     sigma_margin = float(np.max(big_rec.sigma - big_rec.bound_total))

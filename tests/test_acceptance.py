@@ -162,7 +162,7 @@ def test_05_markovian_window_at_half_field(report):
 def test_06_generator_first_order_convergence(report):
     # the finite-time increment of either bound ingredient converges to
     # its commutator generator linearly in the step
-    model = build_chain_model(ChainParams(n_total=5))
+    model = build_chain_model(ChainParams(n_total=5)).dense
     h, bp = model.hamiltonian, model.bipartition
     vals, vecs = hermitian_eig(h)
     v0 = [np.kron(vs, ve) for vs, ve in model.initial_pair]
@@ -249,7 +249,7 @@ def test_07_path_and_kernel_oracles(report):
             pt_err = max(pt_err, float(np.max(np.abs(
                 partial_trace(x, bp, keep=keep) - _partial_trace_oracle(x, ds, de, keep)
             ))))
-    small = build_chain_model(ChainParams(n_total=3))
+    small = build_chain_model(ChainParams(n_total=3)).dense
     small_vals, small_vecs = hermitian_eig(small.hamiltonian)
     u_spectral = (small_vecs * np.exp(-1j * small_vals * 0.7)) @ small_vecs.conj().T
     prop_err = float(np.max(np.abs(u_spectral - _taylor_unitary(small.hamiltonian, 0.7))))

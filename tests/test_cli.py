@@ -23,7 +23,6 @@ from backflow.cli import (
 from backflow.measure import EquatorialScan, PlusMinusPair, RandomPairs
 from backflow.model import (
     chain_build_peak_bytes,
-    chain_factor_peak_bytes,
     chain_run_peak_bytes,
     run_peak_bytes,
 )
@@ -110,23 +109,19 @@ def run_cli(*args):
 def test_infeasible_chain_size_exits_2_before_building(tmp_path, capsys, monkeypatch):
     # refused at config time: nothing is allocated, so no output file appears. The
     # estimate follows the path: the dense path builds 2^n-square matrices, the others
-    # hold 2^(n-1) environment factors. Physical memory is pinned to 8 GiB so that no
-    # row depends on the machine, and n = 30 is refused on every path
+    # hold arrays of n times the grid. Physical memory is pinned to 8 GiB so that no
+    # row depends on the machine
     sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**33 // 4096}
     sysconf = cli_mod.os.sysconf
     monkeypatch.setattr(cli_mod.os, "sysconf", lambda name: sizes.get(name) or sysconf(name))
     out = tmp_path / "never.csv"
     sweep = ["sweep", "--j0-grid", "0.5", "1.0", "2", "--b-grid", "0.0", "1.0", "2", "--out", str(out)]
-    for n, path, need in (
-        (30, "auto", chain_factor_peak_bytes(30)),
-        (30, "subspace", chain_factor_peak_bytes(30)),
-        (14, "dense", chain_build_peak_bytes(14)),
-    ):
-        flags = ["--n-spins", str(n), "--path", path]
+    for n in (14, 30):
+        flags = ["--n-spins", str(n), "--path", "dense"]
         assert run_cli("run", "--scenario", "fig1a", *flags, "--out", str(out)) == 2
-        assert str(need) in capsys.readouterr().err
+        assert str(chain_build_peak_bytes(n)) in capsys.readouterr().err
         assert run_cli(*sweep, *flags) == 2
-        assert str(need) in capsys.readouterr().err
+        assert str(chain_build_peak_bytes(n)) in capsys.readouterr().err
     # a grid whose states cannot fit is refused the same way, naming steps; a
     # model file is sized by its own dimension once it is loaded
     summary = tmp_path / "never.json"
@@ -149,13 +144,14 @@ def test_infeasible_chain_size_exits_2_before_building(tmp_path, capsys, monkeyp
     grids = {"j0_grid": [0.5, 1.0, 2], "b_grid": [0.0, 1.0, 2]}
     assert _parse_sweep_config(None, {"n_spins": 10, **grids}).n_spins == 10
     # sizes only the dense path could not reach run on the subspace path
-    summary = tmp_path / "n16.json"
-    code = run_cli(
-        "run", "--scenario", "fig1a", "--n-spins", "16",
-        "--out", str(tmp_path / "n16.csv"), "--summary", str(summary),
-    )
-    assert code == 0
-    assert json.loads(summary.read_text())["path_used"] == "subspace"
+    for n, t_max in ((16, []), (100, ["--t-max", "9"])):
+        summary = tmp_path / f"n{n}.json"
+        code = run_cli(
+            "run", "--scenario", "fig1a", "--n-spins", str(n), *t_max,
+            "--out", str(tmp_path / f"n{n}.csv"), "--summary", str(summary),
+        )
+        assert code == 0
+        assert json.loads(summary.read_text())["path_used"] == "subspace"
     sweep_out = tmp_path / "sweep16.csv"
     assert run_cli(*sweep[:-1], str(sweep_out), "--n-spins", "16") == 0
     assert [row["status"] for row in csv.DictReader(sweep_out.open())] == ["ok"] * 4
@@ -597,7 +593,7 @@ from backflow.diagnostics import pair_step_series
 main(sys.argv[1:])
 model = build_chain_model(ChainParams(n_total=10))
 rec = run_trajectory(model, TimeGrid(9.0, 2000))
-g = model.carrier.hamiltonian
+g = model.hamiltonian
 pair_step_series(g, 2, 10, rec.states_1, rec.states_2)
 start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(3):

@@ -161,7 +161,7 @@ def test_distinguishability_bound_matches_oracle():
 
 def test_coupling_route_equals_direct():
     # the interaction-term route drops environment-local parts; equal results
-    model = build_chain_model(ChainParams(n_total=3, j_sys=0.8, b_field=0.2))
+    model = build_chain_model(ChainParams(n_total=3, j_sys=0.8, b_field=0.2)).dense
     rng = np.random.default_rng(6)
     for _ in range(8):
         rho_s = random_density(rng, 2)
@@ -253,7 +253,7 @@ def haar_stack(rng, d, n_times=4):
 
 def test_pair_step_series_matches_scalar_reference(monkeypatch):
     # batched kernel against one-time scalar evaluations, full space
-    model = build_chain_model(ChainParams(n_total=3, b_field=0.1))
+    model = build_chain_model(ChainParams(n_total=3, b_field=0.1)).dense
     h = model.hamiltonian
     n_times = 9
     w, v = np.linalg.eigh(h)
@@ -277,7 +277,7 @@ def test_pair_step_series_matches_oracles_on_edge_shapes():
             random_hamiltonian(rng, d), Bipartition(ds, de), haar_stack(rng, d), haar_stack(rng, d)
         )
 
-    model = build_chain_model(ChainParams(n_total=4))
+    model = build_chain_model(ChainParams(n_total=4)).dense
     sz = total_sz_diagonal(4)
 
     def env_rank(psi1, psi2):
@@ -345,7 +345,7 @@ def test_qubit_route_keeps_chi_norm_near_a_product_state():
 
 def test_pair_step_series_memory_stays_below_one_dense_matrix():
     # dense n = 11 chain, d = 2048: one d x d complex matrix is 64 MiB
-    model = build_chain_model(ChainParams(n_total=11))
+    model = build_chain_model(ChainParams(n_total=11)).dense
     h = model.hamiltonian
     d = h.shape[0]
     rng = np.random.default_rng(10)
@@ -364,8 +364,7 @@ def test_pair_step_series_memory_stays_below_one_dense_matrix():
 def test_pair_step_series_chunk_bounds_every_per_time_array(chain10_model, chain10_record):
     # the default figure run in carrier coordinates: 2001 times, with every array of a
     # chunk together under the default CHUNK_ELEMENTS complex entries
-    carrier = chain10_record.carrier
-    h = chain10_model.hamiltonian[np.ix_(carrier, carrier)]
+    h = chain10_model.hamiltonian
     tracemalloc.start()
     try:
         pair_step_series(h, 2, 10, chain10_record.states_1, chain10_record.states_2)
@@ -376,7 +375,7 @@ def test_pair_step_series_chunk_bounds_every_per_time_array(chain10_model, chain
 
 
 def test_pair_step_series_chunking_invariant(monkeypatch):
-    model = build_chain_model(ChainParams(n_total=3))
+    model = build_chain_model(ChainParams(n_total=3)).dense
     h = model.hamiltonian
     rng = np.random.default_rng(8)
     s1 = np.array([haar_random_state(8, rng) for _ in range(7)])

@@ -25,7 +25,7 @@ def test_time_grid():
 
 
 def test_propagator_identity_at_zero():
-    model = build_chain_model(ChainParams(n_total=4))
+    model = build_chain_model(ChainParams(n_total=4)).dense
     rng = np.random.default_rng(0)
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
     v /= np.linalg.norm(v)
@@ -35,7 +35,7 @@ def test_propagator_identity_at_zero():
 
 def test_propagator_matches_taylor_series():
     model = build_chain_model(ChainParams(n_total=4, b_field=0.23))
-    h = model.hamiltonian
+    h = model.dense.hamiltonian
     rng = np.random.default_rng(1)
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
     v /= np.linalg.norm(v)
@@ -96,7 +96,7 @@ def test_reduced_ranks_stay_low(chain6_records):
     # pure joint state over a qubit cut: Schmidt rank <= 2, so the
     # environment state has rank <= 2 and chi rank <= 5
     model, dense, _ = chain6_records
-    bp = model.bipartition
+    bp = model.dense.bipartition
     idx = np.linspace(0, dense.n_times - 1, 5).astype(int)
     for i in idx:
         v = dense.states_1[i]
@@ -113,8 +113,8 @@ def test_auto_path_selection():
     rec = run_trajectory(chain, TimeGrid(t_max=1.0, n_steps=10), path="auto")
     assert rec.path_used == "subspace"
     # two-excitation initial support disqualifies the fast route
-    flipped_env = np.zeros(8, dtype=complex)
-    flipped_env[4] = 1.0  # chain site 1 flipped
+    flipped_env = np.zeros(4, dtype=complex)
+    flipped_env[1] = 1.0  # carrier slot 1: chain site 1 flipped
     pair = tuple((vs, flipped_env) for vs in equatorial_states(0.0))
     model2 = build_chain_model(chain.params, pair)
     rec2 = run_trajectory(model2, TimeGrid(t_max=1.0, n_steps=10), path="auto")
@@ -151,12 +151,17 @@ def _plus_minus_closed_form(n_total, times):
         (10, 0.3, True, 40.0, 4000, "subspace"),
         (16, 0.3, True, 40.0, 4000, "subspace"),
         (20, 0.3, True, 40.0, 4000, "subspace"),
+        (64, 0.0, False, 40.0, 4000, "subspace"),
+        (100, 0.0, False, 40.0, 4000, "subspace"),
+        (64, 0.3, True, 40.0, 4000, "subspace"),
+        (100, 0.3, True, 40.0, 4000, "subspace"),
         (10, 0.0, False, 0.1, 1, "subspace"),
         (6, 0.0, False, 40.0, 4000, "dense"),
     ],
     ids=[
         "n10", "n12", "n16", "n20", "n10-field-on-system", "n16-field-on-system",
-        "n20-field-on-system", "n10-one-step", "n6-dense",
+        "n20-field-on-system", "n64", "n100", "n64-field-on-system", "n100-field-on-system",
+        "n10-one-step", "n6-dense",
     ],
 )
 def test_plus_minus_pair_matches_closed_form(n_total, b_field, field_on_system, t_max, n_steps, path):
@@ -165,9 +170,22 @@ def test_plus_minus_pair_matches_closed_form(n_total, b_field, field_on_system, 
     rec = run_trajectory(build_chain_model(params), TimeGrid(t_max, n_steps), path=path)
     d, sigma = _plus_minus_closed_form(n_total, rec.times)
     assert np.max(np.abs(rec.d_system - d)) <= 1e-12
+    # the environment holds what the system lost: its states differ by the escaped amplitude
+    assert np.max(np.abs(rec.d_env - np.sqrt(1.0 - d**2))) <= 1e-12
     # sigma has a kink wherever D touches zero
     away = d > 1e-6
     assert np.max(np.abs(rec.sigma - sigma)[away]) <= 1e-12
+
+
+@pytest.mark.parametrize("b_field, field_on_system", [(0.0, False), (0.3, True)])
+def test_plus_minus_pair_follows_the_bessel_envelope(b_field, field_on_system):
+    # before the first reflection (t < n/4 at group velocity 8) the chain is semi-infinite:
+    # |f(t)| = |J1(8t) / (4t)|
+    special = pytest.importorskip("scipy.special")
+    params = ChainParams(n_total=100, b_field=b_field, field_on_system=field_on_system)
+    rec = run_trajectory(build_chain_model(params), TimeGrid(9.0, 2000))
+    t = rec.times[1:]
+    assert np.max(np.abs(rec.d_system[1:] - np.abs(special.j1(8.0 * t) / (4.0 * t)))) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -180,7 +198,7 @@ def test_bound_holds_on_every_grid(n_total, n_steps, path):
     assert np.max(rec.sigma - rec.bound_total) <= 1e-13
 
 
-@pytest.mark.parametrize("n_total", [12, 20])
+@pytest.mark.parametrize("n_total", [12, 20, 64])
 def test_subspace_run_never_builds_the_dense_hamiltonian(n_total):
     # one dense H is 16 * 4^n bytes, 256 MiB at n = 12; the whole run stays below a quarter of that
     model = build_chain_model(ChainParams(n_total=n_total))

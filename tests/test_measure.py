@@ -104,13 +104,13 @@ def test_pair_swap_invariance():
 
 def test_measure_validates_hamiltonian_once(monkeypatch):
     calls = []
-    check = Model._check_sectors
+    check = Model.__post_init__
 
-    def counted(self, h):
-        calls.append(h.shape)
-        return check(self, h)
+    def counted(self):
+        calls.append(self.hamiltonian.shape)
+        return check(self)
 
-    monkeypatch.setattr(Model, "_check_sectors", counted)
+    monkeypatch.setattr(Model, "__post_init__", counted)
     report = blp_measure(ChainParams(n_total=6), TimeGrid(5.0, 50), EquatorialScan(4))
     assert len(report.per_pair_values) == 4
     assert len(calls) == 1

@@ -49,7 +49,7 @@ def test_excitation_sectors_sizes():
 def test_two_spin_hamiltonian_by_hand():
     # basis |00>,|01>,|10>,|11>; flip-flop couples |01> and |10>
     j0, b = 0.7, 0.3
-    model = build_chain_model(ChainParams(n_total=2, j_sys=j0, j_env=1.0, b_field=b))
+    model = build_chain_model(ChainParams(n_total=2, j_sys=j0, j_env=1.0, b_field=b)).dense
     h = model.hamiltonian
     want = np.zeros((4, 4), dtype=complex)
     want[1, 2] = want[2, 1] = -4 * j0
@@ -58,28 +58,28 @@ def test_two_spin_hamiltonian_by_hand():
 
 
 def test_chain_hamiltonian_is_real_symmetric():
-    h = build_chain_model(ChainParams(n_total=5)).hamiltonian
+    h = build_chain_model(ChainParams(n_total=5)).dense.hamiltonian
     assert np.max(np.abs(h.imag)) == 0.0
     assert np.max(np.abs(h - h.T)) == 0.0
 
 
 def test_magnetization_commutes():
     for n in (3, 5):
-        model = build_chain_model(ChainParams(n_total=n, b_field=0.17))
+        model = build_chain_model(ChainParams(n_total=n, b_field=0.17)).dense
         sz = np.diag(total_sz_diagonal(n).astype(float))
         comm = model.hamiltonian @ sz - sz @ model.hamiltonian
         assert np.max(np.abs(comm)) < 1e-12
 
 
 def test_field_on_system_flag():
-    base = build_chain_model(ChainParams(n_total=3, b_field=0.25))
-    full = build_chain_model(ChainParams(n_total=3, b_field=0.25, field_on_system=True))
+    base = build_chain_model(ChainParams(n_total=3, b_field=0.25)).dense
+    full = build_chain_model(ChainParams(n_total=3, b_field=0.25, field_on_system=True)).dense
     diff = full.hamiltonian - base.hamiltonian
     assert np.max(np.abs(diff - (-2 * 0.25) * pauli_on_site("z", 0, 3))) < 1e-14
 
 
 def test_interaction_terms_reproduce_coupling():
-    model = build_chain_model(ChainParams(n_total=4, j_sys=0.6))
+    model = build_chain_model(ChainParams(n_total=4, j_sys=0.6)).dense
     # sum_k (system op) x (environment op) plus a pure-environment rest
     rebuilt = sum(
         np.kron(s, e) for s, e in model.interaction_terms
@@ -112,7 +112,7 @@ def test_model_rejects_sector_leak():
 
 
 def test_model_rejects_wrong_pair_dims():
-    pair = plus_minus_pair(3)  # 8-dimensional
+    pair = plus_minus_pair(3)  # 2 x 3 carrier coordinates
     with pytest.raises(ValueError):
         Model(np.zeros((4, 4)), Bipartition(2, 2), pair)
 
@@ -131,7 +131,7 @@ def _density(state):
 
 
 def test_equatorial_pair_states():
-    rho1, rho2 = plus_minus_pair(3)
+    rho1, rho2 = build_chain_model(ChainParams(n_total=3)).dense.initial_pair
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     vac = np.zeros(4, dtype=complex)
     vac[0] = 1.0
@@ -145,7 +145,7 @@ def test_equatorial_pair_states():
 
 
 def test_plus_minus_is_phi_zero():
-    a = plus_minus_pair(3)
+    a = build_chain_model(ChainParams(n_total=3)).dense.initial_pair
     vac = np.zeros(4, dtype=complex)
     vac[0] = 1.0
     b = [(vs, vac) for vs in equatorial_states(0.0)]
@@ -331,7 +331,11 @@ def test_chain_builder_matches_kron_reference():
             dense._check_sectors(dense.hamiltonian)
             # the subspace path's carrier block is the dense block, bit for bit
             carrier = carrier_indices(n)
-            assert np.array_equal(model.carrier.hamiltonian, dense.hamiltonian[np.ix_(carrier, carrier)])
+            assert np.array_equal(model.hamiltonian, dense.hamiltonian[np.ix_(carrier, carrier)])
+            # and so are its magnetization and its embedding of the initial pair
+            assert np.array_equal(model.sz_diagonal, total_sz_diagonal(n)[carrier])
+            for (vs, ve), (ds, de) in zip(model.initial_pair, dense.initial_pair):
+                assert np.array_equal(model.full_vector(np.kron(vs, ve)), np.kron(ds, de))
 
 
 def test_chain_build_memory_stays_below_four_dense_matrices():
