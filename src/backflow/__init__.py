@@ -53,7 +53,6 @@ from .model import (
     NonHermitianHamiltonianError,
     build_chain_model,
     carrier_indices,
-    excitation_sectors,
     load_generic_model,
     pauli_on_site,
     plus_minus_pair,
@@ -91,7 +90,6 @@ __all__ = [
     "down_up_crossings",
     "env_indistinguishability",
     "evolve",
-    "excitation_sectors",
     "haar_random_state",
     "hermitian_eig",
     "interval_contributions",

@@ -92,6 +92,9 @@ _PATHS = ("auto", "dense", "subspace")
 
 _GRID_AXES = ("j0", "b")
 
+# lower bound on the memory of one sweep row: its dict of five entries and three floats
+_SWEEP_ROW_BYTES = 256
+
 
 def _want_float(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -283,6 +286,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 
     builds_chain = values["model_file"] is None and scenario != "bound-check"
     _check_common(values, builds_chain)
+    if not builds_chain and values["path"] == "subspace":
+        raise ConfigError("path 'subspace' needs a chain; model files and bound-check run dense")
     if builds_chain and values["j"] == 0.0:
         raise ConfigError("j must be nonzero; ratios are taken against it")
     if values["n_models"] < 1:
@@ -322,6 +327,9 @@ def _parse_sweep_config(path: str | None, overrides: dict) -> SweepConfig:
         values[f"{axis}_count"] = _want_int(f"{axis}.count", count)
         if values[f"{axis}_count"] < 1:
             raise ConfigError(f"sweep grid '{axis}' count must be positive")
+    j0_count, b_count = values["j0_count"], values["b_count"]
+    need = 8 * (j0_count + b_count) + _SWEEP_ROW_BYTES * j0_count * b_count
+    _check_fits(need, f"j0.count={j0_count}, b.count={b_count}", "hold the sweep grid")
     return SweepConfig(**values)
 
 
@@ -349,9 +357,12 @@ def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
         return _run_bound_check(cfg, start)
 
     grid = TimeGrid(t_max=cfg.t_max, n_steps=cfg.steps)
+    family = parse_pair_family(cfg.pair, cfg.seed)
     if cfg.model_file is not None:
         model = load_generic_model(cfg.model_file)
-        d = model.dimension
+        d, ds = model.dimension, model.bipartition.d_system
+        if isinstance(family, (PlusMinusPair, EquatorialScan)) and ds != 2:
+            raise ConfigError(f"pair '{cfg.pair}' needs a qubit system, the model's d_S is {ds}")
         _check_fits(run_peak_bytes(cfg.steps, d, d), f"steps={cfg.steps}", "hold the run's states")
     else:
         model = build_chain_model(
@@ -363,7 +374,7 @@ def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
                 field_on_system=cfg.field_on_system,
             )
         )
-    report = blp_measure(model, grid, parse_pair_family(cfg.pair, cfg.seed), path=cfg.path)
+    report = blp_measure(model, grid, family, path=cfg.path)
     record = report.best_record
 
     violations = []

@@ -9,12 +9,13 @@ only in the basis the states are written in:
   Hamiltonian. The reference route, and the only one for generic models.
 * subspace: a ChainModel is the chain on its carrier of 2*n_total
   states, the vacuum and single flips of the environment against either
-  qubit state. A pair inside the carrier's closed head, the 0- and
+  qubit state. A pair inside the carrier's head, the 0- and
   1-excitation sectors, stays there, so both evolving states, their
-  marginals and their correlation operators live on the carrier. Only
-  that head is factorized and evolved; the rest of the carrier stays
-  zero. The compression is exact, not approximate. A chain pair that
-  leaves the head runs dense, on ChainModel.dense.
+  marginals and their correlation operators live on the carrier. The
+  compression is exact, not approximate. A chain pair that leaves the
+  head runs dense, on ChainModel.dense.
+
+Either route factorizes only the sz sectors (Model.sz_diagonal) that the pair occupies.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .diagnostics import pair_step_series
 from .linalg import hermitian_eig
-from .model import ChainModel, Model, ProductState, product_pair, total_sz_diagonal
+from .model import ChainModel, Model, ProductState, product_pair
 
 __all__ = [
     "TimeGrid",
@@ -60,28 +61,30 @@ class TimeGrid:
         return np.linspace(0.0, self.t_max, self.n_steps + 1)
 
 
-def evolve(h: np.ndarray, vectors, times: np.ndarray) -> list[np.ndarray]:
+def evolve(h: np.ndarray, vectors, times: np.ndarray, sz=None) -> list[np.ndarray]:
     """exp(-i h t) v at every sample time, one (times.size, h.shape[0]) stack per vector v.
 
-    h is factorized once for all vectors. Vectors shorter than h, all of
-    one length m, evolve under the leading m x m block of h and are
-    zero-padded to h.shape[0]. ValueError is raised when that block is
-    not closed under h, or the vectors differ in length or outgrow h.
+    h is factorized once for all vectors. sz, when given, is the
+    magnetization of each basis state: only the sz sectors that the
+    vectors occupy are factorized and evolved, and every other coordinate
+    stays exactly 0. ValueError is raised when a vector does not match h,
+    or when h couples the occupied sectors to any other state.
     """
-    d, m = h.shape[0], len(vectors[0])
-    if m > d or any(np.shape(v) != (m,) for v in vectors):
-        raise ValueError(f"state shapes do not all match (m,) with m <= dimension {d}")
-    if m < d and np.any(h[:m, m:]):
-        raise ValueError(f"the leading {m} x {m} block of h is not closed under h")
-    w, vec = hermitian_eig(h[:m, :m])
+    d = h.shape[0]
+    if any(np.shape(v) != (d,) for v in vectors):
+        raise ValueError(f"state shapes do not all match the dimension {d} of h")
+    block = slice(None)
+    if sz is not None:
+        occupied = np.isin(sz, sz[np.any(np.array(vectors) != 0, axis=0)])
+        if np.any(h[np.ix_(occupied, ~occupied)]):
+            raise ValueError("h couples the occupied sz sectors to other states")
+        block = np.flatnonzero(occupied)
+    w, vec = hermitian_eig(h[block][:, block])
     phases = np.exp(-1j * np.outer(w, times))
     stacks = []
     for v in vectors:
-        series = (vec @ (phases * (vec.conj().T @ v)[:, None])).T
-        if m < d:
-            padded = np.zeros((series.shape[0], d), dtype=np.complex128)
-            padded[:, :m] = series
-            series = padded
+        series = np.zeros((times.size, d), dtype=np.complex128)
+        series[:, block] = (vec @ (phases * (vec.conj().T @ v[block])[:, None])).T
         stacks.append(series)
     return stacks
 
@@ -162,14 +165,15 @@ def run_trajectory(
     subspace = closed and path != "dense"
     if path == "subspace" and not subspace:
         raise ValueError("subspace path needs a chain model and a low-excitation initial pair")
-    sz = None
     if subspace:
-        vectors, sz = [v[: n + 1] for v in vectors], model.sz_diagonal
+        # left in the 2-excitation slots, rounding would occupy a sector the carrier holds in part
+        for v in vectors:
+            v[n + 1 :] = 0.0
     elif chain:
-        vectors, sz = [model.full_vector(v) for v in vectors], total_sz_diagonal(n)
+        vectors = [model.full_vector(v) for v in vectors]
         model = model.dense
-    h, bp, times = model.hamiltonian, model.bipartition, grid.times
-    s1, s2 = evolve(h, vectors, times)
+    h, bp, sz, times = model.hamiltonian, model.bipartition, model.sz_diagonal, grid.times
+    s1, s2 = evolve(h, vectors, times, sz)
     cols = pair_step_series(h, bp.d_system, bp.d_environment, s1, s2, sz_diagonal=sz)
     return TrajectoryRecord(
         times,

@@ -39,7 +39,6 @@ __all__ = [
     "equatorial_states",
     "load_generic_model",
     "total_sz_diagonal",
-    "excitation_sectors",
 ]
 
 PAULI = {
@@ -49,7 +48,6 @@ PAULI = {
 }
 
 INTERACTION_RESIDUAL_ATOL = 1e-12
-SECTOR_ATOL = 1e-14
 
 
 class ModelFileError(ValueError):
@@ -82,20 +80,10 @@ def pauli_on_site(axis: str, site: int, n_total: int) -> np.ndarray:
     return kron(kron(left, PAULI[axis]), right)
 
 
-def _excitations(n_total: int, idx: np.ndarray) -> np.ndarray:
-    """Number of flipped spins (set bits) of each computational-basis index in idx."""
-    return ((idx[:, None] >> np.arange(n_total)) & 1).sum(axis=1)
-
-
 def total_sz_diagonal(n_total: int) -> np.ndarray:
     """Diagonal of sum_n sigma_n^z on all 2^n_total computational basis states."""
-    return (n_total - 2 * _excitations(n_total, np.arange(2**n_total))).astype(np.float64)
-
-
-def excitation_sectors(n_total: int) -> tuple[np.ndarray, ...]:
-    """Computational-basis index sets with fixed number of flipped spins."""
-    weight = _excitations(n_total, np.arange(2**n_total))
-    return tuple(np.flatnonzero(weight == k) for k in range(n_total + 1))
+    idx = np.arange(2**n_total)
+    return n_total - 2.0 * sum((idx >> bit) & 1 for bit in range(n_total))
 
 
 @dataclass(frozen=True)
@@ -168,18 +156,18 @@ class Model:
     vector), so the pair is uncorrelated by construction.
     interaction_terms, when present, lists (system operator, environment
     operator) factors whose kron-sum plus a purely environment-local
-    remainder reproduces the Hamiltonian. sector_basis, when present,
-    lists index sets over which the Hamiltonian is block diagonal; it is
-    checked, but does not select the subspace evolution path, which only
-    a ChainModel (from build_chain_model) takes. A Model runs dense and
-    records NaN magnetization.
+    remainder reproduces the Hamiltonian. sz_diagonal, when present, is
+    the magnetization of each basis state; the Hamiltonian must conserve
+    it exactly. A run then factorizes only the sz sectors its pair
+    occupies and records the magnetization; without it a run factorizes
+    the whole Hamiltonian and records NaN magnetization.
     """
 
     hamiltonian: np.ndarray
     bipartition: Bipartition
     initial_pair: tuple[ProductState, ProductState]
     interaction_terms: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
-    sector_basis: tuple[np.ndarray, ...] | None = None
+    sz_diagonal: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         h = np.ascontiguousarray(np.asarray(self.hamiltonian, dtype=np.complex128))
@@ -193,7 +181,11 @@ class Model:
             raise ValueError(f"hamiltonian not Hermitian, max asymmetry {asym:.3e}")
         if self.interaction_terms is not None:
             self._check_interaction_terms(h)
-        if self.sector_basis is not None:
+        if self.sz_diagonal is not None:
+            sz = np.asarray(self.sz_diagonal, dtype=np.float64)
+            if sz.shape != (d,):
+                raise ValueError(f"sz_diagonal shape {sz.shape} does not match dimension {d}")
+            object.__setattr__(self, "sz_diagonal", sz)
             self._check_sectors(h)
 
     def _check_interaction_terms(self, h: np.ndarray) -> None:
@@ -227,19 +219,15 @@ class Model:
                     )
 
     def _check_sectors(self, h: np.ndarray) -> None:
-        d = h.shape[0]
-        label = np.full(d, -1, dtype=np.int64)
-        for k, idx in enumerate(self.sector_basis):
-            label[np.asarray(idx)] = k
-        if np.any(label < 0):
-            raise ValueError("sector_basis does not cover the joint space")
+        """H conserves sz_diagonal exactly: every entry between two sz sectors is 0."""
+        sz = self.sz_diagonal
         leak = 0.0
         # row blocks keep the gathered off-sector entries to CHECK_TILE x d
-        for i in range(0, d, CHECK_TILE):
-            off = label[i : i + CHECK_TILE, None] != label[None, :]
+        for i in range(0, h.shape[0], CHECK_TILE):
+            off = sz[i : i + CHECK_TILE, None] != sz[None, :]
             if off.any():
                 leak = max(leak, float(np.max(np.abs(h[i : i + CHECK_TILE][off]))))
-        if leak > SECTOR_ATOL:
+        if leak > 0.0:
             raise ValueError(f"hamiltonian leaks between sectors, max off-sector entry {leak:.3e}")
 
     @property
@@ -290,12 +278,11 @@ def run_peak_bytes(n_steps: int, dim: int, block: int) -> int:
 def chain_run_peak_bytes(n_total: int, n_steps: int, dense: bool) -> int:
     """run_peak_bytes of a chain run with n_steps intervals.
 
-    The dense path evolves the whole 2^n_total space; the others carry the
-    2 n_total carrier and factorize its closed first n_total + 1 slots.
+    The dense path carries the whole 2^n_total space, the others the
+    2 n_total carrier. Either factorizes only the n_total + 1 states of
+    the 0- and 1-excitation sectors that the chain's pair occupies.
     """
-    if dense:
-        return run_peak_bytes(n_steps, 2**n_total, 2**n_total)
-    return run_peak_bytes(n_steps, 2 * n_total, n_total + 1)
+    return run_peak_bytes(n_steps, 2**n_total if dense else 2 * n_total, n_total + 1)
 
 
 def carrier_indices(n_total: int) -> np.ndarray:
@@ -385,20 +372,20 @@ class ChainModel(Model):
 
     The carrier slot (s, k) is |s>_S (x) |e_k>_E, with e_0 the
     environment vacuum and e_k chain site k flipped (carrier_indices).
-    hamiltonian is the carrier block of H, bipartition is (2, n_total)
-    and the initial pair's environment factors are carrier coordinates.
-    The first n_total + 1 slots, the 0- and 1-excitation sectors, are
-    closed under H; evolve checks that exactly before a run relies on it
-    (test_evolve_refuses_a_vector_that_fits_no_closed_block). A pair
-    inside them runs on the carrier. Every other run reads `dense`, the
-    only place the 2^n_total space exists.
+    hamiltonian is the carrier block of H, bipartition is (2, n_total),
+    the initial pair's environment factors are carrier coordinates and
+    sz_diagonal is the magnetization of each slot. The first n_total + 1
+    slots hold the 0- and 1-excitation sectors whole, so a pair inside
+    them runs on the carrier. The 2-excitation slots (1, k > 0) are a
+    fraction of their sector, so every other run reads `dense`, the only
+    place the 2^n_total space exists.
     """
 
     params: ChainParams = field(kw_only=True)
 
     @functools.cached_property
     def dense(self) -> Model:
-        """The full Hamiltonian with interaction terms and excitation sectors, built and validated once.
+        """The full Hamiltonian with interaction terms and magnetization, built and validated once.
 
         Its initial pair is the chain's, embedded through carrier_indices.
         """
@@ -423,7 +410,7 @@ class ChainModel(Model):
             bipartition=Bipartition(2, d_env),
             initial_pair=tuple(pair),
             interaction_terms=tuple(terms),
-            sector_basis=excitation_sectors(n),
+            sz_diagonal=total_sz_diagonal(n),
         )
 
     def full_vector(self, c: np.ndarray) -> np.ndarray:
@@ -431,12 +418,6 @@ class ChainModel(Model):
         v = np.zeros(2**self.params.n_total, dtype=np.complex128)
         v[carrier_indices(self.params.n_total)] = c
         return v
-
-    @property
-    def sz_diagonal(self) -> np.ndarray:
-        """Total magnetization on the carrier slots, n_total - 2 (s + [k > 0])."""
-        s, k = _carrier_slots(self.params.n_total)
-        return (self.params.n_total - 2 * (s + (k > 0))).astype(np.float64)
 
 
 def build_chain_model(
@@ -451,12 +432,16 @@ def build_chain_model(
     and validated here; the 2^n_total Model is built when a run first
     reads ChainModel.dense.
     """
+    n = params.n_total
     if initial_pair is None:
-        initial_pair = plus_minus_pair(params.n_total)
+        initial_pair = plus_minus_pair(n)
+    s, k = _carrier_slots(n)
     return ChainModel(
         hamiltonian=_carrier_hamiltonian(params),
-        bipartition=Bipartition(2, params.n_total),
+        bipartition=Bipartition(2, n),
         initial_pair=initial_pair,
+        # slot (s, k) flips s + [k > 0] spins
+        sz_diagonal=n - 2.0 * (s + (k > 0)),
         params=params,
     )
 

@@ -321,6 +321,25 @@ def test_sweep_shares_run_checks(capsys):
         assert message in capsys.readouterr().err
 
 
+def test_sweep_grid_too_large_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "never.csv"
+    # the j0 axis alone would take 80 TB
+    huge = ["--j0-grid", "0", "1", "1e13", "--b-grid", "0", "1", "1", "--out", str(out)]
+    assert run_cli("sweep", *huge) == 2
+    assert "j0.count=10000000000000, b.count=1 needs an estimated" in capsys.readouterr().err
+    # every point holds a row: with physical memory pinned to 64 KiB, 30 x 30 rows do not fit
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}
+    sysconf = cli_mod.os.sysconf
+    monkeypatch.setattr(cli_mod.os, "sysconf", lambda name: sizes.get(name) or sysconf(name))
+    small = ["--n-spins", "2", "--steps", "1", "--out", str(out)]
+    assert run_cli("sweep", "--j0-grid", "0", "1", "30", "--b-grid", "0", "1", "30", *small) == 2
+    need = 8 * 60 + cli_mod._SWEEP_ROW_BYTES * 900
+    assert f"j0.count=30, b.count=30 needs an estimated {need} bytes" in capsys.readouterr().err
+    assert not out.exists()
+    grids = {"j0_grid": [0.0, 1.0, 2], "b_grid": [0.0, 1.0, 2]}
+    assert _parse_sweep_config(None, {"n_spins": 2, "steps": 1, **grids}).j0_count == 2
+
+
 def test_null_stands_for_a_default_only_where_it_is_null(tmp_path, capsys):
     small = {"n_spins": 4, "steps": 10}
     out = tmp_path / "never.csv"
@@ -465,6 +484,11 @@ def test_verify_models_must_be_positive(tmp_path, capsys):
 
 def test_exit_code_two_paths(tmp_path, capsys):
     assert run_cli("run", "--scenario", "nope") == 2
+    # bound-check runs random dense models, so it cannot take the subspace path
+    summary = tmp_path / "never.json"
+    assert run_cli("run", "--scenario", "bound-check", "--path", "subspace", "--summary", str(summary)) == 2
+    assert "path 'subspace' needs a chain" in capsys.readouterr().err
+    assert not summary.exists()
     assert run_cli("run", "--config", str(tmp_path / "absent.json")) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -498,6 +522,64 @@ def _generic_doc():
              "environment_state": vec([1, 0, 0])},
         ],
     }
+
+
+def _qutrit_doc():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    h = (a + a.conj().T) / 2
+
+    def vec(v):
+        return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+
+    return {
+        "dims": {"system": 3, "environment": 2},
+        "hamiltonian": [vec(row) for row in h],
+        "initial_states": [
+            {"system_state": vec([1, 0, 0]), "environment_state": vec([1, 0])},
+            {"system_state": vec([0, 1, 0]), "environment_state": vec([1, 0])},
+        ],
+    }
+
+
+_PAIRS = ("paper", "equatorial:3", "random:2", "file")
+
+
+def _expected_exit(model: str, path: str, pair: str) -> tuple[int, str | None]:
+    """The exit code of a run, and the key that an exit 2 names."""
+    if model == "chain":
+        return (2, "pair") if pair == "file" else (0, None)  # a chain has no pair of its own
+    if path == "subspace":
+        return 2, "path"  # only a chain takes the subspace path
+    if model == "qutrit" and pair in ("paper", "equatorial:3"):
+        return 2, "pair"  # equatorial pairs need a qubit system
+    return 0, None
+
+
+@pytest.mark.parametrize("pair", _PAIRS)
+@pytest.mark.parametrize("path", ["auto", "dense", "subspace"])
+@pytest.mark.parametrize("model", ["chain", "qubit", "qutrit"])
+def test_every_path_and_pair_family_on_every_model_kind(model, path, pair, tmp_path, capsys):
+    out, summary = tmp_path / "t.csv", tmp_path / "t.json"
+    argv = ["run", "--path", path, "--pair", pair, "--t-max", "2", "--steps", "20"]
+    argv += ["--out", str(out), "--summary", str(summary)]
+    if model == "chain":
+        argv += ["--scenario", "custom", "--n-spins", "4"]
+    else:
+        doc = _generic_doc() if model == "qubit" else _qutrit_doc()
+        model_path = write_json(tmp_path, doc, "model.json")
+        argv += ["--config", write_json(tmp_path, {"scenario": "custom", "model_file": model_path})]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    want, key = _expected_exit(model, path, pair)
+    assert code == want, err
+    if code == 2:
+        assert key in err
+        assert not out.exists() and not summary.exists()
+    else:
+        path_used = "subspace" if model == "chain" and path != "dense" else "dense"
+        assert json.loads(summary.read_text())["path_used"] == path_used
 
 
 def test_generic_model_run(tmp_path):

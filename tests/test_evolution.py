@@ -7,7 +7,14 @@ from scipy.linalg import expm
 from backflow import evolution
 from backflow.evolution import TimeGrid, evolve, run_trajectory
 from backflow.linalg import partial_trace
-from backflow.model import ChainParams, build_chain_model, carrier_indices, equatorial_states, plus_minus_pair
+from backflow.model import (
+    ChainParams,
+    Model,
+    build_chain_model,
+    carrier_indices,
+    equatorial_states,
+    total_sz_diagonal,
+)
 from backflow.output import TRAJECTORY_CSV
 
 COLUMNS = tuple(name for _, name in TRAJECTORY_CSV)
@@ -213,38 +220,76 @@ def test_subspace_run_never_builds_the_dense_hamiltonian(n_total):
     assert "dense" not in vars(model)
 
 
-def test_evolve_pads_a_short_vector_with_exact_zeros():
-    # a block-diagonal h: the leading m x m block is closed, as the carrier's sectors are
-    rng = np.random.default_rng(4)
-    d, m = 9, 5
+def _sector_blocked_h(rng, sz):
+    """A random Hermitian h that conserves sz exactly."""
+    d = sz.size
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = (a + a.conj().T) / 2
-    h[:m, m:] = 0.0
-    h[m:, :m] = 0.0
-    v = rng.normal(size=m) + 1j * rng.normal(size=m)
-    v /= np.linalg.norm(v)
-    embedded = np.concatenate([v, np.zeros(d - m)])
+    h[sz[:, None] != sz[None, :]] = 0.0
+    return h
+
+
+def test_evolve_leaves_unoccupied_sectors_exactly_zero(monkeypatch):
+    # three interleaved sectors; the vectors occupy two of them
+    rng = np.random.default_rng(4)
+    sz = np.array([1.0, -1.0, 3.0, 1.0, 3.0, -1.0, 1.0, 3.0, -1.0])
+    h = _sector_blocked_h(rng, sz)
+    vectors = []
+    for support in (sz == 1.0, sz == -1.0):
+        v = np.where(support, rng.normal(size=sz.size) + 1j * rng.normal(size=sz.size), 0.0)
+        vectors.append(v / np.linalg.norm(v))
     times = np.linspace(0.0, 3.0, 7)
-    (short,) = evolve(h, [v], times)
-    (full,) = evolve(h, [embedded], times)
-    assert short.shape == (times.size, d)
-    assert np.all(short[:, m:] == 0.0)
-    assert np.max(np.abs(short[:, :m] - full[:, :m])) <= 1e-13
+    dims = []
+    original = evolution.hermitian_eig
+    monkeypatch.setattr(evolution, "hermitian_eig", lambda m: dims.append(m.shape) or original(m))
+    blocked = evolve(h, vectors, times, sz)
+    full = evolve(h, vectors, times)
+    assert dims == [(6, 6), (9, 9)]
+    for b, f in zip(blocked, full):
+        assert b.shape == (times.size, sz.size)
+        assert np.all(b[:, sz == 3.0] == 0.0)
+        assert np.max(np.abs(b - f)) <= 1e-13
 
 
 def test_evolve_refuses_a_vector_that_fits_no_closed_block():
     rng = np.random.default_rng(5)
-    d, m = 9, 5
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    h = (a + a.conj().T) / 2
+    sz = np.array([1.0, 1.0, -1.0, -1.0, -1.0])
+    h = _sector_blocked_h(rng, sz)
     times = np.linspace(0.0, 1.0, 3)
-    # the leading block leaks into the rest of h
-    with pytest.raises(ValueError, match="not closed"):
-        evolve(h, [np.ones(m) / np.sqrt(m)], times)
+    v = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+    assert np.all(evolve(h, [v], times, sz)[0][:, 2:] == 0.0)
+    # the occupied sector leaks into the other one
+    h[1, 3] = h[3, 1] = 1e-300
+    with pytest.raises(ValueError, match="couples the occupied sz sectors"):
+        evolve(h, [v], times, sz)
     with pytest.raises(ValueError, match="do not all match"):
-        evolve(h, [np.ones(d + 1)], times)
+        evolve(h, [np.ones(6)], times)
     with pytest.raises(ValueError, match="do not all match"):
-        evolve(h, [np.ones(d), np.ones(m)], times)
+        evolve(h, [np.ones(5), np.ones(4)], times)
+
+
+def test_hand_built_model_with_sz_diagonal_records_magnetization(monkeypatch):
+    # a qubit on a 3-spin XX chain, written as a plain Model: H conserves total sz
+    chain = build_chain_model(ChainParams(n_total=3, j_sys=0.7, b_field=0.2)).dense
+    vacuum = np.zeros(4)
+    vacuum[0] = 1.0
+    pair = tuple((vs, vacuum) for vs in equatorial_states(0.4))
+    plain = Model(chain.hamiltonian, chain.bipartition, pair)
+    declared = Model(chain.hamiltonian, chain.bipartition, pair, sz_diagonal=total_sz_diagonal(3))
+    dims = []
+    original = evolution.hermitian_eig
+    monkeypatch.setattr(evolution, "hermitian_eig", lambda m: dims.append(m.shape[0]) or original(m))
+    grid = TimeGrid(t_max=2.0, n_steps=40)
+    rec, ref = run_trajectory(declared, grid), run_trajectory(plain, grid)
+    assert dims == [4, 8]  # the sz = 3 and sz = 1 sectors, then all of H
+    assert rec.path_used == "dense"
+    assert np.all(np.isnan(ref.magnetization_1))
+    # half the weight on |0>|vacuum> (sz = 3), half on |1>|vacuum> (sz = 1)
+    for mags in (rec.magnetization_1, rec.magnetization_2):
+        assert np.all(np.isfinite(mags))
+        assert np.max(np.abs(mags - 2.0)) <= 1e-12
+    for col in COLUMNS:
+        assert np.max(np.abs(getattr(rec, col) - getattr(ref, col))) <= 1e-12, col
 
 
 @pytest.mark.parametrize("path", ["dense", "subspace"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -17,7 +18,6 @@ from backflow.model import (
     carrier_indices,
     chain_build_peak_bytes,
     equatorial_states,
-    excitation_sectors,
     load_generic_model,
     pauli_on_site,
     plus_minus_pair,
@@ -39,11 +39,10 @@ def test_total_sz_diagonal_values():
 
 
 def test_excitation_sectors_sizes():
-    sectors = excitation_sectors(4)
-    assert [len(v) for v in sectors] == [1, 4, 6, 4, 1]
-    assert list(sectors[0]) == [0]
-    covered = sorted(i for v in sectors for i in v)
-    assert covered == list(range(16))
+    values, sizes = np.unique(total_sz_diagonal(4), return_counts=True)
+    assert list(values) == [-4, -2, 0, 2, 4]
+    assert list(sizes) == [1, 4, 6, 4, 1]
+    assert np.flatnonzero(total_sz_diagonal(4) == 4).tolist() == [0]
 
 
 def test_two_spin_hamiltonian_by_hand():
@@ -100,15 +99,32 @@ def test_model_rejects_nonhermitian():
 
 
 def test_model_rejects_sector_leak():
-    # d = 512 spans two row blocks of the sector check; rows 257 and 300 sit in the second
+    # d = 512 spans two row blocks of the sector check; rows 257 and 300 sit in the second.
+    # Conservation is exact: a leak of one unit in the last place is refused too
     chain = build_chain_model(ChainParams(n_total=9)).dense
     d = chain.dimension
-    for i, j, size in ((0, d - 1, 1e-3), (300, 257, 5e-14)):
+    for i, j, size in ((0, d - 1, 1e-3), (300, 257, 5e-14), (300, 257, 5e-324)):
         h = chain.hamiltonian.copy()
         h[i, j] += size
         h[j, i] += size
         with pytest.raises(ValueError, match=f"off-sector entry {size:.3e}"):
-            Model(h, chain.bipartition, chain.initial_pair, sector_basis=chain.sector_basis)
+            Model(h, chain.bipartition, chain.initial_pair, sz_diagonal=chain.sz_diagonal)
+    with pytest.raises(ValueError, match="sz_diagonal shape"):
+        Model(chain.hamiltonian, chain.bipartition, chain.initial_pair, sz_diagonal=np.zeros(d - 1))
+
+
+def test_carrier_rejects_a_leak_between_its_sectors():
+    # slot 0 (the vacuum, sz = n) against slot n + 1 (qubit and site 1 flipped, sz = n - 4)
+    chain = build_chain_model(ChainParams(n_total=5))
+    for i, j in ((0, 6), (1, 7), (5, 9)):
+        h = chain.hamiltonian.copy()
+        h[i, j] = h[j, i] = 1e-15
+        with pytest.raises(ValueError, match="off-sector entry 1.000e-15"):
+            dataclasses.replace(chain, hamiltonian=h)
+    # an entry inside one sector is no leak
+    h = chain.hamiltonian.copy()
+    h[2, 5] = h[5, 2] = 0.1
+    assert dataclasses.replace(chain, hamiltonian=h).sz_diagonal is not None
 
 
 def test_model_rejects_wrong_pair_dims():
@@ -293,9 +309,9 @@ def test_load_rejects_wrong_interaction_terms(tmp_path):
         load_generic_model(_write_model(tmp_path, doc))
 
 
-def test_chain_sector_basis_covers_space():
+def test_chain_dense_sz_diagonal_covers_space():
     model = build_chain_model(ChainParams(n_total=4)).dense
-    assert sum(len(v) for v in model.sector_basis) == 16
+    assert np.array_equal(model.sz_diagonal, total_sz_diagonal(4))
 
 
 def _kron_chain_hamiltonian(params):

@@ -20,7 +20,7 @@ def test_random_generic_model_shape():
             psi = np.kron(vs, ve)
             assert abs(purity(np.outer(psi, psi.conj())) - 1.0) < 1e-10
         assert model.interaction_terms is None
-        assert model.sector_basis is None
+        assert model.sz_diagonal is None
 
 
 def test_random_generic_model_seeded():
