@@ -84,8 +84,7 @@ def bound_term1_branch(model, rho_k_s: np.ndarray, delta_env: np.ndarray) -> flo
     (s, u) environment block of H, Tr_E [H, rho (x) Delta] = [G, rho]
     where G_su = Tr(H_su Delta), so one contraction of H against Delta,
     O(d^2), replaces the d x d commutator. It reads H directly and is
-    independent of the interaction terms and of the kernel's compressed
-    coordinates.
+    independent of the interaction terms and of the batched kernel.
     """
     bp = model.bipartition
     blocks = np.asarray(model.hamiltonian).reshape(bp.d_system, bp.d_environment, bp.d_system, bp.d_environment)
@@ -238,35 +237,9 @@ def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("cad,cbe->cabde", a, b).reshape(c, da * db, da * db)
 
 
-def _compressed_hamiltonian(h: np.ndarray, q: np.ndarray, ds: int, de: int) -> np.ndarray:
-    """U_t^dagger H U_t for every U_t = I (x) Q_t of a (n, de, k) stack of Q_t.
-
-    One GEMM forms H U_t for all t: H read as rows (a, b, a') by columns
-    b' times the Q_t laid side by side. That (d * ds) x (n * k) product is
-    the largest intermediate of the kernel.
-    """
-    n, _, k = q.shape
-    hv = h.reshape(ds * de * ds, de) @ q.transpose(1, 0, 2).reshape(de, n * k)
-    # rows (a, b, a'), columns (t, m') -> (t, b, (a, a', m'))
-    hv = hv.reshape(ds, de, ds, n, k).transpose(3, 1, 0, 2, 4).reshape(n, de, ds * ds * k)
-    hc = q.conj().transpose(0, 2, 1) @ hv
-    # (t, m, a, a', m') -> rows (a, m), columns (a', m')
-    return hc.reshape(n, k, ds, ds, k).transpose(0, 2, 1, 3, 4).reshape(n, ds * k, ds * k)
-
-
 def _trace_norm_stack(x: np.ndarray, eig=_eigen_rate_stack) -> np.ndarray:
     """Trace norms of stacked Hermitian x, from eigenvalues by `eig`."""
     return np.abs(eig(x)[0]).sum(axis=-1)
-
-
-def _commutator_trace_norm(hc: np.ndarray, x: np.ndarray, ds: int, k: int, eig) -> np.ndarray:
-    """|| Tr_E [H, X] ||_1 for Hermitian X = U x U^dagger, from compressed hc and x.
-
-    Tr_E[H, X] = M - M^dagger with M = Tr_E[H X] = Tr_k[hc x]; the
-    difference is anti-Hermitian, so its trace norm is that of i(M - M^dagger).
-    """
-    m = _ptrace_stack(hc @ x, ds, k, "system")
-    return _trace_norm_stack(1j * (m - m.conj().transpose(0, 2, 1)), eig)
 
 
 def _det_2xk(c: np.ndarray) -> np.ndarray:
@@ -277,18 +250,6 @@ def _det_2xk(c: np.ndarray) -> np.ndarray:
     """
     minors = c[:, 0, :, None] * c[:, 1, None, :]
     return 0.5 * (np.abs(minors - minors.transpose(0, 2, 1)) ** 2).sum(axis=(1, 2))
-
-
-def _support_spectrum(rho_e: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Eigenvalues of rho_E = c^T c^* compressed onto range(c^T), for 2 x k c.
-
-    That range holds all of rho_E's support and has dimension min(k, 2),
-    so the compressed operator is at most 2 x 2.
-    """
-    if rho_e.shape[1] == 1:
-        return rho_e[:, :, 0].real
-    b = np.linalg.qr(c.transpose(0, 2, 1))[0]
-    return _eigen_rate_2x2(b.conj().transpose(0, 2, 1) @ rho_e @ b)[0]
 
 
 def pair_step_series(
@@ -309,27 +270,43 @@ def pair_step_series(
     when given, supplies per-basis-state total-magnetization values;
     otherwise the magnetization columns are NaN.
 
-    Both joint states are pure, so at each time both environment
-    marginals live in W, the span of the rows of the two d_system x
-    d_environment coefficient matrices P_j, with k = dim W <= 2 d_system.
-    A QR factorization [P_1^T, P_2^T] = Q R gives an orthonormal basis Q
-    of W and compressed coefficients c_j = R_j^T, and every operator the
-    diagnostics need (joint states, marginals, correlation operators chi_j
-    and their difference, rho_S (x) Delta_E) lives on C^d_system (x) W.
-    Each commutator term Tr_E[H, X] is M - M^dagger with M read off the
-    compressed Hamiltonian (I (x) Q)^dagger H (I (x) Q), so a step costs
-    O(d^2 * d_system * k) and no d x d matrix is formed. The
-    chi{j}_ptrace_* residuals are the largest entries of the partial
-    traces of chi_j in the compressed coordinates.
+    H enters every diagnostic contracted with the states on both sides,
+    so environment basis states that neither state occupies at any time
+    are dropped first, exactly: `h`, the states and sz_diagonal are
+    sliced to the occupied ones. A chain pair on the dense path keeps the
+    n_total environment states with at most one flip out of
+    2^(n_total - 1); a carrier run keeps all of them.
 
-    sigma and didt_1 come from the generator: d rho_S^j/dt = -i (M_j -
-    M_j^dagger) with M_j = Tr_W[H_c v_j v_j^dagger], H_c the compressed
-    Hamiltonian and v_j the compressed joint state (one matvec per state).
+    With P_j the d_system x d_environment coefficient matrix of state j
+    and f = [P_1^T, P_2^T], every H-dependent quantity comes from one
+    GEMM per chunk, Z = H (|c> (x) P_j[x]^T) for each system basis state
+    |c> and each row P_j[x], which costs O(d_system^3 d_environment^2)
+    per time:
+    - G_j = Tr_E[H (I (x) rho_E^j)] = sum_x <P_j[x]| H_ac |P_j[x]>, with
+      H_ac the (a, c) environment block of H
+    - H psi_j, the sum of Z's slices with c = x, and M_j = Tr_E[H psi_j
+      psi_j^dagger] = (H psi_j) P_j^dagger
+    From these d_system x d_system blocks:
+    - d rho_S^j/dt = -i (M_j - M_j^dagger)
+    - term1 branch j = ||Tr_E[H, rho_S^j (x) Delta_E]||_1 = ||[G_1 - G_2,
+      rho_S^j]||_1
+    - term2 = ||Tr_E[H, chi_1 - chi_2]||_1, with Tr_E[H, chi_j] = (M_j -
+      M_j^dagger) - [G_j, rho_S^j]
     With (w_k, u_k) the eigenpairs of Delta = rho_S^1 - rho_S^2, sigma =
-    1/2 sum_k sgn(w_k) <u_k|dDelta/dt|u_k>, with sgn(0) = 0. With (p_k, u_k)
-    those of rho_S^1, didt_1 = -2 sum_k <u_k|d rho_S^1/dt|u_k> log2 p_k, as
-    I_1 = 2 S(rho_S^1) for a pure joint state; terms with p_k <
+    1/2 sum_k sgn(w_k) <u_k|dDelta/dt|u_k>, with sgn(0) = 0. With (p_k,
+    u_k) those of rho_S^1, didt_1 = -2 sum_k <u_k|d rho_S^1/dt|u_k> log2
+    p_k, as I_1 = 2 S(rho_S^1) for a pure joint state; terms with p_k <
     ENTROPY_CUTOFF are dropped, as the entropy drops them.
+
+    The states-only columns use the span W of the rows of P_1 and P_2,
+    k = dim W <= 2 d_system: the R factor of f = Q R gives compressed
+    coefficients c_j = R_j^T, so that rho_S^j = c_j c_j^dagger, rho_E^j
+    = c_j^T c_j^* on W, and the correlation operators chi_j are w x w
+    with w = d_system * k. S(rho_E^j) = S(rho_S^j), as c_j c_j^dagger
+    and c_j^T c_j^* share their nonzero spectrum, and the rank-one joint
+    state's entropy comes from its one eigenvalue ||c_j||^2, computed
+    rather than assumed 1. The chi{j}_ptrace_* residuals are the largest
+    entries of the partial traces of chi_j on C^d_system (x) W.
 
     For a qubit (d_system = 2) only two eigenproblems per time go to
     LAPACK: Delta_E (k x k) and chi_1 - chi_2 (8 x 8). The rest are
@@ -339,16 +316,14 @@ def pair_step_series(
       the small eigenvalue of rho_S^j is det rho_S^j over the large one,
       with the determinant by Cauchy-Binet from c_j
     - ||chi_j||_1 = 2 sqrt(det rho_S^j) + 2 det rho_S^j
-    - the joint entropy, from the rank-one state's one eigenvalue
-      ||v_j||^2, computed rather than assumed 1
-    - S(rho_E^j), from rho_E^j compressed onto range(c_j^T), at most 2 x 2
     Other d_system take every spectrum from LAPACK, in matrices of at
-    most (d_system * k)-square.
+    most w-square.
 
     Work is chunked along the time axis so that the arrays a chunk holds
-    at once (H (I (x) Q) and its reordered copy, (chunk, d, d_system * k)
-    each, plus the QR factors and the (d_system * k)-square stacks) hold
-    at most CHUNK_ELEMENTS entries (but always at least one time).
+    at once (Z, 2 d_system^3 d_environment entries per time; f, its
+    conjugate and H psi_j, 2 d_system d_environment each; and the w x w
+    stacks) hold at most CHUNK_ELEMENTS entries (but always at least one
+    time). Z is freed before the w x w stacks are built.
     """
     h = np.asarray(h, dtype=np.complex128)
     s1 = np.atleast_2d(np.asarray(states_1, dtype=np.complex128))
@@ -359,40 +334,57 @@ def pair_step_series(
         raise ValueError(f"hamiltonian shape {h.shape} does not match dimensions ({ds}, {de})")
     if s1.shape != s2.shape or s1.shape[1] != d:
         raise ValueError("state stacks must share shape (n_times, d_system*d_environment)")
+    occupied = np.zeros(de, dtype=bool)
+    for s in (s1, s2):
+        occupied |= (s != 0).reshape(-1, de).any(axis=0)
+    if occupied.any() and not occupied.all():
+        keep = (np.arange(ds)[:, None] * de + np.flatnonzero(occupied)).ravel()
+        h, s1, s2 = h[np.ix_(keep, keep)], s1[:, keep], s2[:, keep]
+        sz_diagonal = None if sz_diagonal is None else np.asarray(sz_diagonal)[keep]
+        de = keep.size // ds
     n_times = s1.shape[0]
     w = ds * min(de, 2 * ds)
-    # entries per time: H (I (x) Q) and its reordered copy, the QR's input and Q,
-    # and the w x w stacks alive at once (hc, chi_j, their difference, commutator terms)
-    chunk = max(1, CHUNK_ELEMENTS // (2 * d * w + 4 * d + 8 * w * w))
+    # entries per time: Z, f, its conjugate and H psi_j, and the w x w stacks alive at
+    # once (chi_1, chi_2 and the kron term it is built with, or an eigensolver's copy)
+    chunk = max(1, CHUNK_ELEMENTS // (2 * ds**3 * de + 6 * ds * de + 4 * w * w))
+    # rows (a, b, c) by columns b' of H, transposed: f^T @ hv gives Z without copying H
+    hv = h.reshape(ds * de * ds, de).T
     # an empty stack still runs one (empty) chunk, so every key is present
     parts = [
-        _chunk_series(h, ds, de, s1[a : a + chunk], s2[a : a + chunk], sz_diagonal)
+        _chunk_series(hv, ds, de, s1[a : a + chunk], s2[a : a + chunk], sz_diagonal)
         for a in range(0, max(n_times, 1), chunk)
     ]
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
-def _chunk_series(h, ds, de, s1, s2, sz_diagonal) -> dict[str, np.ndarray]:
+def _chunk_series(hv, ds, de, s1, s2, sz_diagonal) -> dict[str, np.ndarray]:
     n = s1.shape[0]
     psi = {1: s1, 2: s2}
-    # P_j^T = Q R_j with orthonormal Q spanning both environment supports
-    f = np.concatenate([psi[j].reshape(n, ds, de).transpose(0, 2, 1) for j in (1, 2)], axis=2)
-    q, r = np.linalg.qr(f)
-    k = q.shape[2]
-    hc = _compressed_hamiltonian(h, q, ds, de)
+    # row (j, x) of f^T is row x of P_j
+    ft = np.concatenate([s.reshape(n, ds, de) for s in (s1, s2)], axis=1)
+    # P_j^T = Q R_j with orthonormal Q spanning both environment supports; only R is needed
+    r = np.linalg.qr(ft.transpose(0, 2, 1), mode="r")
+    k = r.shape[1]
+    # Z[t, j, x, a, b, c] = (H (|c> (x) P_j[x]^T))_ab
+    z = (ft.reshape(n * 2 * ds, de) @ hv).reshape(n, 2, ds, ds, de, ds)
+    fc = ft.conj().reshape(n, 2, ds, de)
+    g = np.einsum("tjxb,tjxabc->tjac", fc, z)
+    # M_j = (H psi_j) P_j^dagger, H psi_j the sum of Z's slices with c = x
+    m = np.einsum("tjcabc->tjab", z) @ fc.transpose(0, 1, 3, 2)
+    del ft, z, fc  # freed before the w x w stacks
     qubit = ds == 2
     eig = _eigen_rate_2x2 if qubit else _eigen_rate_stack
-    out, rho_s, rho_e, chi, rho_dot = {}, {}, {}, {}, {}
+    out, rho_s, rho_e, chi, rho_dot, tr_chi = {}, {}, {}, {}, {}, {}
     for j in (1, 2):
         c = r[:, :, (j - 1) * ds : j * ds].transpose(0, 2, 1)
         rho_s[j] = c @ c.conj().transpose(0, 2, 1)
         rho_e[j] = c.transpose(0, 2, 1) @ c.conj()
         v = c.reshape(n, ds * k)
-        rho_se = v[:, :, None] * v.conj()[:, None, :]
-        chi[j] = rho_se - _kron_stack(rho_s[j], rho_e[j])
-        # d rho_S/dt = -i (M - M^dagger) with M = Tr_k[hc v v^dagger]
-        m = (hc @ v[:, :, None]).reshape(n, ds, k) @ c.conj().transpose(0, 2, 1)
-        rho_dot[j] = -1j * (m - m.conj().transpose(0, 2, 1))
+        chi[j] = v[:, :, None] * v.conj()[:, None, :]
+        chi[j] -= _kron_stack(rho_s[j], rho_e[j])
+        anti = m[:, j - 1] - m[:, j - 1].conj().transpose(0, 2, 1)
+        rho_dot[j] = -1j * anti
+        tr_chi[j] = anti - _commutator(g[:, j - 1], rho_s[j])
         # only didt_1 needs the eigenvalue rates
         p, rates = eig(rho_s[j], rho_dot[j] if j == 1 else None)
         if qubit:
@@ -400,16 +392,14 @@ def _chunk_series(h, ds, de, s1, s2, sz_diagonal) -> dict[str, np.ndarray]:
             # det / p_1 keeps the small eigenvalue's relative precision, which m - r loses
             p[:, 0] = det / p[:, 1]
             out[f"chi{j}_norm"] = 2.0 * np.sqrt(det) + 2.0 * det
-            s_env = _entropy_stack(_support_spectrum(rho_e[j], c))
-            s_joint = _entropy_stack((np.abs(v) ** 2).sum(axis=1)[:, None])
         else:
             out[f"chi{j}_norm"] = _trace_norm_stack(chi[j])
-            s_env, s_joint = (_entropy_stack(np.linalg.eigvalsh(x)) for x in (rho_e[j], rho_se))
         if j == 1:
             out["didt_1"] = -2.0 * (rates * _log2_kept(p)).sum(axis=-1)
         svn_system = _entropy_stack(p)
         out[f"svn_system_{j}"] = svn_system
-        out[f"mutual_info_{j}"] = svn_system + s_env - s_joint
+        # S(rho_E^j) = S(rho_S^j)
+        out[f"mutual_info_{j}"] = 2.0 * svn_system - _entropy_stack((np.abs(v) ** 2).sum(axis=1)[:, None])
         probs = np.abs(psi[j]) ** 2
         out[f"purity_{j}"] = probs.sum(axis=1) ** 2
         out[f"magnetization_{j}"] = np.full(n, np.nan) if sz_diagonal is None else probs @ sz_diagonal
@@ -419,16 +409,16 @@ def _chunk_series(h, ds, de, s1, s2, sz_diagonal) -> dict[str, np.ndarray]:
     w, rates = eig(rho_s[1] - rho_s[2], rho_dot[1] - rho_dot[2])
     out["d_system"] = 0.5 * np.abs(w).sum(axis=-1)
     out["sigma"] = 0.5 * (np.sign(w) * rates).sum(axis=-1)
-    del rho_se, rho_dot, m  # not read below; freed before the (d_system k)-square commutator terms
-    delta_e = rho_e[1] - rho_e[2]
-    out["d_env"] = 0.5 * _trace_norm_stack(delta_e)
+    out["d_env"] = 0.5 * _trace_norm_stack(rho_e[1] - rho_e[2])
     out["e_indist"] = 1.0 - out["d_env"]
-    dchi = chi[1] - chi[2]
+    dchi = chi.pop(1)
+    dchi -= chi.pop(2)  # in place: no further w x w stack
     out["x_corr"] = 0.5 * _trace_norm_stack(dchi)
-
+    # each commutator is anti-Hermitian: its trace norm is that of i times it
+    g_delta = g[:, 0] - g[:, 1]
     for j in (1, 2):
-        out[f"term1_branch{j}"] = _commutator_trace_norm(hc, _kron_stack(rho_s[j], delta_e), ds, k, eig)
-    out["bound_term2"] = _commutator_trace_norm(hc, dchi, ds, k, eig)
+        out[f"term1_branch{j}"] = _trace_norm_stack(1j * _commutator(g_delta, rho_s[j]), eig)
+    out["bound_term2"] = _trace_norm_stack(1j * (tr_chi[1] - tr_chi[2]), eig)
     out["bound_term1"] = np.minimum(out["term1_branch1"], out["term1_branch2"])
     out["bound_total"] = 0.5 * (out["bound_term1"] + out["bound_term2"])
     return out

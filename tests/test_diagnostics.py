@@ -343,6 +343,38 @@ def test_qubit_route_keeps_chi_norm_near_a_product_state():
         assert np.max(np.abs(out[key] - exact)) < 1e-13, key
 
 
+def test_pair_step_series_drops_environment_states_no_state_occupies(monkeypatch):
+    # a full H couples every basis state, but the states vanish on some environment states
+    # at every time; which ones each state occupies changes from step to step, and each
+    # state occupies one that the other never does
+    monkeypatch.setattr(diagnostics, "CHUNK_ELEMENTS", 64)
+    rng = np.random.default_rng(16)
+    cases = (
+        (2, 6, [[0], [0, 2], [2, 3], [0, 3]], [[0], [5], [0, 2, 5], [2]]),
+        # two occupied environment states: k = 2 < 2 d_S
+        (3, 5, [[1], [1], [1]], [[4], [1, 4], [4]]),
+    )
+    for ds, de, support_1, support_2 in cases:
+        d = ds * de
+        h = random_hamiltonian(rng, d)
+        sz = rng.normal(size=d)
+        stacks = []
+        for supports in (support_1, support_2):
+            states = haar_stack(rng, d, n_times=len(supports)).reshape(-1, ds, de)
+            for state, occupied in zip(states, supports):
+                state[:, np.setdiff1d(np.arange(de), occupied)] = 0.0
+                state /= np.linalg.norm(state)
+            stacks.append(states.reshape(-1, d))
+        s1, s2 = stacks
+        out = assert_kernel_matches_oracles(h, Bipartition(ds, de), s1, s2, sz)
+        occupied = np.union1d(np.concatenate(support_1), np.concatenate(support_2))
+        idx = (np.arange(ds)[:, None] * de + occupied).ravel()
+        sliced = pair_step_series(h[np.ix_(idx, idx)], ds, occupied.size, s1[:, idx], s2[:, idx], sz[idx])
+        assert out.keys() == sliced.keys()
+        for key in out:
+            np.testing.assert_array_equal(out[key], sliced[key], err_msg=key)
+
+
 def test_pair_step_series_memory_stays_below_one_dense_matrix():
     # dense n = 11 chain, d = 2048: one d x d complex matrix is 64 MiB
     model = build_chain_model(ChainParams(n_total=11)).dense

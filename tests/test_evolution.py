@@ -16,6 +16,7 @@ from backflow.model import (
     total_sz_diagonal,
 )
 from backflow.output import TRAJECTORY_CSV
+from backflow.verify import BOUND_TOLERANCE
 
 COLUMNS = tuple(name for _, name in TRAJECTORY_CSV)
 
@@ -81,14 +82,19 @@ def test_dense_and_subspace_paths_agree(chain6_records):
     model, dense, subspace = chain6_records
     assert dense.path_used == "dense"
     assert subspace.path_used == "subspace"
-    for col in COLUMNS:
-        gap = np.max(np.abs(getattr(dense, col) - getattr(subspace, col)))
-        assert gap < 1e-9, f"{col}: {gap:.3e}"
+    # the default grid on a field-driven n = 10 chain, whose dense H is 1024-square
+    chain = build_chain_model(ChainParams(n_total=10, b_field=0.3, field_on_system=True))
+    grid = TimeGrid(t_max=9.0, n_steps=2000)
+    runs = {"n=6": (dense, subspace), "n=10": [run_trajectory(chain, grid, path=p) for p in ("dense", "subspace")]}
+    for label, (a, b) in runs.items():
+        for col in COLUMNS:
+            gap = np.max(np.abs(getattr(a, col) - getattr(b, col)))
+            assert gap < 1e-12, f"{label}, {col}: {gap:.3e}"
 
 
 def test_default_chain_bound_holds(chain10_record):
     margin = float(np.max(chain10_record.sigma - chain10_record.bound_total))
-    assert margin <= 1e-8
+    assert margin <= BOUND_TOLERANCE
 
 
 def test_conservation_laws(chain10_record):
