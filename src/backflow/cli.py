@@ -72,12 +72,7 @@ class ConfigError(Exception):
     """Invalid or inconsistent run configuration."""
 
 
-# Pre-recurrence window for the b_field = j/2 scenario checks. The
-# maximum single-excitation group velocity is 8 j, so a disturbance
-# needs 2 (n_spins - 1) / 8 = 2.25 time units to reach the far end of
-# the default ten-spin chain and return to the system site.
-FIG2B_WINDOW_T_MAX = 2.25
-# inside that window, a sigma or measure above this counts as backflow
+# inside fig2b's pre-recurrence window, a sigma or measure above this counts as backflow
 FIG2B_WINDOW_TOLERANCE = 1e-6
 
 _SCENARIO_OVERRIDES: dict[str, dict] = {
@@ -388,7 +383,11 @@ def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
         )
     window = None
     if cfg.scenario == "fig2b":
-        w_end = min(FIG2B_WINDOW_T_MAX, cfg.t_max)
+        # the pre-recurrence window: the fastest single excitation (group velocity 8 |j|)
+        # reaches the far end of the chain and is back at the system site after
+        # 2 (n_spins - 1) / (8 |j|); j = 0 is possible only with a model file
+        recurrence = 2.0 * (cfg.n_spins - 1) / (8.0 * abs(cfg.j)) if cfg.j else math.inf
+        w_end = min(recurrence, cfg.t_max)
         mask = record.times <= w_end + 1e-12
         w_sigma = float(np.max(record.sigma[mask]))
         w_measure = blp_integral(record.d_system[mask])

@@ -96,9 +96,9 @@ class TrajectoryRecord:
     output.TRAJECTORY_CSV names the fields written as CSV columns; the
     remaining fields keep bookkeeping used by structural checks (purity
     and magnetization drift, partial-trace residuals of the correlation
-    operators, both branches of the first bound term) plus the evolved
-    state vectors: carrier coordinates on the subspace path
-    (ChainModel.full_vector embeds them), the full space on the dense path.
+    operators, both branches of the first bound term). A record holds no
+    states, so it reads the same whichever basis the run took; evolve
+    gives the states themselves.
     """
 
     times: np.ndarray
@@ -128,8 +128,6 @@ class TrajectoryRecord:
     chi1_ptrace_env: np.ndarray
     chi2_ptrace_sys: np.ndarray
     chi2_ptrace_env: np.ndarray
-    states_1: np.ndarray
-    states_2: np.ndarray
 
     @property
     def n_times(self) -> int:
@@ -170,15 +168,9 @@ def run_trajectory(
         for v in vectors:
             v[n + 1 :] = 0.0
     elif chain:
-        vectors = [model.full_vector(v) for v in vectors]
+        vectors = [np.kron(vs, ve) for vs, ve in model.dense_pair(pair)]
         model = model.dense
     h, bp, sz, times = model.hamiltonian, model.bipartition, model.sz_diagonal, grid.times
     s1, s2 = evolve(h, vectors, times, sz)
     cols = pair_step_series(h, bp.d_system, bp.d_environment, s1, s2, sz_diagonal=sz)
-    return TrajectoryRecord(
-        times,
-        path_used="subspace" if subspace else "dense",
-        states_1=s1,
-        states_2=s2,
-        **cols,
-    )
+    return TrajectoryRecord(times, path_used="subspace" if subspace else "dense", **cols)

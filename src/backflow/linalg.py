@@ -23,7 +23,6 @@ __all__ = [
 ]
 
 HERMITIAN_ATOL = 1e-12
-EIG_HERMITIAN_ATOL = 1e-10
 NORM_ATOL = 1e-12
 ENTROPY_CUTOFF = 1e-14
 # edge of the square tiles the Hermiticity check compares, small enough to stay in
@@ -76,14 +75,14 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
     eigenvectors as orthonormal columns. Inputs whose max asymmetry
-    exceeds EIG_HERMITIAN_ATOL are rejected; below that, the lower
+    exceeds HERMITIAN_ATOL are rejected; below that, the lower
     triangle is taken as the matrix.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     asym = max_asymmetry(h)
-    if asym > EIG_HERMITIAN_ATOL:
+    if asym > HERMITIAN_ATOL:
         raise ValueError(f"matrix not Hermitian, max asymmetry {asym:.3e}")
     w, v = np.linalg.eigh(h)
     return w, v

@@ -117,7 +117,8 @@ def product_pair(pair, bipartition: Bipartition) -> tuple[ProductState, ProductS
 
     Returns the factors as contiguous complex128 arrays. Raises ValueError
     unless there are exactly two states whose factors have shapes
-    (d_system,) and (d_environment,) and unit norm within NORM_ATOL.
+    (d_system,) and (d_environment,) and unit norm within NORM_ATOL; a
+    wrong shape raises its subclass DimensionMismatchError.
     """
     if len(pair) != 2:
         raise ValueError("initial_pair must hold exactly two states")
@@ -136,7 +137,7 @@ def product_pair(pair, bipartition: Bipartition) -> tuple[ProductState, ProductS
         )
         for name, v, shape in zip(("system", "environment"), factors, shapes):
             if v.shape != shape:
-                raise ValueError(
+                raise DimensionMismatchError(
                     f"initial state {i + 1}: {name} factor shape {v.shape} does not match {shape}"
                 )
             norm = float(np.linalg.norm(v))
@@ -161,6 +162,8 @@ class Model:
     it exactly. A run then factorizes only the sz sectors its pair
     occupies and records the magnetization; without it a run factorizes
     the whole Hamiltonian and records NaN magnetization.
+    A wrong shape of H or of a factor raises DimensionMismatchError, a
+    non-Hermitian H NonHermitianHamiltonianError; both are ValueErrors.
     """
 
     hamiltonian: np.ndarray
@@ -174,11 +177,13 @@ class Model:
         object.__setattr__(self, "hamiltonian", h)
         d = self.bipartition.d_joint
         if h.shape != (d, d):
-            raise ValueError(f"hamiltonian shape {h.shape} does not match bipartition dimension {d}")
+            raise DimensionMismatchError(
+                f"hamiltonian shape {h.shape} does not match bipartition dimension {d}"
+            )
         object.__setattr__(self, "initial_pair", product_pair(self.initial_pair, self.bipartition))
         asym = max_asymmetry(h)
         if asym > HERMITIAN_ATOL:
-            raise ValueError(f"hamiltonian not Hermitian, max asymmetry {asym:.3e}")
+            raise NonHermitianHamiltonianError(f"hamiltonian not Hermitian, max asymmetry {asym:.3e}")
         if self.interaction_terms is not None:
             self._check_interaction_terms(h)
         if self.sz_diagonal is not None:
@@ -195,7 +200,7 @@ class Model:
             a = np.asarray(a, dtype=np.complex128)
             b = np.asarray(b, dtype=np.complex128)
             if a.shape != (ds, ds) or b.shape != (de, de):
-                raise ValueError(
+                raise DimensionMismatchError(
                     f"interaction factor shapes {a.shape}, {b.shape} do not match bipartition ({ds}, {de})"
                 )
             terms.append((a, b))
@@ -387,7 +392,7 @@ class ChainModel(Model):
     def dense(self) -> Model:
         """The full Hamiltonian with interaction terms and magnetization, built and validated once.
 
-        Its initial pair is the chain's, embedded through carrier_indices.
+        Its initial pair is the chain's, embedded by dense_pair.
         """
         n = self.params.n_total
         d_env = 2 ** (n - 1)
@@ -399,25 +404,28 @@ class ChainModel(Model):
             terms.append(
                 (PAULI["z"].copy(), -2.0 * self.params.b_field * np.eye(d_env, dtype=np.complex128))
             )
-        env = carrier_indices(n)[:n]
-        pair = []
-        for vs, ve in self.initial_pair:
-            full = np.zeros(d_env, dtype=np.complex128)
-            full[env] = ve
-            pair.append((vs, full))
         return Model(
             hamiltonian=_chain_hamiltonian(self.params),
             bipartition=Bipartition(2, d_env),
-            initial_pair=tuple(pair),
+            initial_pair=self.dense_pair(self.initial_pair),
             interaction_terms=tuple(terms),
             sz_diagonal=total_sz_diagonal(n),
         )
 
-    def full_vector(self, c: np.ndarray) -> np.ndarray:
-        """The 2^n_total joint vector of carrier coordinates c."""
-        v = np.zeros(2**self.params.n_total, dtype=np.complex128)
-        v[carrier_indices(self.params.n_total)] = c
-        return v
+    def dense_pair(self, pair) -> tuple[ProductState, ProductState]:
+        """pair, whose environment factors are carrier coordinates, in the 2^n_total space.
+
+        Each environment factor is embedded through carrier_indices; the
+        system factors are kept.
+        """
+        n = self.params.n_total
+        env = carrier_indices(n)[:n]
+        out = []
+        for vs, ve in pair:
+            full = np.zeros(2 ** (n - 1), dtype=np.complex128)
+            full[env] = ve
+            out.append((vs, full))
+        return out[0], out[1]
 
 
 def build_chain_model(
@@ -448,7 +456,10 @@ def build_chain_model(
 
 def _complex_array(node, where: str, path: str) -> np.ndarray:
     """Decode nested [re, im] pairs into a complex array."""
-    arr = np.asarray(node, dtype=np.float64)
+    try:
+        arr = np.asarray(node, dtype=np.float64)
+    except (TypeError, ValueError):  # a string, or rows of unequal length
+        arr = np.empty(0)
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ModelFileError(f"{path}: {where} must consist of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -516,15 +527,6 @@ def load_generic_model(path: str | Path) -> Model:
     d = ds * de
 
     h = _complex_array(doc["hamiltonian"], "hamiltonian", path)
-    if h.shape != (d, d):
-        raise DimensionMismatchError(
-            f"{path}: hamiltonian shape {h.shape} does not match dims product {d}"
-        )
-    asym = max_asymmetry(h)
-    if asym > HERMITIAN_ATOL:
-        raise NonHermitianHamiltonianError(
-            f"{path}: hamiltonian not Hermitian, max asymmetry {asym:.3e}"
-        )
 
     entries = doc["initial_states"]
     if not isinstance(entries, list) or len(entries) != 2:
@@ -545,11 +547,6 @@ def load_generic_model(path: str | Path) -> Model:
         elif "system_state" in entry and "environment_state" in entry:
             vs = _complex_array(entry["system_state"], where, path).ravel()
             ve = _complex_array(entry["environment_state"], where, path).ravel()
-            if vs.size != ds or ve.size != de:
-                raise DimensionMismatchError(
-                    f"{path}: {where} factor dimensions ({vs.size}, {ve.size}) "
-                    f"do not match dims ({ds}, {de})"
-                )
             vs = _normalized(vs, path, f"{where}.system_state")
             ve = _normalized(ve, path, f"{where}.environment_state")
         else:
@@ -571,11 +568,6 @@ def load_generic_model(path: str | Path) -> Model:
                 raise ModelFileError(f"{path}: {where} needs 'system' and 'environment'")
             a = _complex_array(item["system"], where, path)
             b = _complex_array(item["environment"], where, path)
-            if a.shape != (ds, ds) or b.shape != (de, de):
-                raise DimensionMismatchError(
-                    f"{path}: {where} factor shapes {a.shape}, {b.shape} "
-                    f"do not match dims ({ds}, {de})"
-                )
             parsed.append((a, b))
         terms = tuple(parsed)
 
@@ -587,4 +579,6 @@ def load_generic_model(path: str | Path) -> Model:
             interaction_terms=terms,
         )
     except ValueError as exc:
-        raise ModelFileError(f"{path}: {exc}") from exc
+        # a ModelFileError subclass keeps its class; any other check becomes a ModelFileError
+        cls = type(exc) if isinstance(exc, ModelFileError) else ModelFileError
+        raise cls(f"{path}: {exc}") from exc

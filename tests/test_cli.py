@@ -236,6 +236,41 @@ def test_fig2b_reports_violations(tmp_path):
     assert doc["window"]["n_measure"] > 1e-6
 
 
+def test_fig2b_window_ends_at_the_chains_first_return(tmp_path):
+    # 2 (n_spins - 1) / (8 |j|): the fastest excitation's round trip to the far end
+    for n_spins, j, t_end in ((6, 1.0, 1.25), (6, -0.5, 2.5)):
+        summary = tmp_path / "w.json"
+        code = run_cli(
+            "run", "--scenario", "fig2b", "--n-spins", str(n_spins), "--j", str(j), "--steps", "400",
+            "--out", str(tmp_path / "w.csv"), "--summary", str(summary),
+        )
+        doc = json.loads(summary.read_text())
+        assert doc["window"]["t_end"] == t_end
+        assert code == (1 if doc["violations"] else 0)
+        assert all(f"[0, {t_end:g}]" in v for v in doc["violations"])
+    # a window past t_max ends at t_max
+    code = run_cli(
+        "run", "--scenario", "fig2b", "--n-spins", "6", "--t-max", "1.0", "--steps", "100",
+        "--out", str(tmp_path / "w.csv"), "--summary", str(summary),
+    )
+    assert json.loads(summary.read_text())["window"]["t_end"] == 1.0
+
+
+def test_run_exits_1_when_sigma_exceeds_the_bound(tmp_path, monkeypatch):
+    # a tolerance below the run's margin max(sigma - bound_total), which is about -3e-15
+    monkeypatch.setattr(cli_mod, "BOUND_TOLERANCE", -1.0)
+    out, summary = tmp_path / "b.csv", tmp_path / "b.json"
+    code = run_cli(
+        "run", "--scenario", "fig1a", "--n-spins", "4", "--steps", "50",
+        "--out", str(out), "--summary", str(summary),
+    )
+    assert code == 1
+    doc = json.loads(summary.read_text())
+    assert [v for v in doc["violations"] if v.startswith("bound:")] == doc["violations"]
+    assert len(doc["violations"]) == 1
+    assert out.read_text().startswith(CSV_HEADER)
+
+
 def test_sweep_row_major(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli(
@@ -496,6 +531,15 @@ def test_exit_code_two_paths(tmp_path, capsys):
     # unreadable model file
     cfg = write_json(tmp_path, {"scenario": "custom", "model_file": str(tmp_path / "nope.json")})
     assert run_cli("run", "--config", cfg) == 2
+    # a model file whose H fails Model's Hermiticity check
+    doc = _generic_doc()
+    doc["hamiltonian"][0][1] = [5.0, 0.0]
+    model_path = write_json(tmp_path, doc, "nonhermitian.json")
+    cfg = write_json(tmp_path, {"scenario": "custom", "model_file": model_path, "out": str(tmp_path / "nh.csv")})
+    capsys.readouterr()
+    assert run_cli("run", "--config", cfg) == 2
+    assert f"error: {model_path}: hamiltonian not Hermitian" in capsys.readouterr().err
+    assert not (tmp_path / "nh.csv").exists()
     # unwritable output
     code = run_cli(
         "run", "--scenario", "fig1a", "--n-spins", "4", "--steps", "10",
@@ -668,18 +712,20 @@ def test_measure_scenario_equatorial(tmp_path):
 
 _KERNEL_FAULTS_SCRIPT = """
 import resource, sys
-from backflow import ChainParams, TimeGrid, build_chain_model, run_trajectory
+import numpy as np
+from backflow import ChainParams, TimeGrid, build_chain_model, evolve
 from backflow.cli import main
 from backflow.diagnostics import pair_step_series
 
 main(sys.argv[1:])
 model = build_chain_model(ChainParams(n_total=10))
-rec = run_trajectory(model, TimeGrid(9.0, 2000))
 g = model.hamiltonian
-pair_step_series(g, 2, 10, rec.states_1, rec.states_2)
+vectors = [np.kron(vs, ve) for vs, ve in model.initial_pair]
+s1, s2 = evolve(g, vectors, TimeGrid(9.0, 2000).times, model.sz_diagonal)
+pair_step_series(g, 2, 10, s1, s2)
 start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(3):
-    pair_step_series(g, 2, 10, rec.states_1, rec.states_2)
+    pair_step_series(g, 2, 10, s1, s2)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
 """
 

@@ -18,6 +18,7 @@ from backflow.diagnostics import (
     sigma_from_generator,
     trace_distance,
 )
+from backflow.evolution import evolve
 from backflow.linalg import (
     Bipartition,
     haar_random_state,
@@ -397,9 +398,11 @@ def test_pair_step_series_chunk_bounds_every_per_time_array(chain10_model, chain
     # the default figure run in carrier coordinates: 2001 times, with every array of a
     # chunk together under the default CHUNK_ELEMENTS complex entries
     h = chain10_model.hamiltonian
+    vectors = [np.kron(vs, ve) for vs, ve in chain10_model.initial_pair]
+    s1, s2 = evolve(h, vectors, chain10_record.times, chain10_model.sz_diagonal)
     tracemalloc.start()
     try:
-        pair_step_series(h, 2, 10, chain10_record.states_1, chain10_record.states_2)
+        pair_step_series(h, 2, 10, s1, s2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -109,10 +109,12 @@ def test_reduced_ranks_stay_low(chain6_records):
     # pure joint state over a qubit cut: Schmidt rank <= 2, so the
     # environment state has rank <= 2 and chi rank <= 5
     model, dense, _ = chain6_records
-    bp = model.dense.bipartition
+    full = model.dense
+    bp = full.bipartition
     idx = np.linspace(0, dense.n_times - 1, 5).astype(int)
-    for i in idx:
-        v = dense.states_1[i]
+    (vs, ve), _ = full.initial_pair
+    states, = evolve(full.hamiltonian, [np.kron(vs, ve)], dense.times[idx], full.sz_diagonal)
+    for v in states:
         rho = np.outer(v, v.conj())
         rho_e = partial_trace(rho, bp, "environment")
         rho_s = partial_trace(rho, bp, "system")

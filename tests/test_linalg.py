@@ -122,10 +122,14 @@ def test_hermitian_eig_reconstructs():
 
 
 def test_hermitian_eig_rejects_asymmetry():
-    h = np.eye(3, dtype=complex)
-    h[0, 1] = 1e-3
-    with pytest.raises(ValueError):
-        hermitian_eig(h)
+    # refused above HERMITIAN_ATOL, 1e-12, the tolerance every Model is validated at
+    for size in (1e-3, 1e-11):
+        h = np.eye(3, dtype=complex)
+        h[0, 1] = size
+        with pytest.raises(ValueError):
+            hermitian_eig(h)
+    h[0, 1] = 1e-13
+    hermitian_eig(h)
 
 
 def test_hermitian_eig_allocates_no_dense_temporary():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,21 @@ def test_intervals_cover_crossings(chain10_record):
     dt = rec.times[1] - rec.times[0]
     for c in crossings:
         assert any(a - 2 * dt <= c <= b for a, b in intervals)
+
+
+def test_measure_peak_memory_stays_near_one_run(chain10_model):
+    # a measure keeps the best and the latest record while the next pair runs;
+    # a record holds diagnostic columns, not the evolved states
+    grid = TimeGrid(9.0, 4000)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_run = peak(lambda: run_trajectory(chain10_model, grid))
+    measure = peak(lambda: blp_measure(chain10_model, grid, EquatorialScan(3)))
+    assert measure < 1.4 * one_run, (measure, one_run)

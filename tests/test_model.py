@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from backflow.evolution import evolve
 from backflow.linalg import Bipartition, trace_norm
 from backflow.model import (
     PAULI,
@@ -94,7 +95,7 @@ def test_model_rejects_nonhermitian():
     pair = plus_minus_pair(2)
     h = np.zeros((4, 4), dtype=complex)
     h[0, 1] = 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(NonHermitianHamiltonianError):
         Model(h, Bipartition(2, 2), pair)
 
 
@@ -129,8 +130,16 @@ def test_carrier_rejects_a_leak_between_its_sectors():
 
 def test_model_rejects_wrong_pair_dims():
     pair = plus_minus_pair(3)  # 2 x 3 carrier coordinates
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatchError):
         Model(np.zeros((4, 4)), Bipartition(2, 2), pair)
+
+
+def test_model_rejects_wrong_hamiltonian_and_interaction_shapes():
+    pair = plus_minus_pair(2)
+    with pytest.raises(DimensionMismatchError, match="hamiltonian shape"):
+        Model(np.zeros((6, 6)), Bipartition(2, 2), pair)
+    with pytest.raises(DimensionMismatchError, match="interaction factor shapes"):
+        Model(np.zeros((4, 4)), Bipartition(2, 2), pair, interaction_terms=((PAULI["x"], np.eye(3)),))
 
 
 def test_chain_params_validation():
@@ -309,6 +318,69 @@ def test_load_rejects_wrong_interaction_terms(tmp_path):
         load_generic_model(_write_model(tmp_path, doc))
 
 
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+    return edit
+
+
+def _set(*keys_and_value):
+    *keys, value = keys_and_value
+
+    def edit(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,cls,message",
+    [
+        (lambda doc: [doc], ModelFileError, "top level must be an object"),
+        (_drop("dims"), ModelFileError, "missing required key 'dims'"),
+        (_drop("hamiltonian"), ModelFileError, "missing required key 'hamiltonian'"),
+        (_drop("initial_states"), ModelFileError, "missing required key 'initial_states'"),
+        (_set("dims", [2, 3]), ModelFileError, "dims must carry"),
+        (_set("dims", "system", "two"), ModelFileError, "dims entries must be integers"),
+        (_set("dims", "environment", None), ModelFileError, "dims entries must be integers"),
+        (_set("dims", "system", 0), ModelFileError, "dims must be positive"),
+        (_set("initial_states", 0, [[1.0, 0.0], [0.0, 0.0]]), ModelFileError, "must be an object"),
+        (_set("initial_states", 0, {"system_state": _vec([1, 0])}), ModelFileError, "needs either"),
+        (_set("initial_states", 1, {"joint_state": _vec([1, 0, 0, 0])}), DimensionMismatchError,
+         "joint_state has dimension 4, expected 6"),
+        (_set("interaction_terms", {"system": [], "environment": []}), ModelFileError,
+         "interaction_terms must be a list"),
+        (_set("interaction_terms", [{"system": _cplx(PAULI["x"])}]), ModelFileError,
+         "needs 'system' and 'environment'"),
+        (_set("interaction_terms", ["sx"]), ModelFileError, "needs 'system' and 'environment'"),
+        (_set("hamiltonian", [[[1.0, 0.0, 0.0]]]), ModelFileError, "[re, im] pairs"),
+        (_set("hamiltonian", "h"), ModelFileError, "[re, im] pairs"),
+        (_set("initial_states", 0, "system_state", [[1.0, 0.0], [0.0]]), ModelFileError,
+         "[re, im] pairs"),
+        (_set("initial_states", 0, "environment_state", [["a", "b"]] * 3), ModelFileError,
+         "[re, im] pairs"),
+        # the checks Model makes, re-raised with the file's path and their own class
+        (_set("dims", "environment", 4), DimensionMismatchError, "hamiltonian shape"),
+        (_set("hamiltonian", 0, 1, [5.0, 0.0]), NonHermitianHamiltonianError, "not Hermitian"),
+        (_set("initial_states", 0, "environment_state", _vec([1, 0])), DimensionMismatchError,
+         "environment factor shape (2,)"),
+        (_set("interaction_terms", [{"system": _cplx(PAULI["x"]), "environment": _cplx(np.eye(2))}]),
+         DimensionMismatchError, "interaction factor shapes"),
+    ],
+)
+def test_load_rejects_malformed_documents(tmp_path, edit, cls, message):
+    doc = _valid_doc()
+    doc = edit(doc) or doc
+    path = _write_model(tmp_path, doc)
+    with pytest.raises(ModelFileError) as err:
+        load_generic_model(path)
+    assert type(err.value) is cls
+    assert str(err.value).startswith(f"{path}: ")
+    assert message in str(err.value)
+
+
 def test_chain_dense_sz_diagonal_covers_space():
     model = build_chain_model(ChainParams(n_total=4)).dense
     assert np.array_equal(model.sz_diagonal, total_sz_diagonal(4))
@@ -350,8 +422,18 @@ def test_chain_builder_matches_kron_reference():
             assert np.array_equal(model.hamiltonian, dense.hamiltonian[np.ix_(carrier, carrier)])
             # and so are its magnetization and its embedding of the initial pair
             assert np.array_equal(model.sz_diagonal, total_sz_diagonal(n)[carrier])
-            for (vs, ve), (ds, de) in zip(model.initial_pair, dense.initial_pair):
-                assert np.array_equal(model.full_vector(np.kron(vs, ve)), np.kron(ds, de))
+            vectors = [np.kron(vs, ve) for vs, ve in model.initial_pair]
+            dense_vectors = [np.kron(vs, ve) for vs, ve in dense.initial_pair]
+            for c, f in zip(vectors, dense_vectors):
+                assert np.array_equal(f[carrier], c)
+                assert not np.any(np.delete(f, carrier))
+            # which then evolves alike on the carrier and in the 2^n space
+            times = np.linspace(0.0, 2.0, 3)
+            on_carrier = evolve(model.hamiltonian, vectors, times, model.sz_diagonal)
+            in_full = evolve(dense.hamiltonian, dense_vectors, times, dense.sz_diagonal)
+            for c, f in zip(on_carrier, in_full):
+                assert np.max(np.abs(f[:, carrier] - c)) <= 1e-12
+                assert not np.any(np.delete(f, carrier, axis=1))
 
 
 def test_chain_build_memory_stays_below_four_dense_matrices():
