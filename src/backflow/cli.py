@@ -240,11 +240,11 @@ def _check_common(values: dict, builds_chain: bool) -> None:
         raise ConfigError(f"t_max must be positive, got {values['t_max']}")
     if builds_chain:
         # refuse a chain run that cannot fit in physical memory: only the dense
-        # path builds the 2^n H, the others hold arrays of n times the grid
-        n, steps, dense = values["n_spins"], values["steps"], values["path"] == "dense"
-        if dense:
+        # path builds the 2^n H, and either path holds arrays of n times the grid
+        n, steps = values["n_spins"], values["steps"]
+        if values["path"] == "dense":
             _check_fits(chain_build_peak_bytes(n), f"n_spins={n}", "build the chain Hamiltonian")
-        _check_fits(chain_run_peak_bytes(n, steps, dense), f"steps={steps}", "hold the run's states")
+        _check_fits(chain_run_peak_bytes(n, steps), f"steps={steps}", "hold the run's states")
 
 
 def _check_fits(need: int, who: str, what: str) -> None:
@@ -285,6 +285,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     _check_common(values, builds_chain)
     if not builds_chain and values["path"] == "subspace":
         raise ConfigError("path 'subspace' needs a chain; model files and bound-check run dense")
+    if values["model_file"] is not None and scenario == "fig2b":
+        raise ConfigError("fig2b's window needs a chain's n_spins and j; a model file has neither")
     if builds_chain and values["j"] == 0.0:
         raise ConfigError("j must be nonzero; ratios are taken against it")
     if values["n_models"] < 1:
@@ -385,9 +387,8 @@ def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
     if cfg.scenario == "fig2b":
         # the pre-recurrence window: the fastest single excitation (group velocity 8 |j|)
         # reaches the far end of the chain and is back at the system site after
-        # 2 (n_spins - 1) / (8 |j|); j = 0 is possible only with a model file
-        recurrence = 2.0 * (cfg.n_spins - 1) / (8.0 * abs(cfg.j)) if cfg.j else math.inf
-        w_end = min(recurrence, cfg.t_max)
+        # 2 (n_spins - 1) / (8 |j|)
+        w_end = min(2.0 * (cfg.n_spins - 1) / (8.0 * abs(cfg.j)), cfg.t_max)
         mask = record.times <= w_end + 1e-12
         w_sigma = float(np.max(record.sigma[mask]))
         w_measure = blp_integral(record.d_system[mask])

@@ -264,18 +264,13 @@ def pair_step_series(
 
     states_j are (n_times, d) arrays of joint state vectors expressed in
     the same orthonormal basis as `h`, with d = d_system * d_environment.
-    The basis may be the full space or any carrier subspace closed under
-    the reduced quantities; the caller guarantees that closure. Returns a
-    dict of float series keyed by TrajectoryRecord field. sz_diagonal,
-    when given, supplies per-basis-state total-magnetization values;
-    otherwise the magnetization columns are NaN.
-
-    H enters every diagnostic contracted with the states on both sides,
-    so environment basis states that neither state occupies at any time
-    are dropped first, exactly: `h`, the states and sz_diagonal are
-    sliced to the occupied ones. A chain pair on the dense path keeps the
-    n_total environment states with at most one flip out of
-    2^(n_total - 1); a carrier run keeps all of them.
+    The basis may be the full space or any subspace closed under the
+    reduced quantities; the caller guarantees that closure. H enters
+    every diagnostic contracted with the states on both sides, so
+    environment states that neither state ever occupies may be left out.
+    Returns a dict of float series keyed by TrajectoryRecord field.
+    sz_diagonal, when given, supplies per-basis-state total-magnetization
+    values; otherwise the magnetization columns are NaN.
 
     With P_j the d_system x d_environment coefficient matrix of state j
     and f = [P_1^T, P_2^T], every H-dependent quantity comes from one
@@ -334,14 +329,6 @@ def pair_step_series(
         raise ValueError(f"hamiltonian shape {h.shape} does not match dimensions ({ds}, {de})")
     if s1.shape != s2.shape or s1.shape[1] != d:
         raise ValueError("state stacks must share shape (n_times, d_system*d_environment)")
-    occupied = np.zeros(de, dtype=bool)
-    for s in (s1, s2):
-        occupied |= (s != 0).reshape(-1, de).any(axis=0)
-    if occupied.any() and not occupied.all():
-        keep = (np.arange(ds)[:, None] * de + np.flatnonzero(occupied)).ravel()
-        h, s1, s2 = h[np.ix_(keep, keep)], s1[:, keep], s2[:, keep]
-        sz_diagonal = None if sz_diagonal is None else np.asarray(sz_diagonal)[keep]
-        de = keep.size // ds
     n_times = s1.shape[0]
     w = ds * min(de, 2 * ds)
     # entries per time: Z, f, its conjugate and H psi_j, and the w x w stacks alive at

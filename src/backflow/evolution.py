@@ -2,20 +2,19 @@
 
 Every trajectory takes one route: factorize a Hermitian matrix once,
 evolve both states of the pair under it (evolve), and hand the two state
-stacks to the diagnostics kernel (pair_step_series). The routes differ
-only in the basis the states are written in:
+stacks to the diagnostics kernel (pair_step_series). Both run on the
+block of basis states that H joins to the pair's support by nonzero
+entries, which is closed under H, so the restriction is exact. The
+routes differ only in the basis the states are written in:
 
-* dense: the full computational basis of the model, with the full
-  Hamiltonian. The reference route, and the only one for generic models.
+* dense: the model's own basis and Hamiltonian. The reference route,
+  and the only one for generic models.
 * subspace: a ChainModel is the chain on its carrier of 2*n_total
   states, the vacuum and single flips of the environment against either
   qubit state. A pair inside the carrier's head, the 0- and
   1-excitation sectors, stays there, so both evolving states, their
-  marginals and their correlation operators live on the carrier. The
-  compression is exact, not approximate. A chain pair that leaves the
-  head runs dense, on ChainModel.dense.
-
-Either route factorizes only the sz sectors (Model.sz_diagonal) that the pair occupies.
+  marginals and their correlation operators live on the carrier. A
+  chain pair that leaves the head runs dense, on ChainModel.dense.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import pair_step_series
-from .linalg import hermitian_eig
+from .linalg import CHECK_TILE, hermitian_eig
 from .model import ChainModel, Model, ProductState, product_pair
 
 __all__ = [
@@ -61,24 +60,35 @@ class TimeGrid:
         return np.linspace(0.0, self.t_max, self.n_steps + 1)
 
 
-def evolve(h: np.ndarray, vectors, times: np.ndarray, sz=None) -> list[np.ndarray]:
+def _reached(h: np.ndarray, vectors) -> np.ndarray:
+    """Mask of the basis states that nonzero entries of h join to the vectors' support.
+
+    h is read CHECK_TILE rows at a time, so no d x d temporary is formed.
+    """
+    reached = frontier = np.any(np.array(vectors) != 0, axis=0)
+    while frontier.any() and not reached.all():
+        rows = np.flatnonzero(frontier)
+        joined = np.zeros_like(reached)
+        for a in range(0, rows.size, CHECK_TILE):
+            joined |= np.any(h[rows[a : a + CHECK_TILE]] != 0, axis=0)
+        frontier = joined & ~reached
+        reached = reached | frontier
+    return reached
+
+
+def evolve(h: np.ndarray, vectors, times: np.ndarray) -> list[np.ndarray]:
     """exp(-i h t) v at every sample time, one (times.size, h.shape[0]) stack per vector v.
 
-    h is factorized once for all vectors. sz, when given, is the
-    magnetization of each basis state: only the sz sectors that the
-    vectors occupy are factorized and evolved, and every other coordinate
-    stays exactly 0. ValueError is raised when a vector does not match h,
-    or when h couples the occupied sectors to any other state.
+    Only the block of basis states that h joins to the vectors' support
+    is factorized, once for all vectors; the block is closed under h, so
+    every other coordinate stays exactly 0. ValueError is raised when a
+    vector does not match h.
     """
     d = h.shape[0]
     if any(np.shape(v) != (d,) for v in vectors):
         raise ValueError(f"state shapes do not all match the dimension {d} of h")
-    block = slice(None)
-    if sz is not None:
-        occupied = np.isin(sz, sz[np.any(np.array(vectors) != 0, axis=0)])
-        if np.any(h[np.ix_(occupied, ~occupied)]):
-            raise ValueError("h couples the occupied sz sectors to other states")
-        block = np.flatnonzero(occupied)
+    reached = _reached(h, vectors)
+    block = slice(None) if reached.all() else np.flatnonzero(reached)
     w, vec = hermitian_eig(h[block][:, block])
     phases = np.exp(-1j * np.outer(w, times))
     stacks = []
@@ -171,6 +181,14 @@ def run_trajectory(
         vectors = [np.kron(vs, ve) for vs, ve in model.dense_pair(pair)]
         model = model.dense
     h, bp, sz, times = model.hamiltonian, model.bipartition, model.sz_diagonal, grid.times
-    s1, s2 = evolve(h, vectors, times, sz)
-    cols = pair_step_series(h, bp.d_system, bp.d_environment, s1, s2, sz_diagonal=sz)
+    ds, de = bp.d_system, bp.d_environment
+    # the reached block lies inside C^ds (x) env and the kernel reads H only between
+    # environment states the pair occupies, so slicing to env is exact for both
+    env = np.flatnonzero(_reached(h, vectors).reshape(ds, de).any(axis=0))
+    if env.size < de:
+        keep = (np.arange(ds)[:, None] * de + env).ravel()
+        h, vectors, de = h[np.ix_(keep, keep)], [v[keep] for v in vectors], env.size
+        sz = None if sz is None else sz[keep]
+    s1, s2 = evolve(h, vectors, times)
+    cols = pair_step_series(h, ds, de, s1, s2, sz_diagonal=sz)
     return TrajectoryRecord(times, path_used="subspace" if subspace else "dense", **cols)

@@ -26,7 +26,8 @@ HERMITIAN_ATOL = 1e-12
 NORM_ATOL = 1e-12
 ENTROPY_CUTOFF = 1e-14
 # edge of the square tiles the Hermiticity check compares, small enough to stay in
-# cache; also the row-block height of the model's sector check
+# cache; also the row-block height of the model's sector check and of the search
+# for the block of H that a run evolves
 CHECK_TILE = 256
 
 

@@ -159,9 +159,8 @@ class Model:
     operator) factors whose kron-sum plus a purely environment-local
     remainder reproduces the Hamiltonian. sz_diagonal, when present, is
     the magnetization of each basis state; the Hamiltonian must conserve
-    it exactly. A run then factorizes only the sz sectors its pair
-    occupies and records the magnetization; without it a run factorizes
-    the whole Hamiltonian and records NaN magnetization.
+    it exactly, as Model checks. A run reads it only for the
+    magnetization columns of its record; without it they are NaN.
     A wrong shape of H or of a factor raises DimensionMismatchError, a
     non-Hermitian H NonHermitianHamiltonianError; both are ValueErrors.
     """
@@ -280,14 +279,14 @@ def run_peak_bytes(n_steps: int, dim: int, block: int) -> int:
     return (n_steps + 1) * (8 + 16 * (2 * dim + block))
 
 
-def chain_run_peak_bytes(n_total: int, n_steps: int, dense: bool) -> int:
+def chain_run_peak_bytes(n_total: int, n_steps: int) -> int:
     """run_peak_bytes of a chain run with n_steps intervals.
 
-    The dense path carries the whole 2^n_total space, the others the
-    2 n_total carrier. Either factorizes only the n_total + 1 states of
-    the 0- and 1-excitation sectors that the chain's pair occupies.
+    Either path holds states on at most 2 n_total coordinates, the qubit
+    against the environment states its pair reaches, and factorizes at
+    most the n_total + 1 states of the 0- and 1-excitation sectors.
     """
-    return run_peak_bytes(n_steps, 2**n_total if dense else 2 * n_total, n_total + 1)
+    return run_peak_bytes(n_steps, 2 * n_total, n_total + 1)
 
 
 def carrier_indices(n_total: int) -> np.ndarray:
@@ -518,10 +517,9 @@ def load_generic_model(path: str | Path) -> Model:
     dims = doc["dims"]
     if not isinstance(dims, dict) or "system" not in dims or "environment" not in dims:
         raise ModelFileError(f"{path}: dims must carry 'system' and 'environment'")
-    try:
-        ds, de = int(dims["system"]), int(dims["environment"])
-    except (TypeError, ValueError) as exc:
-        raise ModelFileError(f"{path}: dims entries must be integers") from exc
+    ds, de = dims["system"], dims["environment"]
+    if any(isinstance(n, bool) or not isinstance(n, int) for n in (ds, de)):
+        raise ModelFileError(f"{path}: dims entries must be integers, got ({ds!r}, {de!r})")
     if ds < 1 or de < 1:
         raise ModelFileError(f"{path}: dims must be positive, got ({ds}, {de})")
     d = ds * de

@@ -26,7 +26,7 @@ from .diagnostics import (
 )
 from .evolution import TimeGrid, evolve, run_trajectory
 from .linalg import Bipartition, haar_random_state, trace_norm
-from .model import ChainModel, ChainParams, Model, build_chain_model
+from .model import ChainParams, Model, build_chain_model
 from .output import TRAJECTORY_CSV
 
 __all__ = [
@@ -143,28 +143,27 @@ def _trajectory_checks(tag: str, record) -> list[CheckResult]:
     return checks
 
 
-def _sample_states(chain: ChainModel, record) -> tuple[np.ndarray, list[np.ndarray]]:
+def _sample_states(model: Model, record) -> tuple[np.ndarray, list[np.ndarray]]:
     """Five evenly spaced sample indices of record, first and last included, and its states there.
 
-    The states are the chain's own pair evolved on chain.dense, whichever
-    route took the record, so a carrier record is checked against the dense route.
+    model is a chain's dense model. The states are its own pair evolved
+    there, whichever route took the record, so a carrier record is checked
+    against the dense route. The checks of one record share them.
     """
     idx = np.linspace(0, record.n_times - 1, 5).astype(int)
-    model = chain.dense
     vectors = [np.kron(vs, ve) for vs, ve in model.initial_pair]
-    return idx, evolve(model.hamiltonian, vectors, record.times[idx], model.sz_diagonal)
+    return idx, evolve(model.hamiltonian, vectors, record.times[idx])
 
 
-def _gamma_route_check(tag: str, chain: ChainModel, record) -> CheckResult:
+def _gamma_route_check(tag: str, model: Model, record, samples) -> CheckResult:
     """Both routes to the first bound term agree along the trajectory.
 
     rho_S = P P^dagger and rho_E = P^T P^* come from each joint vector
     reshaped to its d_S x d_E coefficient matrix P; no d x d matrix is formed.
     """
-    model = chain.dense
     bp = model.bipartition
     worst = 0.0
-    idx, states = _sample_states(chain, record)
+    idx, states = samples
     for k, i in enumerate(idx):
         p = [s[k].reshape(bp.d_system, bp.d_environment) for s in states]
         delta_env = p[0].T @ p[0].conj() - p[1].T @ p[1].conj()
@@ -176,16 +175,15 @@ def _gamma_route_check(tag: str, chain: ChainModel, record) -> CheckResult:
     return CheckResult(f"{tag}: coupling route", worst <= STRUCTURAL_ATOL, f"max mismatch {worst:.3e}")
 
 
-def _kernel_oracle_check(tag: str, chain: ChainModel, record) -> CheckResult:
+def _kernel_oracle_check(tag: str, model: Model, record, samples) -> CheckResult:
     """Kernel columns against the full-matrix oracles along the trajectory.
 
     Both paths share the diagnostics kernel, so this is the comparison
     with an independent implementation.
     """
-    model = chain.dense
     bp = model.bipartition
     worst, worst_col = 0.0, ""
-    idx, states = _sample_states(chain, record)
+    idx, states = samples
     for k, i in enumerate(idx):
         rho_se = [np.outer(s[k], s[k].conj()) for s in states]
         chi = [correlation_operator(r, bp) for r in rho_se]
@@ -220,8 +218,9 @@ def structural_suite() -> list[CheckResult]:
     dense_rec = run_trajectory(dense_model, grid, path="dense")
     sub_rec = run_trajectory(dense_model, grid, path="subspace")
     checks += _trajectory_checks(f"dense n={n_dense}", dense_rec)
-    checks.append(_gamma_route_check(f"dense n={n_dense}", dense_model, dense_rec))
-    checks.append(_kernel_oracle_check(f"dense n={n_dense}", dense_model, dense_rec))
+    samples = _sample_states(dense_model.dense, dense_rec)
+    checks.append(_gamma_route_check(f"dense n={n_dense}", dense_model.dense, dense_rec, samples))
+    checks.append(_kernel_oracle_check(f"dense n={n_dense}", dense_model.dense, dense_rec, samples))
 
     worst_col = ""
     worst = 0.0
@@ -242,7 +241,8 @@ def structural_suite() -> list[CheckResult]:
     sub_grid = TimeGrid(t_max=float(n_sub - 1), n_steps=2000)
     big_rec = run_trajectory(sub_model, sub_grid, path="subspace")
     checks += _trajectory_checks(f"subspace n={n_sub}", big_rec)
-    checks.append(_gamma_route_check(f"subspace n={n_sub}", sub_model, big_rec))
+    samples = _sample_states(sub_model.dense, big_rec)
+    checks.append(_gamma_route_check(f"subspace n={n_sub}", sub_model.dense, big_rec, samples))
 
     sigma_margin = float(np.max(big_rec.sigma - big_rec.bound_total))
     checks.append(

@@ -131,7 +131,7 @@ def test_infeasible_chain_size_exits_2_before_building(tmp_path, capsys, monkeyp
     )
     for path in ("auto", "subspace", "dense"):
         flags = ["--n-spins", "4", "--path", path, *huge]
-        need = chain_run_peak_bytes(4, 10**10, path == "dense")
+        need = chain_run_peak_bytes(4, 10**10)
         assert run_cli("run", "--scenario", "fig1a", *flags, "--out", str(out)) == 2
         assert f"steps=10000000000 needs an estimated {need} bytes" in capsys.readouterr().err
         assert run_cli(*sweep, *flags) == 2
@@ -524,6 +524,13 @@ def test_exit_code_two_paths(tmp_path, capsys):
     assert run_cli("run", "--scenario", "bound-check", "--path", "subspace", "--summary", str(summary)) == 2
     assert "path 'subspace' needs a chain" in capsys.readouterr().err
     assert not summary.exists()
+    # fig2b's window follows a chain's size and coupling, which a model file does not have
+    model_path = write_json(tmp_path, _generic_doc(), "model.json")
+    out = tmp_path / "never.csv"
+    cfg = write_json(tmp_path, {"scenario": "fig2b", "model_file": model_path})
+    assert run_cli("run", "--config", cfg, "--out", str(out), "--summary", str(summary)) == 2
+    assert "fig2b's window needs a chain" in capsys.readouterr().err
+    assert not out.exists() and not summary.exists()
     assert run_cli("run", "--config", str(tmp_path / "absent.json")) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -721,7 +728,7 @@ main(sys.argv[1:])
 model = build_chain_model(ChainParams(n_total=10))
 g = model.hamiltonian
 vectors = [np.kron(vs, ve) for vs, ve in model.initial_pair]
-s1, s2 = evolve(g, vectors, TimeGrid(9.0, 2000).times, model.sz_diagonal)
+s1, s2 = evolve(g, vectors, TimeGrid(9.0, 2000).times)
 pair_step_series(g, 2, 10, s1, s2)
 start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(3):

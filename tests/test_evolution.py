@@ -16,7 +16,7 @@ from backflow.model import (
     total_sz_diagonal,
 )
 from backflow.output import TRAJECTORY_CSV
-from backflow.verify import BOUND_TOLERANCE
+from backflow.verify import BOUND_TOLERANCE, random_generic_model
 
 COLUMNS = tuple(name for _, name in TRAJECTORY_CSV)
 
@@ -113,7 +113,7 @@ def test_reduced_ranks_stay_low(chain6_records):
     bp = full.bipartition
     idx = np.linspace(0, dense.n_times - 1, 5).astype(int)
     (vs, ve), _ = full.initial_pair
-    states, = evolve(full.hamiltonian, [np.kron(vs, ve)], dense.times[idx], full.sz_diagonal)
+    states, = evolve(full.hamiltonian, [np.kron(vs, ve)], dense.times[idx])
     for v in states:
         rho = np.outer(v, v.conj())
         rho_e = partial_trace(rho, bp, "environment")
@@ -237,26 +237,33 @@ def _sector_blocked_h(rng, sz):
     return h
 
 
-def test_evolve_leaves_unoccupied_sectors_exactly_zero(monkeypatch):
-    # three interleaved sectors; the vectors occupy two of them
+def test_evolve_leaves_unreached_coordinates_exactly_zero(monkeypatch):
+    # rows read two at a time, so the search over h takes several row blocks
+    monkeypatch.setattr(evolution, "CHECK_TILE", 2)
+    dims = []
+    original = evolution.hermitian_eig
+    monkeypatch.setattr(evolution, "hermitian_eig", lambda m: dims.append(m.shape[0]) or original(m))
+    times = np.linspace(0.0, 3.0, 7)
     rng = np.random.default_rng(4)
+    # three interleaved sectors, each joined in one step; the vectors start in two of them
     sz = np.array([1.0, -1.0, 3.0, 1.0, 3.0, -1.0, 1.0, 3.0, -1.0])
     h = _sector_blocked_h(rng, sz)
     vectors = []
     for support in (sz == 1.0, sz == -1.0):
         v = np.where(support, rng.normal(size=sz.size) + 1j * rng.normal(size=sz.size), 0.0)
         vectors.append(v / np.linalg.norm(v))
-    times = np.linspace(0.0, 3.0, 7)
-    dims = []
-    original = evolution.hermitian_eig
-    monkeypatch.setattr(evolution, "hermitian_eig", lambda m: dims.append(m.shape) or original(m))
-    blocked = evolve(h, vectors, times, sz)
-    full = evolve(h, vectors, times)
-    assert dims == [(6, 6), (9, 9)]
-    for b, f in zip(blocked, full):
-        assert b.shape == (times.size, sz.size)
-        assert np.all(b[:, sz == 3.0] == 0.0)
-        assert np.max(np.abs(b - f)) <= 1e-13
+    # a pair against the vacuum of a dense n = 6 chain: the search walks the chain site
+    # by site to the n + 1 states of the 0- and 1-excitation sectors
+    chain = build_chain_model(ChainParams(n_total=6, j_sys=0.6, b_field=0.3)).dense
+    chain_vectors = [np.kron(vs, ve) for vs, ve in chain.initial_pair]
+    cases = ((h, vectors, sz != 3.0), (chain.hamiltonian, chain_vectors, total_sz_diagonal(6) >= 4.0))
+    for g, vs, reached in cases:
+        for s, v in zip(evolve(g, vs, times), vs):
+            assert s.shape == (times.size, reached.size)
+            assert np.all(s[:, ~reached] == 0.0)
+            expected = np.array([expm(-1j * t * g) @ v for t in times])
+            assert np.max(np.abs(s - expected)) <= 1e-12
+    assert dims == [6, 7]
 
 
 def test_evolve_refuses_a_vector_that_fits_no_closed_block():
@@ -265,11 +272,7 @@ def test_evolve_refuses_a_vector_that_fits_no_closed_block():
     h = _sector_blocked_h(rng, sz)
     times = np.linspace(0.0, 1.0, 3)
     v = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    assert np.all(evolve(h, [v], times, sz)[0][:, 2:] == 0.0)
-    # the occupied sector leaks into the other one
-    h[1, 3] = h[3, 1] = 1e-300
-    with pytest.raises(ValueError, match="couples the occupied sz sectors"):
-        evolve(h, [v], times, sz)
+    assert np.all(evolve(h, [v], times)[0][:, 2:] == 0.0)
     with pytest.raises(ValueError, match="do not all match"):
         evolve(h, [np.ones(6)], times)
     with pytest.raises(ValueError, match="do not all match"):
@@ -289,7 +292,8 @@ def test_hand_built_model_with_sz_diagonal_records_magnetization(monkeypatch):
     monkeypatch.setattr(evolution, "hermitian_eig", lambda m: dims.append(m.shape[0]) or original(m))
     grid = TimeGrid(t_max=2.0, n_steps=40)
     rec, ref = run_trajectory(declared, grid), run_trajectory(plain, grid)
-    assert dims == [4, 8]  # the sz = 3 and sz = 1 sectors, then all of H
+    # both factorize the sz = 3 and sz = 1 sectors, the block H reaches from the pair
+    assert dims == [4, 4]
     assert rec.path_used == "dense"
     assert np.all(np.isnan(ref.magnetization_1))
     # half the weight on |0>|vacuum> (sz = 3), half on |1>|vacuum> (sz = 1)
@@ -315,3 +319,54 @@ def test_one_factorization_and_one_kernel_call_per_trajectory(path, monkeypatch)
     rec = run_trajectory(model, TimeGrid(t_max=2.0, n_steps=40), path=path)
     assert rec.path_used == path
     assert calls == {"hermitian_eig": 1, "pair_step_series": 1}
+
+
+def test_dense_chain_run_reduces_to_the_block_h_reaches(monkeypatch):
+    # the kernel sees the qubit against the vacuum and the single flips, 2 n columns,
+    # and the factorization the n + 1 states of the 0- and 1-excitation sectors
+    n = 7
+    chain = build_chain_model(ChainParams(n_total=n, j_sys=0.6, b_field=0.3))
+    plain = Model(chain.dense.hamiltonian, chain.dense.bipartition, chain.dense.initial_pair)
+    seen = []
+    sizes = {"hermitian_eig": lambda args: args[0].shape[0], "pair_step_series": lambda args: args[3].shape[1]}
+    for name, size in sizes.items():
+        original = getattr(evolution, name)
+
+        def spy(*args, _name=name, _size=size, _original=original, **kwargs):
+            seen.append((_name, _size(args)))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, name, spy)
+    grid = TimeGrid(t_max=6.0, n_steps=300)
+    rec = run_trajectory(chain, grid, path="dense")
+    # a chain H given as a plain Model, with no sz_diagonal, is reduced the same way
+    ref = run_trajectory(plain, grid)
+    assert seen == [("hermitian_eig", n + 1), ("pair_step_series", 2 * n)] * 2
+    assert rec.path_used == ref.path_used == "dense"
+    assert np.all(np.isnan(ref.magnetization_1))
+    for col in COLUMNS:
+        assert np.max(np.abs(getattr(rec, col) - getattr(ref, col))) <= 1e-12, col
+
+
+def test_dense_run_memory_stays_on_the_reached_block():
+    # n = 12: states over all 4096 coordinates would take 2 x 2001 x 4096 x 16 bytes, 250 MiB
+    model = build_chain_model(ChainParams(n_total=12))
+    model.dense  # built and validated before the measurement: its H alone is 256 MiB
+    tracemalloc.start()
+    try:
+        rec = run_trajectory(model, TimeGrid(11.0, 2000), path="dense")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.path_used == "dense"
+    assert peak < 16 * 2**20, peak
+
+
+def test_a_pair_that_reaches_the_whole_space_runs_on_h_itself(monkeypatch):
+    # random H and factors: every basis state is reached, so nothing is sliced or copied
+    model = random_generic_model(np.random.default_rng(2), 3)
+    given = []
+    original = evolution.pair_step_series
+    monkeypatch.setattr(evolution, "pair_step_series", lambda h, *a, **k: given.append(h) or original(h, *a, **k))
+    run_trajectory(model, TimeGrid(t_max=1.0, n_steps=10))
+    assert len(given) == 1 and given[0] is model.hamiltonian

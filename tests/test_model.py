@@ -368,6 +368,9 @@ def _set(*keys_and_value):
          "environment factor shape (2,)"),
         (_set("interaction_terms", [{"system": _cplx(PAULI["x"]), "environment": _cplx(np.eye(2))}]),
          DimensionMismatchError, "interaction factor shapes"),
+        # a dimension that is not a JSON integer is refused, not truncated by int()
+        (_set("dims", {"system": 2.9, "environment": 4.5}), ModelFileError, "got (2.9, 4.5)"),
+        (_set("dims", "system", True), ModelFileError, "got (True, 3)"),
     ],
 )
 def test_load_rejects_malformed_documents(tmp_path, edit, cls, message):
@@ -429,8 +432,8 @@ def test_chain_builder_matches_kron_reference():
                 assert not np.any(np.delete(f, carrier))
             # which then evolves alike on the carrier and in the 2^n space
             times = np.linspace(0.0, 2.0, 3)
-            on_carrier = evolve(model.hamiltonian, vectors, times, model.sz_diagonal)
-            in_full = evolve(dense.hamiltonian, dense_vectors, times, dense.sz_diagonal)
+            on_carrier = evolve(model.hamiltonian, vectors, times)
+            in_full = evolve(dense.hamiltonian, dense_vectors, times)
             for c, f in zip(on_carrier, in_full):
                 assert np.max(np.abs(f[:, carrier] - c)) <= 1e-12
                 assert not np.any(np.delete(f, carrier, axis=1))
