@@ -26,7 +26,6 @@ from .linalg import (
     Bipartition,
     haar_random_state,
     hermitian_eig,
-    kron,
     partial_trace,
     purity,
     trace_norm,
@@ -93,7 +92,6 @@ __all__ = [
     "haar_random_state",
     "hermitian_eig",
     "interval_contributions",
-    "kron",
     "load_generic_model",
     "mutual_information",
     "partial_trace",

@@ -84,7 +84,7 @@ def bound_term1_branch(model, rho_k_s: np.ndarray, delta_env: np.ndarray) -> flo
     (s, u) environment block of H, Tr_E [H, rho (x) Delta] = [G, rho]
     where G_su = Tr(H_su Delta), so one contraction of H against Delta,
     O(d^2), replaces the d x d commutator. It reads H directly and is
-    independent of the interaction terms and of the batched kernel.
+    independent of any coupling decomposition and of the batched kernel.
     """
     bp = model.bipartition
     blocks = np.asarray(model.hamiltonian).reshape(bp.d_system, bp.d_environment, bp.d_system, bp.d_environment)
@@ -92,22 +92,18 @@ def bound_term1_branch(model, rho_k_s: np.ndarray, delta_env: np.ndarray) -> flo
     return trace_norm(_commutator(g, np.asarray(rho_k_s, dtype=np.complex128)))
 
 
-def bound_term1_from_couplings(model, rho_k_s: np.ndarray, delta_env: np.ndarray) -> float:
-    """Same branch computed through the interaction decomposition.
+def bound_term1_from_couplings(terms, rho_k_s: np.ndarray, delta_env: np.ndarray) -> float:
+    """Same branch computed through a coupling decomposition of H.
 
-    With H = sum_a A_a (x) B_a plus an environment-local remainder, the
-    partial trace collapses to || [sum_a gamma_a A_a, rho_k_S] || with
-    gamma_a = Tr(B_a delta_env), summed entry by entry. Environment-local
-    parts drop out because delta_env is traceless.
+    terms lists (A_a, B_a) system and environment factors such that H
+    minus sum_a A_a (x) B_a acts on the environment alone (for a chain,
+    ChainModel.coupling_terms()). The partial trace collapses to
+    || [sum_a gamma_a A_a, rho_k_S] || with gamma_a = Tr(B_a delta_env),
+    summed entry by entry. Environment-local parts drop out because
+    delta_env is traceless.
     """
-    if model.interaction_terms is None:
-        raise ValueError("model carries no interaction terms")
-    ds = model.bipartition.d_system
-    g = np.zeros((ds, ds), dtype=np.complex128)
     delta = np.asarray(delta_env, dtype=np.complex128)
-    for a, b in model.interaction_terms:
-        gamma = complex(np.einsum("ij,ji->", np.asarray(b), delta))
-        g += gamma * np.asarray(a)
+    g = sum(complex(np.einsum("ij,ji->", b, delta)) * a for a, b in terms)
     return trace_norm(_commutator(g, np.asarray(rho_k_s, dtype=np.complex128)))
 
 

@@ -87,13 +87,17 @@ def evolve(h: np.ndarray, vectors, times: np.ndarray) -> list[np.ndarray]:
     d = h.shape[0]
     if any(np.shape(v) != (d,) for v in vectors):
         raise ValueError(f"state shapes do not all match the dimension {d} of h")
-    reached = _reached(h, vectors)
+    return _propagate(h, vectors, times, _reached(h, vectors))
+
+
+def _propagate(h: np.ndarray, vectors, times: np.ndarray, reached: np.ndarray) -> list[np.ndarray]:
+    """evolve on the block `reached`, a mask closed under h that holds the vectors' support."""
     block = slice(None) if reached.all() else np.flatnonzero(reached)
     w, vec = hermitian_eig(h[block][:, block])
     phases = np.exp(-1j * np.outer(w, times))
     stacks = []
     for v in vectors:
-        series = np.zeros((times.size, d), dtype=np.complex128)
+        series = np.zeros((times.size, h.shape[0]), dtype=np.complex128)
         series[:, block] = (vec @ (phases * (vec.conj().T @ v[block])[:, None])).T
         stacks.append(series)
     return stacks
@@ -183,12 +187,15 @@ def run_trajectory(
     h, bp, sz, times = model.hamiltonian, model.bipartition, model.sz_diagonal, grid.times
     ds, de = bp.d_system, bp.d_environment
     # the reached block lies inside C^ds (x) env and the kernel reads H only between
-    # environment states the pair occupies, so slicing to env is exact for both
-    env = np.flatnonzero(_reached(h, vectors).reshape(ds, de).any(axis=0))
+    # environment states the pair occupies, so slicing to env is exact for both; the
+    # block is closed under H, so on the slice it is reached[keep], found once
+    reached = _reached(h, vectors)
+    env = np.flatnonzero(reached.reshape(ds, de).any(axis=0))
     if env.size < de:
         keep = (np.arange(ds)[:, None] * de + env).ravel()
         h, vectors, de = h[np.ix_(keep, keep)], [v[keep] for v in vectors], env.size
         sz = None if sz is None else sz[keep]
-    s1, s2 = evolve(h, vectors, times)
+        reached = reached[keep]
+    s1, s2 = _propagate(h, vectors, times, reached)
     cols = pair_step_series(h, ds, de, s1, s2, sz_diagonal=sz)
     return TrajectoryRecord(times, path_used="subspace" if subspace else "dense", **cols)

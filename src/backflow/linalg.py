@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "Bipartition",
-    "kron",
     "hermitian_eig",
     "trace_norm",
     "partial_trace",
@@ -48,15 +47,6 @@ class Bipartition:
     @property
     def d_joint(self) -> int:
         return self.d_system * self.d_environment
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two matrices, left factor slowest."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron expects two matrices")
-    return np.kron(a, b)
 
 
 def max_asymmetry(h: np.ndarray) -> float:

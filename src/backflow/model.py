@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import CHECK_TILE, HERMITIAN_ATOL, NORM_ATOL, Bipartition, kron, max_asymmetry
+from .linalg import CHECK_TILE, HERMITIAN_ATOL, NORM_ATOL, Bipartition, max_asymmetry
 
 __all__ = [
     "PAULI",
@@ -47,9 +47,6 @@ PAULI = {
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
 }
 
-INTERACTION_RESIDUAL_ATOL = 1e-12
-
-
 class ModelFileError(ValueError):
     """A generic-model file could not be accepted."""
 
@@ -77,7 +74,7 @@ def pauli_on_site(axis: str, site: int, n_total: int) -> np.ndarray:
         raise ValueError(f"site {site} out of range for {n_total} spins")
     left = np.eye(2**site, dtype=np.complex128)
     right = np.eye(2 ** (n_total - site - 1), dtype=np.complex128)
-    return kron(kron(left, PAULI[axis]), right)
+    return np.kron(np.kron(left, PAULI[axis]), right)
 
 
 def total_sz_diagonal(n_total: int) -> np.ndarray:
@@ -154,21 +151,19 @@ class Model:
     """Joint Hamiltonian, bipartition and a pair of initial product states.
 
     Each initial state is held as its factors (system vector, environment
-    vector), so the pair is uncorrelated by construction.
-    interaction_terms, when present, lists (system operator, environment
-    operator) factors whose kron-sum plus a purely environment-local
-    remainder reproduces the Hamiltonian. sz_diagonal, when present, is
-    the magnetization of each basis state; the Hamiltonian must conserve
-    it exactly, as Model checks. A run reads it only for the
-    magnetization columns of its record; without it they are NaN.
-    A wrong shape of H or of a factor raises DimensionMismatchError, a
-    non-Hermitian H NonHermitianHamiltonianError; both are ValueErrors.
+    vector), so the pair is uncorrelated by construction. sz_diagonal,
+    when present, is the magnetization of each basis state; the
+    Hamiltonian must conserve it exactly, as Model checks. A run reads it
+    only for the magnetization columns of its record; without it they are
+    NaN. Nothing else about H is declared: every diagnostic reads H
+    itself. A wrong shape of H or of a state factor raises
+    DimensionMismatchError, a non-Hermitian H NonHermitianHamiltonianError;
+    both are ValueErrors.
     """
 
     hamiltonian: np.ndarray
     bipartition: Bipartition
     initial_pair: tuple[ProductState, ProductState]
-    interaction_terms: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
     sz_diagonal: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -183,44 +178,12 @@ class Model:
         asym = max_asymmetry(h)
         if asym > HERMITIAN_ATOL:
             raise NonHermitianHamiltonianError(f"hamiltonian not Hermitian, max asymmetry {asym:.3e}")
-        if self.interaction_terms is not None:
-            self._check_interaction_terms(h)
         if self.sz_diagonal is not None:
             sz = np.asarray(self.sz_diagonal, dtype=np.float64)
             if sz.shape != (d,):
                 raise ValueError(f"sz_diagonal shape {sz.shape} does not match dimension {d}")
             object.__setattr__(self, "sz_diagonal", sz)
             self._check_sectors(h)
-
-    def _check_interaction_terms(self, h: np.ndarray) -> None:
-        ds, de = self.bipartition.d_system, self.bipartition.d_environment
-        terms = []
-        for a, b in self.interaction_terms:
-            a = np.asarray(a, dtype=np.complex128)
-            b = np.asarray(b, dtype=np.complex128)
-            if a.shape != (ds, ds) or b.shape != (de, de):
-                raise DimensionMismatchError(
-                    f"interaction factor shapes {a.shape}, {b.shape} do not match bipartition ({ds}, {de})"
-                )
-            terms.append((a, b))
-        blocks = h.reshape(ds, de, ds, de)
-
-        def residual(s: int, t: int) -> np.ndarray:
-            # block (s, t) of h minus that of every kron(a, b), one de x de block at a time
-            r = blocks[s, :, t, :].copy()
-            for a, b in terms:
-                r -= a[s, t] * b
-            return r
-
-        # whatever is left must act on the environment alone: I_S (x) M
-        target = residual(0, 0)
-        for s in range(ds):
-            for t in range(ds):
-                block = residual(s, t) - target if s == t else residual(s, t)
-                if float(np.max(np.abs(block))) > INTERACTION_RESIDUAL_ATOL:
-                    raise ValueError(
-                        "hamiltonian minus interaction terms is not environment-local"
-                    )
 
     def _check_sectors(self, h: np.ndarray) -> None:
         """H conserves sz_diagonal exactly: every entry between two sz sectors is 0."""
@@ -264,10 +227,11 @@ def plus_minus_pair(n_total: int) -> tuple[ProductState, ProductState]:
 def chain_build_peak_bytes(n_total: int) -> int:
     """Upper bound on the memory the dense chain Model needs for n_total spins.
 
-    Four dense 2^n_total-square complex128 matrices: the Hamiltonian
-    plus the temporaries of the Model checks run on it.
+    Two dense 2^n_total-square complex128 matrices: the Hamiltonian,
+    plus headroom for the index arrays it is written from and the tiles
+    of the Model checks, which form no dense temporary.
     """
-    return 4 * np.dtype(np.complex128).itemsize * 4**n_total
+    return 2 * np.dtype(np.complex128).itemsize * 4**n_total
 
 
 def run_peak_bytes(n_steps: int, dim: int, block: int) -> int:
@@ -389,27 +353,31 @@ class ChainModel(Model):
 
     @functools.cached_property
     def dense(self) -> Model:
-        """The full Hamiltonian with interaction terms and magnetization, built and validated once.
+        """The full Hamiltonian and its magnetization, built and validated once.
 
         Its initial pair is the chain's, embedded by dense_pair.
         """
         n = self.params.n_total
-        d_env = 2 ** (n - 1)
-        terms: list[tuple[np.ndarray, np.ndarray]] = []
-        for axis in ("x", "y"):
-            env_op = -2.0 * self.params.j_sys * pauli_on_site(axis, 0, n - 1)
-            terms.append((PAULI[axis].copy(), env_op))
-        if self.params.field_on_system:
-            terms.append(
-                (PAULI["z"].copy(), -2.0 * self.params.b_field * np.eye(d_env, dtype=np.complex128))
-            )
         return Model(
             hamiltonian=_chain_hamiltonian(self.params),
-            bipartition=Bipartition(2, d_env),
+            bipartition=Bipartition(2, 2 ** (n - 1)),
             initial_pair=self.dense_pair(self.initial_pair),
-            interaction_terms=tuple(terms),
             sz_diagonal=total_sz_diagonal(n),
         )
+
+    def coupling_terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(system, environment) factors whose kron sum is the dense H minus an environment-only rest.
+
+        On the 2^(n_total - 1) environment: sx and sy against -2 j_sys
+        times the same Pauli on chain site 1, and under field_on_system sz
+        against -2 b_field I. Only verify's coupling-route check reads them.
+        """
+        p = self.params
+        n_env = p.n_total - 1
+        terms = [(PAULI[a].copy(), -2.0 * p.j_sys * pauli_on_site(a, 0, n_env)) for a in ("x", "y")]
+        if p.field_on_system:
+            terms.append((PAULI["z"].copy(), -2.0 * p.b_field * np.eye(2**n_env, dtype=np.complex128)))
+        return tuple(terms)
 
     def dense_pair(self, pair) -> tuple[ProductState, ProductState]:
         """pair, whose environment factors are carrier coordinates, in the 2^n_total space.
@@ -494,13 +462,13 @@ def load_generic_model(path: str | Path) -> Model:
           "initial_states": [
             {"system_state": [[re, im], ...], "environment_state": [...]},
             {"joint_state": [[re, im], ...]}
-          ],
-          "interaction_terms": [{"system": [[...]], "environment": [[...]]}]
+          ]
         }
 
-    interaction_terms is optional. A joint_state entry must be a product
-    state; correlated input is rejected because every downstream bound
-    assumes uncorrelated initial conditions.
+    Any other top-level key is refused, so a file is never half-read. A
+    joint_state entry must be a product state; correlated input is
+    rejected because every downstream bound assumes uncorrelated initial
+    conditions.
     """
     path = str(path)
     try:
@@ -511,9 +479,13 @@ def load_generic_model(path: str | Path) -> Model:
 
     if not isinstance(doc, dict):
         raise ModelFileError(f"{path}: top level must be an object")
-    for key in ("dims", "hamiltonian", "initial_states"):
+    keys = ("dims", "hamiltonian", "initial_states")
+    for key in keys:
         if key not in doc:
             raise ModelFileError(f"{path}: missing required key '{key}'")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ModelFileError(f"{path}: unknown key {', '.join(repr(k) for k in unknown)}")
     dims = doc["dims"]
     if not isinstance(dims, dict) or "system" not in dims or "environment" not in dims:
         raise ModelFileError(f"{path}: dims must carry 'system' and 'environment'")
@@ -554,27 +526,11 @@ def load_generic_model(path: str | Path) -> Model:
             )
         pair.append((vs, ve))
 
-    terms = None
-    if "interaction_terms" in doc:
-        raw = doc["interaction_terms"]
-        if not isinstance(raw, list):
-            raise ModelFileError(f"{path}: interaction_terms must be a list")
-        parsed = []
-        for i, item in enumerate(raw):
-            where = f"interaction_terms[{i}]"
-            if not isinstance(item, dict) or "system" not in item or "environment" not in item:
-                raise ModelFileError(f"{path}: {where} needs 'system' and 'environment'")
-            a = _complex_array(item["system"], where, path)
-            b = _complex_array(item["environment"], where, path)
-            parsed.append((a, b))
-        terms = tuple(parsed)
-
     try:
         return Model(
             hamiltonian=h,
             bipartition=Bipartition(ds, de),
             initial_pair=(pair[0], pair[1]),
-            interaction_terms=terms,
         )
     except ValueError as exc:
         # a ModelFileError subclass keeps its class; any other check becomes a ModelFileError

@@ -49,10 +49,12 @@ def format_float(x: float) -> str:
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path: str | Path) -> None:
-    columns = [np.asarray(getattr(record, name)) for _, name in TRAJECTORY_CSV]
+    table = np.column_stack([getattr(record, name) for _, name in TRAJECTORY_CSV])
     lines = [",".join(header for header, _ in TRAJECTORY_CSV)]
-    for i in range(record.n_times):
-        lines.append(",".join(format_float(col[i]) for col in columns))
+    # Python floats format faster than numpy scalars; converting a row at a time, not
+    # whole columns, leaves no long-lived float objects among the lines on the heap
+    for row in table:
+        lines.append(",".join(format_float(x) for x in row.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -26,7 +26,7 @@ from .diagnostics import (
 )
 from .evolution import TimeGrid, evolve, run_trajectory
 from .linalg import Bipartition, haar_random_state, trace_norm
-from .model import ChainParams, Model, build_chain_model
+from .model import ChainModel, ChainParams, Model, build_chain_model
 from .output import TRAJECTORY_CSV
 
 __all__ = [
@@ -155,12 +155,15 @@ def _sample_states(model: Model, record) -> tuple[np.ndarray, list[np.ndarray]]:
     return idx, evolve(model.hamiltonian, vectors, record.times[idx])
 
 
-def _gamma_route_check(tag: str, model: Model, record, samples) -> CheckResult:
+def _gamma_route_check(tag: str, chain: ChainModel, record, samples) -> CheckResult:
     """Both routes to the first bound term agree along the trajectory.
 
-    rho_S = P P^dagger and rho_E = P^T P^* come from each joint vector
-    reshaped to its d_S x d_E coefficient matrix P; no d x d matrix is formed.
+    The direct route reads the chain's dense H, the other its coupling
+    terms. rho_S = P P^dagger and rho_E = P^T P^* come from each joint
+    vector reshaped to its d_S x d_E coefficient matrix P; no d x d
+    matrix is formed.
     """
+    model, terms = chain.dense, chain.coupling_terms()
     bp = model.bipartition
     worst = 0.0
     idx, states = samples
@@ -169,7 +172,7 @@ def _gamma_route_check(tag: str, model: Model, record, samples) -> CheckResult:
         delta_env = p[0].T @ p[0].conj() - p[1].T @ p[1].conj()
         for pj, branch in zip(p, (record.term1_branch1, record.term1_branch2)):
             rho_s = pj @ pj.conj().T
-            via_couplings = bound_term1_from_couplings(model, rho_s, delta_env)
+            via_couplings = bound_term1_from_couplings(terms, rho_s, delta_env)
             direct = bound_term1_branch(model, rho_s, delta_env)
             worst = max(worst, abs(via_couplings - float(branch[i])), abs(direct - float(branch[i])))
     return CheckResult(f"{tag}: coupling route", worst <= STRUCTURAL_ATOL, f"max mismatch {worst:.3e}")
@@ -219,7 +222,7 @@ def structural_suite() -> list[CheckResult]:
     sub_rec = run_trajectory(dense_model, grid, path="subspace")
     checks += _trajectory_checks(f"dense n={n_dense}", dense_rec)
     samples = _sample_states(dense_model.dense, dense_rec)
-    checks.append(_gamma_route_check(f"dense n={n_dense}", dense_model.dense, dense_rec, samples))
+    checks.append(_gamma_route_check(f"dense n={n_dense}", dense_model, dense_rec, samples))
     checks.append(_kernel_oracle_check(f"dense n={n_dense}", dense_model.dense, dense_rec, samples))
 
     worst_col = ""
@@ -242,7 +245,7 @@ def structural_suite() -> list[CheckResult]:
     big_rec = run_trajectory(sub_model, sub_grid, path="subspace")
     checks += _trajectory_checks(f"subspace n={n_sub}", big_rec)
     samples = _sample_states(sub_model.dense, big_rec)
-    checks.append(_gamma_route_check(f"subspace n={n_sub}", sub_model.dense, big_rec, samples))
+    checks.append(_gamma_route_check(f"subspace n={n_sub}", sub_model, big_rec, samples))
 
     sigma_margin = float(np.max(big_rec.sigma - big_rec.bound_total))
     checks.append(

@@ -116,7 +116,7 @@ def test_infeasible_chain_size_exits_2_before_building(tmp_path, capsys, monkeyp
     monkeypatch.setattr(cli_mod.os, "sysconf", lambda name: sizes.get(name) or sysconf(name))
     out = tmp_path / "never.csv"
     sweep = ["sweep", "--j0-grid", "0.5", "1.0", "2", "--b-grid", "0.0", "1.0", "2", "--out", str(out)]
-    for n in (14, 30):
+    for n in (15, 30):
         flags = ["--n-spins", str(n), "--path", "dense"]
         assert run_cli("run", "--scenario", "fig1a", *flags, "--out", str(out)) == 2
         assert str(chain_build_peak_bytes(n)) in capsys.readouterr().err

@@ -2,7 +2,6 @@ import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
 from backflow import diagnostics
 from backflow.diagnostics import (
@@ -148,7 +147,6 @@ def test_distinguishability_bound_matches_oracle():
         class Bare:
             hamiltonian = h
             bipartition = bp
-            interaction_terms = None
 
         for _ in range(5):
             r1 = random_density(rng, d)
@@ -161,8 +159,9 @@ def test_distinguishability_bound_matches_oracle():
 
 
 def test_coupling_route_equals_direct():
-    # the interaction-term route drops environment-local parts; equal results
-    model = build_chain_model(ChainParams(n_total=3, j_sys=0.8, b_field=0.2)).dense
+    # the coupling-term route drops environment-local parts; equal results
+    chain = build_chain_model(ChainParams(n_total=3, j_sys=0.8, b_field=0.2))
+    model, terms = chain.dense, chain.coupling_terms()
     rng = np.random.default_rng(6)
     for _ in range(8):
         rho_s = random_density(rng, 2)
@@ -170,7 +169,7 @@ def test_coupling_route_equals_direct():
         e2 = random_density(rng, 4)
         delta = e1 - e2
         direct = bound_term1_branch(model, rho_s, delta)
-        via = bound_term1_from_couplings(model, rho_s, delta)
+        via = bound_term1_from_couplings(terms, rho_s, delta)
         assert abs(direct - via) < 1e-10
 
 
@@ -189,18 +188,6 @@ def test_term1_branch_contracts_hamiltonian_blocks():
             joint = np.kron(rho_s, delta)
             want = trace_norm(partial_trace(h @ joint - joint @ h, bp, "system"))
             assert abs(bound_term1_branch(model, rho_s, delta) - want) <= 1e-12
-
-
-def test_coupling_route_needs_terms():
-    bp = Bipartition(2, 2)
-
-    class Bare:
-        hamiltonian = np.eye(4, dtype=complex)
-        bipartition = bp
-        interaction_terms = None
-
-    with pytest.raises(ValueError):
-        bound_term1_from_couplings(Bare, np.eye(2) / 2, np.zeros((2, 2)))
 
 
 def assert_kernel_matches_oracles(h, bp, s1, s2, sz_diagonal=None):

@@ -7,7 +7,6 @@ from backflow.linalg import (
     Bipartition,
     haar_random_state,
     hermitian_eig,
-    kron,
     partial_trace,
     purity,
     trace_norm,
@@ -95,7 +94,7 @@ def test_partial_trace_of_product():
         a = random_density(rng, 3)
         b = random_density(rng, 4)
         bp = Bipartition(3, 4)
-        joint = kron(a, b)
+        joint = np.kron(a, b)
         assert np.max(np.abs(partial_trace(joint, bp, "system") - a)) < 1e-12
         assert np.max(np.abs(partial_trace(joint, bp, "environment") - b)) < 1e-12
 
@@ -144,15 +143,6 @@ def test_hermitian_eig_allocates_no_dense_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * d * d * np.dtype(np.complex128).itemsize, peak
-
-
-def test_kron_matches_numpy():
-    rng = np.random.default_rng(6)
-    a = random_complex(rng, 3)
-    b = random_complex(rng, 4)
-    assert np.array_equal(kron(a, b), np.kron(a, b))
-    with pytest.raises(ValueError):
-        kron(a, np.ones(4))
 
 
 def test_entropy_values():

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from backflow.cli import main
 from backflow.evolution import evolve
 from backflow.linalg import Bipartition, trace_norm
 from backflow.model import (
@@ -78,17 +79,42 @@ def test_field_on_system_flag():
     assert np.max(np.abs(diff - (-2 * 0.25) * pauli_on_site("z", 0, 3))) < 1e-14
 
 
-def test_interaction_terms_reproduce_coupling():
-    model = build_chain_model(ChainParams(n_total=4, j_sys=0.6)).dense
-    # sum_k (system op) x (environment op) plus a pure-environment rest
-    rebuilt = sum(
-        np.kron(s, e) for s, e in model.interaction_terms
+def _environment_local_residual(h, terms, d_env):
+    """max |entry| of H minus the kron sum of terms, minus I_S (x) its (0, 0) environment block.
+
+    0 exactly when the terms hold every system-environment part of H. H
+    is read one d_env x d_env block at a time, as the blocks of a kron
+    product are.
+    """
+    d_sys = h.shape[0] // d_env
+    blocks = h.reshape(d_sys, d_env, d_sys, d_env)
+
+    def rest(s, t):
+        return blocks[s, :, t, :] - sum(a[s, t] * b for a, b in terms)
+
+    local = rest(0, 0)
+    return max(
+        float(np.max(np.abs(rest(s, t) - local if s == t else rest(s, t))))
+        for s in range(d_sys)
+        for t in range(d_sys)
     )
-    rest = model.hamiltonian - rebuilt
-    # the rest must act trivially on the system: compare the two blocks
-    d_env = model.bipartition.d_environment
-    assert np.max(np.abs(rest[:d_env, :d_env] - rest[d_env:, d_env:])) < 1e-12
-    assert np.max(np.abs(rest[:d_env, d_env:])) < 1e-12
+
+
+def test_interaction_terms_reproduce_coupling():
+    # sum_k (system op) x (environment op) plus a pure-environment rest, with the field on
+    # the qubit its own sz term
+    for field_on_system in (False, True):
+        params = ChainParams(n_total=4, j_sys=0.6, b_field=0.3, field_on_system=field_on_system)
+        chain = build_chain_model(params)
+        terms = chain.coupling_terms()
+        assert len(terms) == (3 if field_on_system else 2)
+        for a, b in terms:
+            assert a.shape == (2, 2) and b.shape == (8, 8)
+        h, d_env = chain.dense.hamiltonian, chain.dense.bipartition.d_environment
+        assert _environment_local_residual(h, terms, d_env) < 1e-12
+        # leaving any term out leaves a coupling behind
+        for k in range(len(terms)):
+            assert _environment_local_residual(h, terms[:k] + terms[k + 1 :], d_env) > 0.1
 
 
 def test_model_rejects_nonhermitian():
@@ -138,8 +164,6 @@ def test_model_rejects_wrong_hamiltonian_and_interaction_shapes():
     pair = plus_minus_pair(2)
     with pytest.raises(DimensionMismatchError, match="hamiltonian shape"):
         Model(np.zeros((6, 6)), Bipartition(2, 2), pair)
-    with pytest.raises(DimensionMismatchError, match="interaction factor shapes"):
-        Model(np.zeros((4, 4)), Bipartition(2, 2), pair, interaction_terms=((PAULI["x"], np.eye(3)),))
 
 
 def test_chain_params_validation():
@@ -297,25 +321,27 @@ def test_load_rejects_malformed_json(tmp_path):
     assert "broken.json" in str(err.value)
 
 
-def test_load_accepts_interaction_terms(tmp_path):
+def test_load_refuses_unknown_keys(tmp_path, capsys):
+    # a key the loader does not read is refused, not skipped: an older file that
+    # carries interaction terms fails loudly instead of being half-read
     doc = _valid_doc()
-    # write H = sx x E + pure-environment part so the split is exact
-    e_op = np.diag([0.2, -0.1, 0.5]).astype(complex)
-    env_only = np.diag([1.0, 2.0, 3.0]).astype(complex)
-    h = np.kron(PAULI["x"], e_op) + np.kron(np.eye(2), env_only)
-    doc["hamiltonian"] = _cplx(h)
-    doc["interaction_terms"] = [{"system": _cplx(PAULI["x"]), "environment": _cplx(e_op)}]
-    model = load_generic_model(_write_model(tmp_path, doc))
-    assert len(model.interaction_terms) == 1
-
-
-def test_load_rejects_wrong_interaction_terms(tmp_path):
-    doc = _valid_doc()
-    doc["interaction_terms"] = [
-        {"system": _cplx(PAULI["x"]), "environment": _cplx(np.eye(3))}
-    ]
-    with pytest.raises(ModelFileError):
-        load_generic_model(_write_model(tmp_path, doc))
+    doc["interaction_terms"] = [{"system": _cplx(PAULI["x"]), "environment": _cplx(np.eye(3))}]
+    path = _write_model(tmp_path, doc)
+    with pytest.raises(ModelFileError) as err:
+        load_generic_model(path)
+    assert type(err.value) is ModelFileError
+    assert str(err.value) == f"{path}: unknown key 'interaction_terms'"
+    doc["comment"] = "x"
+    path = _write_model(tmp_path, doc)
+    with pytest.raises(ModelFileError, match="unknown key 'comment', 'interaction_terms'$"):
+        load_generic_model(path)
+    # run exits 2 and writes nothing
+    out, summary = tmp_path / "never.csv", tmp_path / "never.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "custom", "model_file": path}))
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--summary", str(summary)]) == 2
+    assert "unknown key 'comment', 'interaction_terms'" in capsys.readouterr().err
+    assert not out.exists() and not summary.exists()
 
 
 def _drop(key):
@@ -350,11 +376,6 @@ def _set(*keys_and_value):
         (_set("initial_states", 0, {"system_state": _vec([1, 0])}), ModelFileError, "needs either"),
         (_set("initial_states", 1, {"joint_state": _vec([1, 0, 0, 0])}), DimensionMismatchError,
          "joint_state has dimension 4, expected 6"),
-        (_set("interaction_terms", {"system": [], "environment": []}), ModelFileError,
-         "interaction_terms must be a list"),
-        (_set("interaction_terms", [{"system": _cplx(PAULI["x"])}]), ModelFileError,
-         "needs 'system' and 'environment'"),
-        (_set("interaction_terms", ["sx"]), ModelFileError, "needs 'system' and 'environment'"),
         (_set("hamiltonian", [[[1.0, 0.0, 0.0]]]), ModelFileError, "[re, im] pairs"),
         (_set("hamiltonian", "h"), ModelFileError, "[re, im] pairs"),
         (_set("initial_states", 0, "system_state", [[1.0, 0.0], [0.0]]), ModelFileError,
@@ -366,8 +387,6 @@ def _set(*keys_and_value):
         (_set("hamiltonian", 0, 1, [5.0, 0.0]), NonHermitianHamiltonianError, "not Hermitian"),
         (_set("initial_states", 0, "environment_state", _vec([1, 0])), DimensionMismatchError,
          "environment factor shape (2,)"),
-        (_set("interaction_terms", [{"system": _cplx(PAULI["x"]), "environment": _cplx(np.eye(2))}]),
-         DimensionMismatchError, "interaction factor shapes"),
         # a dimension that is not a JSON integer is refused, not truncated by int()
         (_set("dims", {"system": 2.9, "environment": 4.5}), ModelFileError, "got (2.9, 4.5)"),
         (_set("dims", "system", True), ModelFileError, "got (True, 3)"),
@@ -417,8 +436,9 @@ def test_chain_builder_matches_kron_reference():
             dense = model.dense
             gap = np.max(np.abs(dense.hamiltonian - _kron_chain_hamiltonian(params)))
             assert gap <= 1e-15, (n, field_on_system, gap)
-            # the model's own metadata still passes its checks on this H
-            dense._check_interaction_terms(dense.hamiltonian)
+            # the chain's coupling decomposition and magnetization still hold on this H
+            residual = _environment_local_residual(dense.hamiltonian, model.coupling_terms(), 2 ** (n - 1))
+            assert residual <= 1e-12, (n, field_on_system, residual)
             dense._check_sectors(dense.hamiltonian)
             # the subspace path's carrier block is the dense block, bit for bit
             carrier = carrier_indices(n)
@@ -439,10 +459,10 @@ def test_chain_builder_matches_kron_reference():
                 assert not np.any(np.delete(f, carrier, axis=1))
 
 
-def test_chain_build_memory_stays_below_four_dense_matrices():
+def test_chain_build_memory_stays_below_two_dense_matrices():
     # n = 11, d = 2048: one d x d complex matrix is 64 MiB
     d = 2**11
-    budget = 4 * d * d * np.dtype(np.complex128).itemsize
+    budget = 2 * d * d * np.dtype(np.complex128).itemsize
     assert chain_build_peak_bytes(11) == budget
     tracemalloc.start()
     try:

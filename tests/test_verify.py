@@ -19,7 +19,6 @@ def test_random_generic_model_shape():
         for vs, ve in model.initial_pair:
             psi = np.kron(vs, ve)
             assert abs(purity(np.outer(psi, psi.conj())) - 1.0) < 1e-10
-        assert model.interaction_terms is None
         assert model.sz_diagonal is None
 
 
