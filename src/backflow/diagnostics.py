@@ -48,11 +48,11 @@ def trace_distance(r1, r2) -> float:
 
 
 def correlation_operator(rho_se, bipartition: Bipartition) -> np.ndarray:
-    """chi = rho_SE - rho_S (x) rho_E, the correlation part of a joint state."""
+    """chi = rho_SE - rho_S (x) rho_E, the correlation part of a joint state, or of each in a stack."""
     m = np.asarray(rho_se, dtype=np.complex128)
     rho_s = partial_trace(m, bipartition, "system")
     rho_e = partial_trace(m, bipartition, "environment")
-    return m - np.kron(rho_s, rho_e)
+    return m - _kron(rho_s, rho_e)
 
 
 def env_indistinguishability(rho1_env, rho2_env) -> float:
@@ -60,24 +60,43 @@ def env_indistinguishability(rho1_env, rho2_env) -> float:
     return 1.0 - trace_distance(rho1_env, rho2_env)
 
 
-def correlation_distance(chi1: np.ndarray, chi2: np.ndarray) -> float:
-    """Half the trace norm of the difference of two correlation operators."""
+def correlation_distance(chi1: np.ndarray, chi2: np.ndarray):
+    """Half the trace norm of the difference of two correlation operators, or of each pair in stacks."""
     return 0.5 * trace_norm(np.asarray(chi1) - np.asarray(chi2))
 
 
 class BoundTerms(NamedTuple):
-    """The two commutator terms and their half-sum bounding sigma."""
+    """The two commutator terms and their half-sum bounding sigma, one value per pair of a stack."""
 
-    term1: float
-    term2: float
-    total: float
+    term1: np.ndarray
+    term2: np.ndarray
+    total: np.ndarray
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def bound_term1_branch(model, rho_k_s: np.ndarray, delta_env: np.ndarray) -> float:
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b for square a and b, broadcast over leading axes.
+
+    It multiplies as np.kron does, so a single pair gives np.kron's bits.
+    The kernel's _kron_stack forms the same products through einsum,
+    which rounds some of them differently.
+    """
+    da, db = a.shape[-1], b.shape[-1]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], da * db, da * db)
+
+
+def _log2_kept(w: np.ndarray) -> np.ndarray:
+    """log2 of the eigenvalues at or above ENTROPY_CUTOFF, 0 for the rest."""
+    logs = np.zeros_like(w)
+    np.log2(w, out=logs, where=w >= ENTROPY_CUTOFF)
+    return logs
+
+
+def bound_term1_branch(model, rho_k_s: np.ndarray, delta_env: np.ndarray):
     """One k-branch of the environment-difference term, read from H's blocks.
 
     Evaluates || Tr_E [H, rho_k_S (x) (rho1_E - rho2_E)] ||. With H_su the
@@ -85,14 +104,16 @@ def bound_term1_branch(model, rho_k_s: np.ndarray, delta_env: np.ndarray) -> flo
     where G_su = Tr(H_su Delta), so one contraction of H against Delta,
     O(d^2), replaces the d x d commutator. It reads H directly and is
     independent of any coupling decomposition and of the batched kernel.
+    rho_k_s and delta_env broadcast over leading axes: both branches of
+    one Delta, a (2, d_S, d_S) rho_k_s, share one contraction.
     """
     bp = model.bipartition
     blocks = np.asarray(model.hamiltonian).reshape(bp.d_system, bp.d_environment, bp.d_system, bp.d_environment)
-    g = np.einsum("aebf,fe->ab", blocks, np.asarray(delta_env, dtype=np.complex128))
+    g = np.einsum("aebf,...fe->...ab", blocks, np.asarray(delta_env, dtype=np.complex128))
     return trace_norm(_commutator(g, np.asarray(rho_k_s, dtype=np.complex128)))
 
 
-def bound_term1_from_couplings(terms, rho_k_s: np.ndarray, delta_env: np.ndarray) -> float:
+def bound_term1_from_couplings(terms, rho_k_s: np.ndarray, delta_env: np.ndarray):
     """Same branch computed through a coupling decomposition of H.
 
     terms lists (A_a, B_a) system and environment factors such that H
@@ -100,10 +121,11 @@ def bound_term1_from_couplings(terms, rho_k_s: np.ndarray, delta_env: np.ndarray
     ChainModel.coupling_terms()). The partial trace collapses to
     || [sum_a gamma_a A_a, rho_k_S] || with gamma_a = Tr(B_a delta_env),
     summed entry by entry. Environment-local parts drop out because
-    delta_env is traceless.
+    delta_env is traceless. rho_k_s and delta_env broadcast as in
+    bound_term1_branch.
     """
     delta = np.asarray(delta_env, dtype=np.complex128)
-    g = sum(complex(np.einsum("ij,ji->", b, delta)) * a for a, b in terms)
+    g = sum(np.einsum("ij,...ji->...", b, delta)[..., None, None] * a for a, b in terms)
     return trace_norm(_commutator(g, np.asarray(rho_k_s, dtype=np.complex128)))
 
 
@@ -113,7 +135,8 @@ def distinguishability_bound(model, rho1_se, rho2_se) -> BoundTerms:
     term1 is minimized over which reduced system state multiplies the
     difference of environment marginals; term2 measures how differently
     the two correlation operators rotate under H. The bound on sigma is
-    (term1 + term2) / 2.
+    (term1 + term2) / 2. The joint states may be (..., d, d) stacks of
+    pairs, one bound per pair.
     """
     bp = model.bipartition
     h = model.hamiltonian
@@ -121,46 +144,46 @@ def distinguishability_bound(model, rho1_se, rho2_se) -> BoundTerms:
     m2 = np.asarray(rho2_se, dtype=np.complex128)
     rho_s = [partial_trace(m, bp, "system") for m in (m1, m2)]
     rho_e = [partial_trace(m, bp, "environment") for m in (m1, m2)]
-    chi = [m - np.kron(s, e) for m, s, e in zip((m1, m2), rho_s, rho_e)]
+    chi = [m - _kron(s, e) for m, s, e in zip((m1, m2), rho_s, rho_e)]
     delta_e = rho_e[0] - rho_e[1]
     branches = [
-        trace_norm(partial_trace(_commutator(h, np.kron(s, delta_e)), bp, "system"))
+        trace_norm(partial_trace(_commutator(h, _kron(s, delta_e)), bp, "system"))
         for s in rho_s
     ]
-    term1 = min(branches)
+    term1 = np.minimum(*branches)
     term2 = trace_norm(partial_trace(_commutator(h, chi[0] - chi[1]), bp, "system"))
     return BoundTerms(term1, term2, 0.5 * (term1 + term2))
 
 
 def _eigen_rates(x: np.ndarray, x_dot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w_k of Hermitian x and their rates <u_k| x_dot |u_k>."""
+    """Eigenvalues w_k of each Hermitian x in a stack and their rates <u_k| x_dot |u_k>."""
     w, u = np.linalg.eigh(x)
-    return w, np.real(np.einsum("ak,ab,bk->k", u.conj(), x_dot, u))
+    return w, np.real(np.einsum("...ak,...ab,...bk->...k", u.conj(), x_dot, u))
 
 
-def _entropy_rate(rho: np.ndarray, rho_dot: np.ndarray) -> float:
+def _entropy_rate(rho: np.ndarray, rho_dot: np.ndarray):
     """dS/dt = -sum_k <u_k| drho/dt |u_k> log2 p_k, dropping p_k < ENTROPY_CUTOFF."""
     p, rates = _eigen_rates(rho, rho_dot)
-    kept = p >= ENTROPY_CUTOFF
-    return -float(np.sum(rates[kept] * np.log2(p[kept])))
+    return -np.sum(rates * _log2_kept(p), axis=-1)
 
 
-def sigma_from_generator(model, rho1_se, rho2_se) -> float:
+def sigma_from_generator(model, rho1_se, rho2_se):
     """sigma = dD/dt of the system trace distance, by full-matrix algebra.
 
     sigma = 1/2 sum_k sgn(w_k) <u_k| dDelta/dt |u_k> over the eigenpairs
     of Delta = rho1_S - rho2_S, where dDelta/dt = -i Tr_E [H, rho1_SE -
-    rho2_SE]. sgn(0) = 0, so sigma is 0 where Delta vanishes.
+    rho2_SE]. sgn(0) = 0, so sigma is 0 where Delta vanishes. The joint
+    states may be (..., d, d) stacks, one sigma per pair.
     """
     bp = model.bipartition
     diff = np.asarray(rho1_se, dtype=np.complex128) - np.asarray(rho2_se, dtype=np.complex128)
     diff_dot = -1j * _commutator(model.hamiltonian, diff)
     w, rates = _eigen_rates(partial_trace(diff, bp, "system"), partial_trace(diff_dot, bp, "system"))
-    return 0.5 * float(np.sum(np.sign(w) * rates))
+    return 0.5 * np.sum(np.sign(w) * rates, axis=-1)
 
 
-def didt_from_generator(model, rho_se) -> float:
-    """dI/dt of I = S(rho_S) + S(rho_E) - S(rho_SE), in bits, by full-matrix algebra."""
+def didt_from_generator(model, rho_se):
+    """dI/dt of I = S(rho_S) + S(rho_E) - S(rho_SE), in bits, by full-matrix algebra, per state of a stack."""
     bp = model.bipartition
     rho = np.asarray(rho_se, dtype=np.complex128)
     rho_dot = -1j * _commutator(model.hamiltonian, rho)
@@ -170,8 +193,8 @@ def didt_from_generator(model, rho_se) -> float:
     return total
 
 
-def mutual_information(rho_se, bipartition: Bipartition) -> float:
-    """S(rho_S) + S(rho_E) - S(rho_SE), in bits."""
+def mutual_information(rho_se, bipartition: Bipartition):
+    """S(rho_S) + S(rho_E) - S(rho_SE), in bits, per state of a stack."""
     m = np.asarray(rho_se, dtype=np.complex128)
     s_sys = von_neumann_entropy(partial_trace(m, bipartition, "system"))
     s_env = von_neumann_entropy(partial_trace(m, bipartition, "environment"))
@@ -213,13 +236,6 @@ def _eigen_rate_2x2(x: np.ndarray, x_dot: np.ndarray | None = None) -> tuple[np.
     proj = half * (x_dot[:, 0, 0].real - x_dot[:, 1, 1].real) + 2.0 * (x[:, 0, 1] * x_dot[:, 1, 0]).real
     split = np.divide(proj, r, out=np.zeros_like(r), where=r > 0)
     return w, 0.5 * np.stack([tr - split, tr + split], axis=-1)
-
-
-def _log2_kept(w: np.ndarray) -> np.ndarray:
-    """log2 of the eigenvalues at or above ENTROPY_CUTOFF, 0 for the rest."""
-    logs = np.zeros_like(w)
-    np.log2(w, out=logs, where=w >= ENTROPY_CUTOFF)
-    return logs
 
 
 def _entropy_stack(w: np.ndarray) -> np.ndarray:

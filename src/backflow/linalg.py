@@ -79,34 +79,34 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values of a square matrix."""
+def trace_norm(a: np.ndarray):
+    """Sum of singular values of a square matrix, or of each in a (..., d, d) stack."""
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"trace norm defined here for square matrices, got shape {a.shape}")
-    return float(np.linalg.svd(a, compute_uv=False).sum())
+    return np.linalg.svd(a, compute_uv=False).sum(axis=-1)
 
 
 def partial_trace(m, bipartition: Bipartition, keep: str = "system") -> np.ndarray:
-    """Reduce a joint operator to one factor of `bipartition`.
+    """Reduce a joint operator, or each in a (..., d, d) stack, to one factor of `bipartition`.
 
     keep="system" traces out the environment, keep="environment" traces
     out the system.
     """
     x = np.asarray(m, dtype=np.complex128)
     ds, de = bipartition.d_system, bipartition.d_environment
-    if x.shape != (ds * de, ds * de):
+    if x.shape[-2:] != (ds * de, ds * de):
         raise ValueError(f"operator shape {x.shape} does not match bipartition ({ds}, {de})")
-    t = x.reshape(ds, de, ds, de)
+    t = x.reshape(*x.shape[:-2], ds, de, ds, de)
     if keep == "system":
-        return np.einsum("abcb->ac", t)
+        return np.einsum("...abcb->...ac", t)
     if keep == "environment":
-        return np.einsum("abad->bd", t)
+        return np.einsum("...abad->...bd", t)
     raise ValueError(f"keep must be 'system' or 'environment', got {keep!r}")
 
 
-def von_neumann_entropy(rho) -> float:
-    """Entropy -sum(p log2 p) of a density operator, in bits.
+def von_neumann_entropy(rho):
+    """Entropy -sum(p log2 p) of a density operator, or of each in a stack, in bits.
 
     Eigenvalues below 1e-14 are treated as exactly zero so that rounding
     noise from reductions of pure states cannot contribute.
@@ -115,7 +115,7 @@ def von_neumann_entropy(rho) -> float:
     w = np.where(w < ENTROPY_CUTOFF, 0.0, w)
     logs = np.zeros_like(w)
     np.log2(w, out=logs, where=w > 0)
-    return float(-(w * logs).sum())
+    return -(w * logs).sum(axis=-1)
 
 
 def purity(rho) -> float:

@@ -7,6 +7,7 @@ each kind is traced here exactly as the benchmark traces it.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,10 +27,13 @@ def _argv(kind: str, out: Path) -> list[str]:
     if kind == "dense":
         chain = ["--n-spins", "5", "--path", "dense", "--steps", "50"]
         return ["run", "--scenario", "fig1a", *chain, *csv, *summary]
+    if kind == "measure":
+        scan = ["--pair", "equatorial:3", "--n-spins", "6", "--steps", "50"]
+        return ["run", "--scenario", "measure", *scan, *csv, *summary]
     return ["verify", "--models", "2", *summary]
 
 
-@pytest.mark.parametrize("kind", ["sweep", "dense", "verify"])
+@pytest.mark.parametrize("kind", ["sweep", "dense", "measure", "verify"])
 def test_traced_op_reads_every_layer(kind, tmp_path, capsys):
     tracer = spans.Tracer()
     traced_main = tracer.wrap(spans.ROOT, cli.main)
@@ -40,3 +44,22 @@ def test_traced_op_reads_every_layer(kind, tmp_path, capsys):
     assert hooks.missing == []
     metrics = spans.layer_metrics(tracer.spans, 1, hooks)
     assert [name for name, value in metrics.items() if value is None] == []
+
+
+def test_traced_verify_calls_every_oracle_once_per_model_or_sample(tmp_path, capsys):
+    # the oracles take stacks: one bound call per random model and one for the five
+    # kernel-oracle samples; both coupling routes once per sample of the two records
+    hooks = tuple(
+        (f"{name}.{attribute}" if name == "diagnostics.oracle" else name, module, attribute, attrs)
+        for name, module, attribute, attrs in spans.HOOKS
+    )
+    tracer = spans.Tracer()
+    with spans.Hooks(tracer, hooks):
+        code = cli.main(_argv("verify", tmp_path))
+    capsys.readouterr()
+    assert code == 0
+    calls = Counter(span.name for span in tracer.spans)
+    assert calls["diagnostics.oracle.distinguishability_bound"] == 2 + 1
+    assert calls["diagnostics.oracle.bound_term1_branch"] == 2 * 5
+    assert calls["diagnostics.oracle.bound_term1_from_couplings"] == 2 * 5
+    assert calls["diagnostics.kernel"] > 0

@@ -201,6 +201,22 @@ def test_csv_roundtrips_float64(tmp_path):
     assert np.array_equal(got_sigma, rec.sigma)
 
 
+def test_csv_fields_format_as_format_float(tmp_path):
+    from backflow import ChainParams, TimeGrid, build_chain_model, run_trajectory
+    from backflow.output import TRAJECTORY_CSV, format_float, write_trajectory_csv
+
+    rec = run_trajectory(build_chain_model(ChainParams(n_total=4)), TimeGrid(3.0, 5), path="auto")
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1])
+    assert special.size == rec.n_times
+    rec = dataclasses.replace(rec, sigma=special, didt_1=-special)
+    out = tmp_path / "t.csv"
+    write_trajectory_csv(rec, out)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    want = [[format_float(getattr(rec, name)[i]) for _, name in TRAJECTORY_CSV] for i in range(rec.n_times)]
+    assert rows == want
+    assert [row[2] for row in rows] == ["nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "0.10000000000000001"]
+
+
 def test_determinism(tmp_path):
     # default-density grid: the bound flag tolerance assumes dt near 0.0045
     args = ["run", "--scenario", "fig1a", "--n-spins", "5", "--steps", "900"]

@@ -2,6 +2,7 @@ import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from backflow import diagnostics
 from backflow.diagnostics import (
@@ -27,6 +28,7 @@ from backflow.linalg import (
     von_neumann_entropy,
 )
 from backflow.model import ChainParams, build_chain_model, total_sz_diagonal
+from backflow.verify import random_generic_model
 
 
 def random_density(rng, d):
@@ -156,6 +158,55 @@ def test_distinguishability_bound_matches_oracle():
             assert abs(got.term1 - t1) < 1e-10
             assert abs(got.term2 - t2) < 1e-10
             assert abs(got.total - 0.5 * (t1 + t2)) < 1e-10
+
+
+def test_stacked_oracles_equal_their_loops():
+    # one call on a (n, d, d) stack gives, bit for bit, the n single-matrix calls
+    rng = np.random.default_rng(19)
+    chain = build_chain_model(ChainParams(n_total=6, b_field=0.01))
+    models = [random_generic_model(rng, d_env) for d_env in (2, 3, 4, 8)] + [chain.dense]
+    times = np.linspace(0.25, 5.0, 4)
+    for model in models:
+        bp = model.bipartition
+        states = evolve(model.hamiltonian, [np.kron(vs, ve) for vs, ve in model.initial_pair], times)
+        rho = [s[:, :, None] * s.conj()[:, None, :] for s in states]
+        for k, s in enumerate(states):
+            assert np.array_equal(rho[k][2], np.outer(s[2], s[2].conj()))
+        chi = [correlation_operator(r, bp) for r in rho]
+        oracles = [
+            (lambda r1, r2: np.stack(distinguishability_bound(model, r1, r2), axis=-1), rho),
+            (lambda r1, r2: sigma_from_generator(model, r1, r2), rho),
+            (lambda r: didt_from_generator(model, r), rho[:1]),
+            (lambda r: mutual_information(r, bp), rho[:1]),
+            (von_neumann_entropy, rho[:1]),
+            (lambda r: correlation_operator(r, bp), rho[1:]),
+            (correlation_distance, chi),
+            (trace_norm, chi[:1]),
+            (lambda r: partial_trace(r, bp, "system"), rho[:1]),
+            (lambda r: partial_trace(r, bp, "environment"), rho[:1]),
+        ]
+        for oracle, args in oracles:
+            looped = np.stack([oracle(*(a[k] for a in args)) for k in range(times.size)])
+            assert np.array_equal(oracle(*args), looped)
+
+        # the first bound term: both branches of each time, and every time at once
+        p = [s.reshape(-1, bp.d_system, bp.d_environment) for s in states]
+        rho_s = np.stack([q @ q.conj().transpose(0, 2, 1) for q in p], axis=1)
+        delta_env = p[0].transpose(0, 2, 1) @ p[0].conj() - p[1].transpose(0, 2, 1) @ p[1].conj()
+        routes = [lambda r, dl: bound_term1_branch(model, r, dl)]
+        if model is chain.dense:
+            terms = chain.coupling_terms()
+            routes.append(lambda r, dl: bound_term1_from_couplings(terms, r, dl))
+        for route in routes:
+            looped = np.array([[route(rho_s[k, j], delta_env[k]) for j in (0, 1)] for k in range(times.size)])
+            assert np.array_equal(np.stack([route(rho_s[k], delta_env[k]) for k in range(times.size)]), looped)
+            assert np.array_equal(route(rho_s, delta_env[:, None]), looped)
+
+    for shape in ((2, 3), (4, 2, 3)):
+        with pytest.raises(ValueError):
+            trace_norm(np.ones(shape))
+    with pytest.raises(ValueError):
+        partial_trace(np.ones((3, 6, 6)), Bipartition(2, 4))
 
 
 def test_coupling_route_equals_direct():

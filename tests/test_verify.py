@@ -34,6 +34,10 @@ def test_bound_suite_small():
     checks, worst, rows = bound_suite(n_models=6, seed=7)
     assert all(c.passed for c in checks)
     assert worst < 0.0
+    # the summary JSON takes these as they are: a numpy bool does not serialize
+    assert all(type(c.passed) is bool for c in checks)
+    assert type(worst) is float
+    assert all(type(r["max_sigma_minus_bound"]) is float for r in rows)
     assert len(rows) == 6
     assert {r["d_env"] for r in rows} <= {2, 3, 4, 8}
     for r in rows:
@@ -43,6 +47,7 @@ def test_bound_suite_small():
 def test_structural_suite_passes():
     checks = structural_suite()
     assert all(c.passed for c in checks), [c.line() for c in checks if not c.passed]
+    assert all(type(c.passed) is bool for c in checks)
     names = " ".join(c.name for c in checks)
     assert "purity" in names and "magnetization" in names
     assert "paths agree" in names
