@@ -81,8 +81,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a (x) b for square a and b, broadcast over leading axes.
 
     It multiplies as np.kron does, so a single pair gives np.kron's bits.
-    The kernel's _kron_stack forms the same products through einsum,
-    which rounds some of them differently.
     """
     da, db = a.shape[-1], b.shape[-1]
     prod = a[..., :, None, :, None] * b[..., None, :, None, :]
@@ -96,6 +94,11 @@ def _log2_kept(w: np.ndarray) -> np.ndarray:
     return logs
 
 
+def _transposed(x) -> np.ndarray:
+    """A contiguous complex copy of x with its last two axes swapped."""
+    return np.ascontiguousarray(np.swapaxes(np.asarray(x, dtype=np.complex128), -1, -2))
+
+
 def bound_term1_branch(model, rho_k_s: np.ndarray, delta_env: np.ndarray):
     """One k-branch of the environment-difference term, read from H's blocks.
 
@@ -105,11 +108,13 @@ def bound_term1_branch(model, rho_k_s: np.ndarray, delta_env: np.ndarray):
     O(d^2), replaces the d x d commutator. It reads H directly and is
     independent of any coupling decomposition and of the batched kernel.
     rho_k_s and delta_env broadcast over leading axes: both branches of
-    one Delta, a (2, d_S, d_S) rho_k_s, share one contraction.
+    one Delta, a (2, d_S, d_S) rho_k_s, share one contraction. It runs
+    against Delta's transpose, so that both operands stream along their
+    rows; H itself is never copied.
     """
     bp = model.bipartition
     blocks = np.asarray(model.hamiltonian).reshape(bp.d_system, bp.d_environment, bp.d_system, bp.d_environment)
-    g = np.einsum("aebf,...fe->...ab", blocks, np.asarray(delta_env, dtype=np.complex128))
+    g = np.einsum("aebf,...ef->...ab", blocks, _transposed(delta_env))
     return trace_norm(_commutator(g, np.asarray(rho_k_s, dtype=np.complex128)))
 
 
@@ -122,10 +127,10 @@ def bound_term1_from_couplings(terms, rho_k_s: np.ndarray, delta_env: np.ndarray
     || [sum_a gamma_a A_a, rho_k_S] || with gamma_a = Tr(B_a delta_env),
     summed entry by entry. Environment-local parts drop out because
     delta_env is traceless. rho_k_s and delta_env broadcast as in
-    bound_term1_branch.
+    bound_term1_branch, and the traces run against delta_env's transpose.
     """
-    delta = np.asarray(delta_env, dtype=np.complex128)
-    g = sum(np.einsum("ij,...ji->...", b, delta)[..., None, None] * a for a, b in terms)
+    delta_t = _transposed(delta_env)
+    g = sum(np.einsum("ij,...ij->...", b, delta_t)[..., None, None] * a for a, b in terms)
     return trace_norm(_commutator(g, np.asarray(rho_k_s, dtype=np.complex128)))
 
 
@@ -203,13 +208,6 @@ def mutual_information(rho_se, bipartition: Bipartition):
 
 # --- batched kernel -------------------------------------------------------
 
-def _ptrace_stack(x: np.ndarray, ds: int, de: int, keep: str) -> np.ndarray:
-    t = x.reshape(x.shape[0], ds, de, ds, de)
-    if keep == "system":
-        return np.einsum("cabdb->cad", t)
-    return np.einsum("cabae->cbe", t)
-
-
 def _eigen_rate_stack(x: np.ndarray, x_dot: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues w_k of each Hermitian x, ascending, and, given x_dot, their rates <u_k| x_dot |u_k>."""
     if x_dot is None:
@@ -218,24 +216,31 @@ def _eigen_rate_stack(x: np.ndarray, x_dot: np.ndarray | None = None) -> tuple[n
     return w, np.einsum("cak,cab,cbk->ck", u.conj(), x_dot, u).real
 
 
-def _eigen_rate_2x2(x: np.ndarray, x_dot: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """_eigen_rate_stack for 2 x 2 x, in closed form.
+def _parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parts (t, h, o) of Hermitian 2 x 2 x[:, :, ...]: Tr x / 2, (x_00 - x_11) / 2 and x_01, over trailing axes.
 
-    With m = Tr x / 2 and r = hypot((x_00 - x_11) / 2, |x_01|) the
-    eigenvalues are m -+ r, and the rates are (Tr x_dot -+ Tr((x - m)
-    x_dot) / r) / 2, both Tr x_dot / 2 where r = 0.
+    x = t I + h sigma_z + Re(o) sigma_x - Im(o) sigma_y, with eigenvalues
+    t -+ r, r = hypot(h, |o|).
     """
-    half = 0.5 * (x[:, 0, 0].real - x[:, 1, 1].real)
-    m = 0.5 * (x[:, 0, 0].real + x[:, 1, 1].real)
-    r = np.hypot(half, np.abs(x[:, 0, 1]))
-    w = np.stack([m - r, m + r], axis=-1)
-    if x_dot is None:
-        return w, None
-    tr = x_dot[:, 0, 0].real + x_dot[:, 1, 1].real
-    # Tr((x - m) x_dot) = half (x_dot_00 - x_dot_11) + 2 Re(x_01 x_dot_10) for Hermitian x
-    proj = half * (x_dot[:, 0, 0].real - x_dot[:, 1, 1].real) + 2.0 * (x[:, 0, 1] * x_dot[:, 1, 0]).real
-    split = np.divide(proj, r, out=np.zeros_like(r), where=r > 0)
-    return w, 0.5 * np.stack([tr - split, tr + split], axis=-1)
+    a, b = x[0, 0].real, x[1, 1].real
+    return 0.5 * (a + b), 0.5 * (a - b), x[0, 1]
+
+
+def _eigen_rates_2x2(h, o, r, dot_t, dot_h, dot_o) -> tuple[np.ndarray, np.ndarray]:
+    """Rates <u_-+| x_dot |u_-+> of the eigenvalues t -+ r of a Hermitian 2 x 2 x from its parts and x_dot's.
+
+    They are dot_t -+ (h dot_h + Re(o conj(dot_o))) / r, both dot_t where r = 0.
+    """
+    split = np.divide(h * dot_h + (o * dot_o.conj()).real, r, out=np.zeros_like(r), where=r > 0)
+    return dot_t - split, dot_t + split
+
+
+def _commutator_parts(a_h, a_o, b_h, b_o) -> tuple[np.ndarray, np.ndarray]:
+    """Parts (h, o) of i[A, B] for Hermitian 2 x 2 A and B given by theirs; i[A, B] is traceless.
+
+    ||i[A, B]||_1 = 2 hypot(h, |o|) = 2 hypot(2 Im(a_o conj(b_o)), 2 |a_h b_o - b_h a_o|).
+    """
+    return -2.0 * (a_o * b_o.conj()).imag, 2j * (a_h * b_o - b_h * a_o)
 
 
 def _entropy_stack(w: np.ndarray) -> np.ndarray:
@@ -243,25 +248,20 @@ def _entropy_stack(w: np.ndarray) -> np.ndarray:
     return -(w * _log2_kept(w)).sum(axis=-1)
 
 
-def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    c, da, _ = a.shape
-    db = b.shape[1]
-    return np.einsum("cad,cbe->cabde", a, b).reshape(c, da * db, da * db)
-
-
-def _trace_norm_stack(x: np.ndarray, eig=_eigen_rate_stack) -> np.ndarray:
-    """Trace norms of stacked Hermitian x, from eigenvalues by `eig`."""
-    return np.abs(eig(x)[0]).sum(axis=-1)
+def _trace_norm_stack(x: np.ndarray) -> np.ndarray:
+    """Trace norms of stacked Hermitian x, from their eigenvalues."""
+    return np.abs(np.linalg.eigvalsh(x)).sum(axis=-1)
 
 
 def _det_2xk(c: np.ndarray) -> np.ndarray:
-    """det(c c^dagger) of each 2 x k c by Cauchy-Binet: sum over i < l of |c_0i c_1l - c_0l c_1i|^2.
+    """det(c c^dagger) of 2 x k c[:, :, ...] by Cauchy-Binet: sum over i < l of |c_0i c_1l - c_0l c_1i|^2.
 
     Unlike p_0 p_1 from eigenvalues, it keeps full relative precision near
     a product state, where the small Schmidt weight is lost to round-off.
     """
-    minors = c[:, 0, :, None] * c[:, 1, None, :]
-    return 0.5 * (np.abs(minors - minors.transpose(0, 2, 1)) ** 2).sum(axis=(1, 2))
+    i, l = np.triu_indices(c.shape[1], 1)
+    minors = c[0, i] * c[1, l] - c[0, l] * c[1, i]
+    return (minors.real**2 + minors.imag**2).sum(axis=0)
 
 
 def pair_step_series(
@@ -284,13 +284,15 @@ def pair_step_series(
     sz_diagonal, when given, supplies per-basis-state total-magnetization
     values; otherwise the magnetization columns are NaN.
 
-    With P_j the d_system x d_environment coefficient matrix of state j
-    and f = [P_1^T, P_2^T], every H-dependent quantity comes from one
-    GEMM per chunk, Z = H (|c> (x) P_j[x]^T) for each system basis state
-    |c> and each row P_j[x], which costs O(d_system^3 d_environment^2)
-    per time:
+    With P_j the d_system x d_environment coefficient matrix of state j,
+    every H-dependent quantity comes from one GEMM per chunk and column
+    block of H, Z = H (|c> (x) P_j[x]^T) for each system basis state |c>
+    and each row P_j[x], which costs O(d_system^3 d_environment^2) per
+    time. Time is Z's last axis, so what follows reduces Z along whole
+    rows and H is never copied:
     - G_j = Tr_E[H (I (x) rho_E^j)] = sum_x <P_j[x]| H_ac |P_j[x]>, with
-      H_ac the (a, c) environment block of H
+      H_ac the (a, c) environment block of H: Z weighted in place by
+      conj(P_j[x]) and summed
     - H psi_j, the sum of Z's slices with c = x, and M_j = Tr_E[H psi_j
       psi_j^dagger] = (H psi_j) P_j^dagger
     From these d_system x d_system blocks:
@@ -315,22 +317,28 @@ def pair_step_series(
     rather than assumed 1. The chi{j}_ptrace_* residuals are the largest
     entries of the partial traces of chi_j on C^d_system (x) W.
 
-    For a qubit (d_system = 2) only two eigenproblems per time go to
-    LAPACK: Delta_E (k x k) and chi_1 - chi_2 (8 x 8). The rest are
-    closed forms:
-    - every 2 x 2 Hermitian spectrum (rho_S^j, Delta, the three
-      commutator terms) and the eigenvalue rates behind sigma and didt_1;
-      the small eigenvalue of rho_S^j is det rho_S^j over the large one,
-      with the determinant by Cauchy-Binet from c_j
+    For a qubit (d_system = 2) a chunk makes three LAPACK calls: the QR,
+    and the eigenvalues of Delta_E (k x k) and of chi_1 - chi_2 (8 x 8).
+    Every 2 x 2 Hermitian quantity (rho_S^j, d rho_S^j/dt, G_j, G_1 -
+    G_2, Delta) is held as three arrays over time: half its trace t, half
+    its diagonal difference h and its 01 entry o. Its eigenvalues are t
+    -+ hypot(h, |o|), and for Hermitian A and B
+        ||i[A, B]||_1 = 2 hypot(2 Im(a_o conj(b_o)), 2 |a_h b_o - b_h a_o|),
+    which gives both term1 branches and, with the parts of d rho_S^j/dt,
+    term2, all without a matrix product. The rest are closed forms too:
+    - the eigenvalue rates behind sigma and didt_1; the small eigenvalue
+      of rho_S^j is det rho_S^j over the large one, with the determinant
+      by Cauchy-Binet from c_j
     - ||chi_j||_1 = 2 sqrt(det rho_S^j) + 2 det rho_S^j
     Other d_system take every spectrum from LAPACK, in matrices of at
     most w-square.
 
-    Work is chunked along the time axis so that the arrays a chunk holds
-    at once (Z, 2 d_system^3 d_environment entries per time; f, its
-    conjugate and H psi_j, 2 d_system d_environment each; and the w x w
-    stacks) hold at most CHUNK_ELEMENTS entries (but always at least one
-    time). Z is freed before the w x w stacks are built.
+    Work is chunked along the time axis so that a chunk's arrays hold at
+    most CHUNK_ELEMENTS entries (but always at least one time). The count
+    adds Z (2 d_system^3 d_environment entries per time), f, its
+    conjugate and H psi_j (2 d_system d_environment each), and 4 w^2, twice
+    the chi_j stacks of both states. Z is freed before chi_j is built,
+    so the count is an upper bound.
     """
     h = np.asarray(h, dtype=np.complex128)
     s1 = np.atleast_2d(np.asarray(states_1, dtype=np.complex128))
@@ -343,81 +351,145 @@ def pair_step_series(
         raise ValueError("state stacks must share shape (n_times, d_system*d_environment)")
     n_times = s1.shape[0]
     w = ds * min(de, 2 * ds)
-    # entries per time: Z, f, its conjugate and H psi_j, and the w x w stacks alive at
-    # once (chi_1, chi_2 and the kron term it is built with, or an eigensolver's copy)
+    # entries per time: Z, f, its conjugate and H psi_j, then twice the chi_j of both states
     chunk = max(1, CHUNK_ELEMENTS // (2 * ds**3 * de + 6 * ds * de + 4 * w * w))
-    # rows (a, b, c) by columns b' of H, transposed: f^T @ hv gives Z without copying H
-    hv = h.reshape(ds * de * ds, de).T
     # an empty stack still runs one (empty) chunk, so every key is present
     parts = [
-        _chunk_series(hv, ds, de, s1[a : a + chunk], s2[a : a + chunk], sz_diagonal)
+        _chunk_series(h, ds, de, s1[a : a + chunk], s2[a : a + chunk], sz_diagonal)
         for a in range(0, max(n_times, 1), chunk)
     ]
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
-def _chunk_series(hv, ds, de, s1, s2, sz_diagonal) -> dict[str, np.ndarray]:
+def _chunk_series(h, ds, de, s1, s2, sz_diagonal) -> dict[str, np.ndarray]:
     n = s1.shape[0]
+    nt = 2 * n
     psi = {1: s1, 2: s2}
-    # row (j, x) of f^T is row x of P_j
+    # row (j, x) of ft is row x of P_j
     ft = np.concatenate([s.reshape(n, ds, de) for s in (s1, s2)], axis=1)
-    # P_j^T = Q R_j with orthonormal Q spanning both environment supports; only R is needed
+    # [P_1^T, P_2^T] = Q R with orthonormal Q spanning both environment supports; only R is needed
     r = np.linalg.qr(ft.transpose(0, 2, 1), mode="r")
     k = r.shape[1]
-    # Z[t, j, x, a, b, c] = (H (|c> (x) P_j[x]^T))_ab
-    z = (ft.reshape(n * 2 * ds, de) @ hv).reshape(n, 2, ds, ds, de, ds)
-    fc = ft.conj().reshape(n, 2, ds, de)
-    g = np.einsum("tjxb,tjxabc->tjac", fc, z)
-    # M_j = (H psi_j) P_j^dagger, H psi_j the sum of Z's slices with c = x
-    m = np.einsum("tjcabc->tjab", z) @ fc.transpose(0, 1, 3, 2)
-    del ft, z, fc  # freed before the w x w stacks
-    qubit = ds == 2
-    eig = _eigen_rate_2x2 if qubit else _eigen_rate_stack
-    out, rho_s, rho_e, chi, rho_dot, tr_chi = {}, {}, {}, {}, {}, {}
+    w = ds * k
+    # f[b, (x, t, j)] = P_j[x, b] at time t
+    f = np.ascontiguousarray(ft.reshape(n, 2, ds, de).transpose(3, 2, 0, 1)).reshape(de, ds * nt)
+    del ft
+    # z[c, (a, b), (x, t, j)] = (H (|c> (x) P_j[x]^T))_ab, one GEMM per column block of H
+    z = np.empty((ds, ds * de, ds * nt), dtype=np.complex128)
+    for col in range(ds):
+        np.matmul(h[:, col * de : (col + 1) * de], f, out=z[col])
+    # H psi_j, the sum of z's columns with x = c
+    h_psi = z[0, :, :nt].copy()
+    for col in range(1, ds):
+        h_psi += z[col, :, col * nt : (col + 1) * nt]
+    fc = f.conj()
+    # m[a, a', t, j] = M_j[a, a'] = ((H psi_j) P_j^dagger)_aa'
+    m = np.einsum("abt,bxt->axt", h_psi.reshape(ds, de, nt), fc.reshape(de, ds, nt)).reshape(ds, ds, n, 2)
+    # g[a, c, t, j] = G_j[a, c] = sum_x <P_j[x]| H_ac |P_j[x]>: z weighted in place by conj(P_j[x, b])
+    weighted = z.reshape(ds * ds, de, ds * nt)
+    weighted *= fc
+    g = z.reshape(ds, ds, de, ds, nt).sum(axis=(2, 3)).swapaxes(0, 1).reshape(ds, ds, n, 2)
+    del f, z, weighted, h_psi, fc  # freed before the w x w stacks
+    # rho_S^j = c_j c_j^dagger with c_j = R_j^T, by stacked matmul, which fixes D_system's rounding
+    c = r.reshape(n, k, 2, ds).transpose(0, 2, 3, 1)
+    rho_s = c @ c.conj().swapaxes(-1, -2)
+    # from here on time is the last axis: c[a, b, t, j] = (c_j)_ab at time t
+    c = np.ascontiguousarray(c.transpose(2, 3, 0, 1))
+    c_conj = c.conj()
+    v, v_conj = c.reshape(w, nt), c_conj.reshape(w, nt)
+    norms = (np.abs(v) ** 2).sum(axis=0).reshape(n, 2)
+    # chi[p, q, t, j] = (chi_j)_pq = (v_j v_j^dagger - rho_S^j (x) rho_E^j)_pq, one system block at a time
+    chi = (v[:, None] * v_conj[None, :]).reshape(w, w, n, 2)
+    rho_e = np.einsum("abtj,aetj->betj", c, c_conj)
+    blocks = chi.reshape(ds, k, ds, k, n, 2)
+    for a in range(ds):
+        for b in range(ds):
+            blocks[a, :, b] -= rho_s[:, :, a, b] * rho_e
+    residual_sys = np.abs(np.einsum("abdbtj->adtj", blocks)).max(axis=(0, 1))
+    residual_env = np.abs(np.einsum("abaetj->betj", blocks)).max(axis=(0, 1))
+    out = {}
     for j in (1, 2):
-        c = r[:, :, (j - 1) * ds : j * ds].transpose(0, 2, 1)
-        rho_s[j] = c @ c.conj().transpose(0, 2, 1)
-        rho_e[j] = c.transpose(0, 2, 1) @ c.conj()
-        v = c.reshape(n, ds * k)
-        chi[j] = v[:, :, None] * v.conj()[:, None, :]
-        chi[j] -= _kron_stack(rho_s[j], rho_e[j])
-        anti = m[:, j - 1] - m[:, j - 1].conj().transpose(0, 2, 1)
-        rho_dot[j] = -1j * anti
-        tr_chi[j] = anti - _commutator(g[:, j - 1], rho_s[j])
-        # only didt_1 needs the eigenvalue rates
-        p, rates = eig(rho_s[j], rho_dot[j] if j == 1 else None)
-        if qubit:
-            det = _det_2xk(c)
-            # det / p_1 keeps the small eigenvalue's relative precision, which m - r loses
-            p[:, 0] = det / p[:, 1]
-            out[f"chi{j}_norm"] = 2.0 * np.sqrt(det) + 2.0 * det
-        else:
-            out[f"chi{j}_norm"] = _trace_norm_stack(chi[j])
-        if j == 1:
-            out["didt_1"] = -2.0 * (rates * _log2_kept(p)).sum(axis=-1)
-        svn_system = _entropy_stack(p)
-        out[f"svn_system_{j}"] = svn_system
-        # S(rho_E^j) = S(rho_S^j)
-        out[f"mutual_info_{j}"] = 2.0 * svn_system - _entropy_stack((np.abs(v) ** 2).sum(axis=1)[:, None])
         probs = np.abs(psi[j]) ** 2
         out[f"purity_{j}"] = probs.sum(axis=1) ** 2
         out[f"magnetization_{j}"] = np.full(n, np.nan) if sz_diagonal is None else probs @ sz_diagonal
-        out[f"chi{j}_ptrace_sys"] = np.abs(_ptrace_stack(chi[j], ds, k, "system")).max(axis=(1, 2))
-        out[f"chi{j}_ptrace_env"] = np.abs(_ptrace_stack(chi[j], ds, k, "environment")).max(axis=(1, 2))
-
-    w, rates = eig(rho_s[1] - rho_s[2], rho_dot[1] - rho_dot[2])
-    out["d_system"] = 0.5 * np.abs(w).sum(axis=-1)
-    out["sigma"] = 0.5 * (np.sign(w) * rates).sum(axis=-1)
-    out["d_env"] = 0.5 * _trace_norm_stack(rho_e[1] - rho_e[2])
-    out["e_indist"] = 1.0 - out["d_env"]
-    dchi = chi.pop(1)
-    dchi -= chi.pop(2)  # in place: no further w x w stack
-    out["x_corr"] = 0.5 * _trace_norm_stack(dchi)
-    # each commutator is anti-Hermitian: its trace norm is that of i times it
-    g_delta = g[:, 0] - g[:, 1]
+        out[f"chi{j}_ptrace_sys"] = residual_sys[:, j - 1]
+        out[f"chi{j}_ptrace_env"] = residual_env[:, j - 1]
+    if ds == 2:
+        _qubit_columns(out, c, rho_s, g, m)
+    else:
+        _stack_columns(out, rho_s, *(x.transpose(2, 3, 0, 1) for x in (chi, g, m)))
     for j in (1, 2):
-        out[f"term1_branch{j}"] = _trace_norm_stack(1j * _commutator(g_delta, rho_s[j]), eig)
-    out["bound_term2"] = _trace_norm_stack(1j * (tr_chi[1] - tr_chi[2]), eig)
+        # S(rho_E^j) = S(rho_S^j)
+        out[f"mutual_info_{j}"] = 2.0 * out[f"svn_system_{j}"] - _entropy_stack(norms[:, j - 1, None])
+    out["d_env"] = 0.5 * _trace_norm_stack((rho_e[..., 0] - rho_e[..., 1]).transpose(2, 0, 1))
+    out["e_indist"] = 1.0 - out["d_env"]
+    dchi = chi[..., 0]
+    dchi -= chi[..., 1]  # in place: no further w x w stack
+    out["x_corr"] = 0.5 * _trace_norm_stack(dchi.transpose(2, 0, 1))
     out["bound_term1"] = np.minimum(out["term1_branch1"], out["term1_branch2"])
     out["bound_total"] = 0.5 * (out["bound_term1"] + out["bound_term2"])
     return out
+
+
+def _stack_columns(out, rho_s, chi, g, m) -> None:
+    """The d_system x d_system columns of a chunk, every spectrum from LAPACK; stacks are (time, j, ...)."""
+    rho_dot, tr_chi = {}, {}
+    for j in (1, 2):
+        anti = m[:, j - 1] - m[:, j - 1].conj().transpose(0, 2, 1)
+        rho_dot[j] = -1j * anti
+        tr_chi[j] = anti - _commutator(g[:, j - 1], rho_s[:, j - 1])
+        # only didt_1 needs the eigenvalue rates
+        p, rates = _eigen_rate_stack(rho_s[:, j - 1], rho_dot[j] if j == 1 else None)
+        out[f"chi{j}_norm"] = _trace_norm_stack(chi[:, j - 1])
+        if j == 1:
+            out["didt_1"] = -2.0 * (rates * _log2_kept(p)).sum(axis=-1)
+        out[f"svn_system_{j}"] = _entropy_stack(p)
+    w, rates = _eigen_rate_stack(rho_s[:, 0] - rho_s[:, 1], rho_dot[1] - rho_dot[2])
+    out["d_system"] = 0.5 * np.abs(w).sum(axis=-1)
+    out["sigma"] = 0.5 * (np.sign(w) * rates).sum(axis=-1)
+    # each commutator is anti-Hermitian: its trace norm is that of i times it
+    g_delta = g[:, 0] - g[:, 1]
+    for j in (1, 2):
+        out[f"term1_branch{j}"] = _trace_norm_stack(1j * _commutator(g_delta, rho_s[:, j - 1]))
+    out["bound_term2"] = _trace_norm_stack(1j * (tr_chi[1] - tr_chi[2]))
+
+
+def _qubit_columns(out, c, rho_s, g, m) -> None:
+    """The 2 x 2 columns of a qubit chunk in closed form.
+
+    rho_s is a (time, j, 2, 2) stack; c[a, b, time, j] = (c_j)_ab, and
+    g[a, b, time, j] = G_j[a, b], with m holding M_j alike. Each
+    Hermitian 2 x 2 (rho_S^j, d rho_S^j/dt, G_j, G_1 - G_2, Delta) is
+    held as its _parts.
+    """
+    t, h, o = _parts(rho_s.transpose(2, 3, 0, 1))
+    r = np.hypot(h, np.abs(o))
+    det = _det_2xk(c)
+    # det / p_1 keeps the small eigenvalue's relative precision, which t - r loses
+    big = t + r
+    small = det / big
+    logs = _log2_kept(small), _log2_kept(big)
+    svn = -(small * logs[0] + big * logs[1])
+    chi_norm = 2.0 * np.sqrt(det) + 2.0 * det
+    _, g_h, g_o = _parts(g)
+    # d rho_S^j/dt = -i (M_j - M_j^dagger)
+    dot_t, dot_h, dot_o = _parts(-1j * (m - m.conj().swapaxes(0, 1)))
+    rates = _eigen_rates_2x2(h[:, 0], o[:, 0], r[:, 0], dot_t[:, 0], dot_h[:, 0], dot_o[:, 0])
+    out["didt_1"] = -2.0 * (rates[0] * logs[0][:, 0] + rates[1] * logs[1][:, 0])
+    # term1 branch j = ||i[G_1 - G_2, rho_S^j]||_1
+    comm_h, comm_o = _commutator_parts((g_h[:, 0] - g_h[:, 1])[:, None], (g_o[:, 0] - g_o[:, 1])[:, None], h, o)
+    term1 = 2.0 * np.hypot(comm_h, np.abs(comm_o))
+    for j in (1, 2):
+        out[f"svn_system_{j}"] = svn[:, j - 1]
+        out[f"chi{j}_norm"] = chi_norm[:, j - 1]
+        out[f"term1_branch{j}"] = term1[:, j - 1]
+    # -i Tr_E[H, chi_j] = d rho_S^j/dt + i[G_j, rho_S^j], traceless as Tr M_j = <psi_j|H|psi_j> is real
+    comm_h, comm_o = _commutator_parts(g_h, g_o, h, o)
+    x_h, x_o = dot_h + comm_h, dot_o + comm_o
+    out["bound_term2"] = 2.0 * np.hypot(x_h[:, 0] - x_h[:, 1], np.abs(x_o[:, 0] - x_o[:, 1]))
+    t, h, o = _parts((rho_s[:, 0] - rho_s[:, 1]).transpose(1, 2, 0))
+    r = np.hypot(h, np.abs(o))
+    out["d_system"] = 0.5 * (np.abs(t - r) + np.abs(t + r))
+    rates = _eigen_rates_2x2(h, o, r, *(part[:, 0] - part[:, 1] for part in (dot_t, dot_h, dot_o)))
+    # sgn(0) = 0: sigma is 0 where Delta vanishes
+    out["sigma"] = 0.5 * (np.sign(t - r) * rates[0] + np.sign(t + r) * rates[1])

@@ -382,6 +382,75 @@ def test_qubit_route_keeps_chi_norm_near_a_product_state():
         assert np.max(np.abs(out[key] - exact)) < 1e-13, key
 
 
+def test_qubit_closed_forms_on_degenerate_inputs():
+    rng = np.random.default_rng(18)
+    bp = Bipartition(2, 4)
+    env = np.eye(4)
+    # H = I (x) H_E: G_j = Tr(H_E rho_E^j) I, so G_1 - G_2 is proportional to I
+    h = np.kron(np.eye(2), random_hamiltonian(rng, 4))
+    out = assert_kernel_matches_oracles(h, bp, haar_stack(rng, 8), haar_stack(rng, 8))
+    assert np.all(out["term1_branch1"] == 0.0) and np.all(out["term1_branch2"] == 0.0)
+    assert np.all(out["bound_term1"] == 0.0)
+    # two maximally entangled states: rho_S^j = I / 2, so Delta = 0 exactly while dDelta/dt is not
+    h = random_hamiltonian(rng, 8)
+    s = 1.0 / np.sqrt(2.0)
+    psi1 = (s * (np.kron([1, 0], env[0]) + np.kron([0, 1], env[1])))[None].astype(complex)
+    psi2 = (s * (np.kron([1, 0], env[1]) + np.kron([0, 1], env[0])))[None].astype(complex)
+    diff = np.outer(psi1[0], psi1[0].conj()) - np.outer(psi2[0], psi2[0].conj())
+    assert np.max(np.abs(partial_trace(h @ diff - diff @ h, bp, "system"))) > 0.1
+    out = assert_kernel_matches_oracles(h, bp, psi1, psi2)
+    assert out["d_system"][0] == 0.0 and out["sigma"][0] == 0.0
+    assert np.allclose([out["svn_system_1"][0], out["svn_system_2"][0]], 1.0, atol=1e-15)
+    # diagonal H, and states whose system rows occupy disjoint environment states: G_j and
+    # rho_S^j are diagonal, so both commutators vanish
+    h = np.diag(rng.normal(size=8)).astype(complex)
+    amps = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    psi1 = (amps[0, 0] * np.kron([1, 0], env[0]) + amps[0, 1] * np.kron([0, 1], env[1]))[None]
+    psi2 = (amps[1, 0] * np.kron([1, 0], env[2]) + amps[1, 1] * np.kron([0, 1], env[3]))[None]
+    out = assert_kernel_matches_oracles(h, bp, psi1, psi2)
+    assert out["term1_branch1"][0] == 0.0 and out["term1_branch2"][0] == 0.0
+    # purely imaginary 01 entries: H = sigma_y (x) B + I (x) H_E with real B and H_E, and
+    # states (|0>|u> + i|1>|u'>) / sqrt(2) with real u, u', so G_j and rho_S^j have imaginary 01 entries
+    sigma_y = np.array([[0, -1j], [1j, 0]])
+    b, h_env = (np.real(random_hamiltonian(rng, 4)) for _ in range(2))
+    h = np.kron(sigma_y, b) + np.kron(np.eye(2), h_env)
+    stacks = []
+    for _ in range(2):
+        u = rng.normal(size=(3, 2, 4))
+        u /= np.linalg.norm(u, axis=2, keepdims=True)
+        stacks.append(s * (np.kron([1, 0], u[:, 0]) + 1j * np.kron([0, 1], u[:, 1])))
+    rho = partial_trace(np.outer(stacks[0][0], stacks[0][0].conj()), bp, "system")
+    assert abs(rho[0, 1].real) < 1e-15 < abs(rho[0, 1].imag)
+    assert_kernel_matches_oracles(h, bp, *stacks)
+
+
+@pytest.mark.parametrize("de", [1, 3, 10])
+def test_qubit_chunk_makes_three_lapack_calls(monkeypatch, de):
+    # each chunk: one QR and the eigenvalues of Delta_E and of chi_1 - chi_2; every
+    # other 2 x 2 quantity is a closed form, with no eigh, svd or stacked commutator
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("qr", "eigvalsh", "eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(diagnostics, "_commutator", counted("_commutator", diagnostics._commutator))
+    # one time per chunk
+    monkeypatch.setattr(diagnostics, "CHUNK_ELEMENTS", 1)
+    rng = np.random.default_rng(19)
+    d, n_times = 2 * de, 5
+    pair_step_series(random_hamiltonian(rng, d), 2, de, haar_stack(rng, d, n_times), haar_stack(rng, d, n_times))
+    assert calls.pop("qr") == n_times
+    assert calls.pop("eigvalsh") <= 2 * n_times
+    assert calls == {}
+
+
 def test_pair_step_series_matches_oracles_on_unoccupied_environment_states(monkeypatch):
     # a full H couples every basis state, but the states vanish on some environment states
     # at every time; which ones each state occupies changes from step to step, and each
@@ -438,6 +507,8 @@ def test_pair_step_series_chunk_bounds_every_per_time_array(chain10_model, chain
     finally:
         tracemalloc.stop()
     assert peak < 500_000 * np.dtype(np.complex128).itemsize, peak
+    # the kernel holds no copy of Z, its largest array, nor of H
+    assert peak < 5 * 2**20, peak
 
 
 def test_pair_step_series_chunking_invariant(monkeypatch):
