@@ -32,11 +32,8 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .measure import (
-    EquatorialScan,
     MeasureReport,
-    ModelPair,
-    PlusMinusPair,
-    RandomPairs,
+    PairFamily,
     blp_integral,
     blp_measure,
     down_up_crossings,
@@ -69,14 +66,11 @@ __all__ = [
     "CheckResult",
     "CorrelatedInitialStateError",
     "DimensionMismatchError",
-    "EquatorialScan",
     "MeasureReport",
     "Model",
     "ModelFileError",
-    "ModelPair",
     "NonHermitianHamiltonianError",
-    "PlusMinusPair",
-    "RandomPairs",
+    "PairFamily",
     "TimeGrid",
     "TrajectoryRecord",
     "blp_integral",

@@ -30,15 +30,7 @@ import numpy as np
 
 # run_trajectory is not called here; perfbench/spans.py hooks it under this module's name
 from .evolution import TimeGrid, run_trajectory  # noqa: F401
-from .measure import (
-    EquatorialScan,
-    ModelPair,
-    PlusMinusPair,
-    RandomPairs,
-    blp_integral,
-    blp_measure,
-    down_up_crossings,
-)
+from .measure import PairFamily, blp_integral, blp_measure, down_up_crossings
 from .model import (
     ChainParams,
     ModelFileError,
@@ -155,7 +147,7 @@ class RunConfig(_ChainKeys):
     field_on_system: bool = _key(
         _want_bool, False, "apply the transverse field to the system qubit too"
     )
-    pair: str = _key(_want_str, "paper", "paper | equatorial:K | random:N")
+    pair: str = _key(_want_str, "paper", "paper | equatorial:K | random:N | file")
     seed: int = _key(_want_int, 7, "seed for randomized inputs")
     out: str | None = _key(_want_str, None, "trajectory CSV path")
     model_file: str | None = _key(_want_str, None)
@@ -204,24 +196,11 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
-def parse_pair_family(text: str, seed: int):
-    """Decode a pair-family string: paper, equatorial:K, random:N or file."""
-    if text == "paper":
-        return PlusMinusPair()
-    if text == "file":
-        return ModelPair()
-    kind, _, arg = text.partition(":")
-    if kind == "equatorial" and arg:
-        try:
-            return EquatorialScan(int(arg))
-        except ValueError as exc:
-            raise ConfigError(f"bad equatorial pair count {arg!r}") from exc
-    if kind == "random" and arg:
-        try:
-            return RandomPairs(int(arg), seed=seed)
-        except ValueError as exc:
-            raise ConfigError(f"bad random pair count {arg!r}") from exc
-    raise ConfigError(f"pair must be paper, equatorial:K, random:N or file, got {text!r}")
+def _pair_family(spec: str, seed: int) -> PairFamily:
+    try:
+        return PairFamily(spec, seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _check_common(values: dict, builds_chain: bool) -> None:
@@ -293,8 +272,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         raise ConfigError(f"n_models must be positive, got {values['n_models']}")
     if values["seed"] < 0:
         raise ConfigError(f"seed must be nonnegative, got {values['seed']}")
-    family = parse_pair_family(values["pair"], values["seed"])
-    if isinstance(family, ModelPair) and values["model_file"] is None:
+    _pair_family(values["pair"], values["seed"])
+    if values["pair"] == "file" and values["model_file"] is None:
         raise ConfigError("pair 'file' needs a model_file; a chain has no input pair of its own")
     return RunConfig(**values)
 
@@ -356,11 +335,11 @@ def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
         return _run_bound_check(cfg, start)
 
     grid = TimeGrid(t_max=cfg.t_max, n_steps=cfg.steps)
-    family = parse_pair_family(cfg.pair, cfg.seed)
+    family = _pair_family(cfg.pair, cfg.seed)
     if cfg.model_file is not None:
         model = load_generic_model(cfg.model_file)
         d, ds = model.dimension, model.bipartition.d_system
-        if isinstance(family, (PlusMinusPair, EquatorialScan)) and ds != 2:
+        if family.needs_qubit and ds != 2:
             raise ConfigError(f"pair '{cfg.pair}' needs a qubit system, the model's d_S is {ds}")
         _check_fits(run_peak_bytes(cfg.steps, d, d), f"steps={cfg.steps}", "hold the run's states")
     else:
@@ -470,7 +449,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[int, list[dict]]:
                 params = ChainParams(
                     n_total=cfg.n_spins, j_env=1.0, j_sys=float(j0), b_field=float(b)
                 )
-                report = blp_measure(params, grid, PlusMinusPair(), path=cfg.path)
+                report = blp_measure(params, grid, path=cfg.path)
                 row["n_measure"] = report.n_measure
                 row["n_intervals"] = len(report.intervals)
                 row["status"] = "ok"

@@ -208,14 +208,6 @@ def mutual_information(rho_se, bipartition: Bipartition):
 
 # --- batched kernel -------------------------------------------------------
 
-def _eigen_rate_stack(x: np.ndarray, x_dot: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenvalues w_k of each Hermitian x, ascending, and, given x_dot, their rates <u_k| x_dot |u_k>."""
-    if x_dot is None:
-        return np.linalg.eigvalsh(x), None
-    w, u = np.linalg.eigh(x)
-    return w, np.einsum("cak,cab,cbk->ck", u.conj(), x_dot, u).real
-
-
 def _parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parts (t, h, o) of Hermitian 2 x 2 x[:, :, ...]: Tr x / 2, (x_00 - x_11) / 2 and x_01, over trailing axes.
 
@@ -438,13 +430,13 @@ def _stack_columns(out, rho_s, chi, g, m) -> None:
         anti = m[:, j - 1] - m[:, j - 1].conj().transpose(0, 2, 1)
         rho_dot[j] = -1j * anti
         tr_chi[j] = anti - _commutator(g[:, j - 1], rho_s[:, j - 1])
-        # only didt_1 needs the eigenvalue rates
-        p, rates = _eigen_rate_stack(rho_s[:, j - 1], rho_dot[j] if j == 1 else None)
         out[f"chi{j}_norm"] = _trace_norm_stack(chi[:, j - 1])
-        if j == 1:
-            out["didt_1"] = -2.0 * (rates * _log2_kept(p)).sum(axis=-1)
-        out[f"svn_system_{j}"] = _entropy_stack(p)
-    w, rates = _eigen_rate_stack(rho_s[:, 0] - rho_s[:, 1], rho_dot[1] - rho_dot[2])
+    # only didt_1 needs eigenvectors; rho_S^2 keeps eigvalsh, as eigh's eigenvalues can differ from it in the last bit
+    p, rates = _eigen_rates(rho_s[:, 0], rho_dot[1])
+    out["didt_1"] = -2.0 * (rates * _log2_kept(p)).sum(axis=-1)
+    out["svn_system_1"] = _entropy_stack(p)
+    out["svn_system_2"] = _entropy_stack(np.linalg.eigvalsh(rho_s[:, 1]))
+    w, rates = _eigen_rates(rho_s[:, 0] - rho_s[:, 1], rho_dot[1] - rho_dot[2])
     out["d_system"] = 0.5 * np.abs(w).sum(axis=-1)
     out["sigma"] = 0.5 * (np.sign(w) * rates).sum(axis=-1)
     # each commutator is anti-Hermitian: its trace norm is that of i times it

@@ -2,15 +2,15 @@
 
 The measure of a run is the sum of all strict increases of the system
 trace distance over the sampled grid, which telescopes to the integral
-of the positive part of sigma. Maximizing over a family of input pairs
-gives the reported value; for the chain every antipodal equatorial pair
-is equivalent by symmetry, so the canonical |+>/|-> pair is the default.
+of the positive part of sigma. Maximizing over a PairFamily of input
+pairs, named as --pair names them, gives the reported value; for the
+chain every antipodal equatorial pair is equivalent by symmetry, so the
+canonical |+>/|-> pair is the default.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -19,10 +19,6 @@ from .linalg import haar_random_state
 from .model import ChainParams, Model, build_chain_model, equatorial_states
 
 __all__ = [
-    "PlusMinusPair",
-    "EquatorialScan",
-    "RandomPairs",
-    "ModelPair",
     "PairFamily",
     "MeasureReport",
     "interval_contributions",
@@ -36,39 +32,34 @@ INCREASE_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
-class PlusMinusPair:
-    """The canonical |+>/|-> input pair (wire name: paper)."""
+class PairFamily:
+    """A family of input pairs, named by its --pair wire name.
 
+    spec is paper (the canonical |+>/|-> pair), equatorial:K (K equally
+    spaced antipodal equatorial pairs, phi in [0, pi)), random:N (N
+    Haar-random pure system-state pairs drawn from seed) or file (the
+    model's own initial pair). A count is whatever int() reads.
+    """
 
-@dataclass(frozen=True)
-class EquatorialScan:
-    """n_phi equally spaced antipodal equatorial pairs, phi in [0, pi)."""
-
-    n_phi: int = 12
-
-    def __post_init__(self) -> None:
-        if self.n_phi < 1:
-            raise ValueError(f"n_phi must be positive, got {self.n_phi}")
-
-
-@dataclass(frozen=True)
-class RandomPairs:
-    """Seeded Haar-random pure system-state pairs."""
-
-    n: int = 8
+    spec: str = "paper"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
+        kind, _, arg = self.spec.partition(":")
+        if kind in ("equatorial", "random") and arg:
+            try:
+                count = int(arg)
+            except ValueError:
+                count = 0  # refused with the counts below 1
+            if count < 1:
+                raise ValueError(f"bad {kind} pair count {arg!r}")
+        elif self.spec not in ("paper", "file"):
+            raise ValueError(f"pair must be paper, equatorial:K, random:N or file, got {self.spec!r}")
 
-
-@dataclass(frozen=True)
-class ModelPair:
-    """The model's own initial pair (wire name: file)."""
-
-
-PairFamily = Union[PlusMinusPair, EquatorialScan, RandomPairs, ModelPair]
+    @property
+    def needs_qubit(self) -> bool:
+        """Whether the pairs are qubit states: paper and equatorial pairs are."""
+        return self.spec.partition(":")[0] in ("paper", "equatorial")
 
 
 @dataclass(frozen=True)
@@ -128,38 +119,34 @@ def blp_integral(d_values: np.ndarray) -> float:
 def _pair_candidates(family: PairFamily, model: Model):
     """(label, pair) for each pair of the family.
 
-    ModelPair yields the model's own initial pair. Every other candidate
-    is a system pair against the environment factor of the model's first
+    file yields the model's own initial pair. Every other candidate is a
+    system pair against the environment factor of the model's first
     initial state.
     """
-    if isinstance(family, ModelPair):
+    kind, _, arg = family.spec.partition(":")
+    if kind == "file":
         yield "file", model.initial_pair
         return
     ds = model.bipartition.d_system
+    if family.needs_qubit and ds != 2:
+        raise ValueError("equatorial input pairs need a qubit system")
     env = model.initial_pair[0][1]
-    if isinstance(family, RandomPairs):
+    count = int(arg) if arg else 1
+    if kind == "random":
         rng = np.random.default_rng(family.seed)
-        for k in range(family.n):
+        for k in range(count):
             yield f"random:{k}", tuple((haar_random_state(ds, rng), env) for _ in range(2))
         return
-    if isinstance(family, PlusMinusPair):
-        labelled = [("paper", 0.0)]
-    elif isinstance(family, EquatorialScan):
-        phis = [np.pi * k / family.n_phi for k in range(family.n_phi)]
-        labelled = [(f"equatorial:phi={phi:.12g}", phi) for phi in phis]
-    else:
-        raise TypeError(f"unknown pair family {family!r}")
-    if ds != 2:
-        raise ValueError("equatorial input pairs need a qubit system")
-    for label, phi in labelled:
+    for k in range(count):
+        phi = np.pi * k / count
         plus, minus = equatorial_states(phi)
-        yield label, ((plus, env), (minus, env))
+        yield "paper" if kind == "paper" else f"equatorial:phi={phi:.12g}", ((plus, env), (minus, env))
 
 
 def blp_measure(
     model_or_params: Model | ChainParams,
     grid: TimeGrid,
-    pair_family: PairFamily = PlusMinusPair(),
+    pair_family: PairFamily = PairFamily(),
     path: str = "auto",
 ) -> MeasureReport:
     """Maximize accumulated backflow over a family of input pairs.

@@ -395,26 +395,18 @@ class ChainModel(Model):
         return out[0], out[1]
 
 
-def build_chain_model(
-    params: ChainParams,
-    initial_pair: tuple[ProductState, ProductState] | None = None,
-) -> ChainModel:
-    """The chain of `params` on its carrier, with an initial pair.
+def build_chain_model(params: ChainParams) -> ChainModel:
+    """The chain of `params` on its carrier, with the plus_minus_pair.
 
-    initial_pair holds (system, environment) factors with the environment
-    in carrier coordinates, n_total of them; it defaults to
-    plus_minus_pair. Only the 2 n_total-square carrier block is built
-    and validated here; the 2^n_total Model is built when a run first
-    reads ChainModel.dense.
+    Only the 2 n_total-square carrier block is built and validated here;
+    the 2^n_total Model is built when a run first reads ChainModel.dense.
     """
     n = params.n_total
-    if initial_pair is None:
-        initial_pair = plus_minus_pair(n)
     s, k = _carrier_slots(n)
     return ChainModel(
         hamiltonian=_carrier_hamiltonian(params),
         bipartition=Bipartition(2, n),
-        initial_pair=initial_pair,
+        initial_pair=plus_minus_pair(n),
         # slot (s, k) flips s + [k > 0] spins
         sz_diagonal=n - 2.0 * (s + (k > 0)),
         params=params,

@@ -15,7 +15,7 @@ import pytest
 from backflow import (
     Bipartition,
     ChainParams,
-    EquatorialScan,
+    PairFamily,
     TimeGrid,
     blp_integral,
     build_chain_model,
@@ -274,7 +274,7 @@ def test_08_structural_invariants(report):
 
 
 def test_09_equatorial_symmetry(report):
-    rep = blp_measure(ChainParams(n_total=10), TimeGrid(9.0, 2000), EquatorialScan(12))
+    rep = blp_measure(ChainParams(n_total=10), TimeGrid(9.0, 2000), PairFamily("equatorial:12"))
     values = np.array([v for _, v in rep.per_pair_values])
     spread = float(values.max() - values.min())
     ok = values.size == 12 and spread <= 1e-9 and rep.n_measure > 0

@@ -18,9 +18,8 @@ from backflow.cli import (
     _parse_sweep_config,
     main,
     parse_config,
-    parse_pair_family,
 )
-from backflow.measure import EquatorialScan, PlusMinusPair, RandomPairs
+from backflow.measure import PairFamily
 from backflow.model import (
     chain_build_peak_bytes,
     chain_run_peak_bytes,
@@ -89,17 +88,6 @@ def test_unknown_and_mistyped_keys(tmp_path):
         parse_config(overrides={"scenario": "fig1a", "n_spins": 1})
     with pytest.raises(ConfigError, match="path"):
         parse_config(overrides={"scenario": "fig1a", "path": "warp"})
-
-
-def test_parse_pair_family():
-    assert isinstance(parse_pair_family("paper", 0), PlusMinusPair)
-    fam = parse_pair_family("equatorial:8", 0)
-    assert isinstance(fam, EquatorialScan) and fam.n_phi == 8
-    fam = parse_pair_family("random:3", 9)
-    assert isinstance(fam, RandomPairs) and fam.n == 3 and fam.seed == 9
-    for bad in ("equatorial", "equatorial:x", "random:", "rings"):
-        with pytest.raises(ConfigError):
-            parse_pair_family(bad, 0)
 
 
 def run_cli(*args):
@@ -613,13 +601,15 @@ _PAIRS = ("paper", "equatorial:3", "random:2", "file")
 
 
 def _expected_exit(model: str, path: str, pair: str) -> tuple[int, str | None]:
-    """The exit code of a run, and the key that an exit 2 names."""
+    """The exit code of a run, and the message that an exit 2 prints."""
     if model == "chain":
-        return (2, "pair") if pair == "file" else (0, None)  # a chain has no pair of its own
+        if pair == "file":
+            return 2, "pair 'file' needs a model_file; a chain has no input pair of its own"
+        return 0, None
     if path == "subspace":
-        return 2, "path"  # only a chain takes the subspace path
+        return 2, "path 'subspace' needs a chain; model files and bound-check run dense"
     if model == "qutrit" and pair in ("paper", "equatorial:3"):
-        return 2, "pair"  # equatorial pairs need a qubit system
+        return 2, f"pair '{pair}' needs a qubit system, the model's d_S is 3"
     return 0, None
 
 
@@ -639,10 +629,10 @@ def test_every_path_and_pair_family_on_every_model_kind(model, path, pair, tmp_p
     code = main(argv)
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
-    want, key = _expected_exit(model, path, pair)
+    want, message = _expected_exit(model, path, pair)
     assert code == want, err
     if code == 2:
-        assert key in err
+        assert err == f"error: {message}\n"
         assert not out.exists() and not summary.exists()
     else:
         path_used = "subspace" if model == "chain" and path != "dense" else "dense"
@@ -675,8 +665,7 @@ def test_generic_model_with_random_pairs(tmp_path):
     )
     assert code == 0
     doc = json.loads(summary.read_text())
-    assert len(doc["per_pair"]) == 2
-    assert all(p["pair"].startswith("random:") for p in doc["per_pair"])
+    assert [p["pair"] for p in doc["per_pair"]] == ["random:0", "random:1"]
 
 
 def test_pair_file_needs_model_file(tmp_path, capsys):
@@ -727,20 +716,70 @@ def test_measure_scenario_equatorial(tmp_path):
     )
     assert code == 0
     doc = json.loads(summary.read_text())
+    assert [p["pair"] for p in doc["per_pair"]] == [f"equatorial:phi={np.pi * k / 3:.12g}" for k in range(3)]
     values = [p["n_measure"] for p in doc["per_pair"]]
-    assert len(values) == 3
     assert max(values) - min(values) < 1e-9
 
 
+_BAD_PAIR = "pair must be paper, equatorial:K, random:N or file, got {!r}"
+
+
+def test_pair_wire_specs():
+    # a count is whatever int() reads, so a sign or surrounding blanks pass
+    for spec in ("paper", "equatorial:3", "equatorial:+3", "equatorial: 3", "random:2", "random:02"):
+        assert parse_config(overrides={"scenario": "measure", "pair": spec}).pair == spec
+    refused = {
+        "equatorial:0": "bad equatorial pair count '0'",
+        "equatorial:-1": "bad equatorial pair count '-1'",
+        "equatorial:x": "bad equatorial pair count 'x'",
+        "random:0": "bad random pair count '0'",
+        "random:x": "bad random pair count 'x'",
+        "file": "pair 'file' needs a model_file; a chain has no input pair of its own",
+    }
+    for spec in ("paper:1", "file:1", "random:", "equatorial:", "equatorial", "rings", "Paper"):
+        refused[spec] = _BAD_PAIR.format(spec)
+    for spec, message in refused.items():
+        with pytest.raises(ConfigError) as exc:
+            parse_config(overrides={"scenario": "measure", "pair": spec})
+        assert str(exc.value) == message
+
+
+def test_pair_help_names_every_family(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    forms = ("paper", "equatorial:K", "random:N", "file")
+    assert "--pair PAIR " + " | ".join(forms) in help_text
+    for form in forms:
+        PairFamily(form.replace("K", "2").replace("N", "2"))
+    # the refusal names the same forms
+    with pytest.raises(ValueError, match=", ".join(forms[:-1]) + f" or {forms[-1]}"):
+        PairFamily("rings")
+
+
+def test_main_pins_malloc_thresholds_before_parsing(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli_mod, "_pin_malloc_thresholds", lambda: calls.append("pin"))
+    build = cli_mod.build_parser
+    monkeypatch.setattr(cli_mod, "build_parser", lambda: calls.append("parse") or build())
+    with pytest.raises(SystemExit):
+        main(["no-such-verb"])
+    assert calls == ["pin", "parse"]
+
 
 _KERNEL_FAULTS_SCRIPT = """
-import resource, sys
+import ctypes, resource, sys
 import numpy as np
 from backflow import ChainParams, TimeGrid, build_chain_model, evolve
-from backflow.cli import main
+from backflow.cli import _M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD, _pin_malloc_thresholds
 from backflow.diagnostics import pair_step_series
 
-main(sys.argv[1:])
+# glibc's starting thresholds, fixed so that no free raises them
+mallopt = ctypes.CDLL(None).mallopt
+mallopt(_M_TRIM_THRESHOLD, 128 << 10)
+mallopt(_M_MMAP_THRESHOLD, 128 << 10)
+if sys.argv[1] == "pin":
+    _pin_malloc_thresholds()
 model = build_chain_model(ChainParams(n_total=10))
 g = model.hamiltonian
 vectors = [np.kron(vs, ve) for vs, ve in model.initial_pair]
@@ -753,17 +792,22 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
 """
 
 
-def test_kernel_reuses_resident_heap_after_main(tmp_path):
+def test_kernel_reuses_resident_heap_after_main():
+    # main pins the thresholds before anything else runs (the test above). Both
+    # children fix them at glibc's starting 128 KiB, where no free can raise
+    # them, and one then pins them. Left dynamic, the kernel's own frees raise
+    # them, so a child that only pinned would read 0 faults with or without the pin
     pytest.importorskip("resource")
     if not hasattr(ctypes.CDLL(None), "mallopt"):
         pytest.skip("the C library has no mallopt")
-    argv = ["run", "--scenario", "fig1a", "--n-spins", "4", "--steps", "10"]
-    argv += ["--out", str(tmp_path / "t.csv"), "--summary", str(tmp_path / "s.json")]
-    # a fresh process, so that nothing run before main has raised glibc's thresholds
     env = {**os.environ, "PYTHONPATH": str(Path(cli_mod.__file__).parents[1])}
-    out = subprocess.run(
-        [sys.executable, "-c", _KERNEL_FAULTS_SCRIPT, *argv], capture_output=True, text=True, env=env, check=True
-    )
-    # each call's chunks hold about 8 MB; under glibc's dynamic thresholds they
-    # are unmapped and faulted in again, some 3000 pages a call
-    assert int(out.stdout.split()[-1]) < 300, out.stdout
+
+    def faults(mode: str) -> int:
+        argv = [sys.executable, "-c", _KERNEL_FAULTS_SCRIPT, mode]
+        out = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+        return int(out.stdout.split()[-1])
+
+    # each call's chunks hold about 8 MB; at the starting thresholds they are
+    # unmapped and faulted in again, some 7000 pages a call
+    counts = {mode: faults(mode) for mode in ("pin", "control")}
+    assert counts["pin"] < 300 < counts["control"], counts

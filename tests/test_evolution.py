@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -131,7 +132,7 @@ def test_auto_path_selection():
     flipped_env = np.zeros(4, dtype=complex)
     flipped_env[1] = 1.0  # carrier slot 1: chain site 1 flipped
     pair = tuple((vs, flipped_env) for vs in equatorial_states(0.0))
-    model2 = build_chain_model(chain.params, pair)
+    model2 = dataclasses.replace(chain, initial_pair=pair)
     rec2 = run_trajectory(model2, TimeGrid(t_max=1.0, n_steps=10), path="auto")
     assert rec2.path_used == "dense"
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,15 +6,14 @@ import pytest
 
 from backflow.evolution import TimeGrid, run_trajectory
 from backflow.measure import (
-    EquatorialScan,
-    PlusMinusPair,
-    RandomPairs,
+    PairFamily,
     blp_integral,
     blp_measure,
     down_up_crossings,
     interval_contributions,
 )
 from backflow.model import ChainParams, Model, build_chain_model
+from backflow.verify import random_generic_model
 
 
 def test_increasing_intervals_by_hand():
@@ -79,18 +79,18 @@ def test_blp_measure_accepts_model():
 def test_equatorial_values_coincide():
     # z-rotation symmetry: every antipodal equatorial pair is equivalent
     grid = TimeGrid(t_max=3.0, n_steps=300)
-    scan = blp_measure(ChainParams(n_total=5), grid, EquatorialScan(n_phi=6))
+    scan = blp_measure(ChainParams(n_total=5), grid, PairFamily("equatorial:6"))
     values = [v for _, v in scan.per_pair_values]
     assert len(values) == 6
     assert max(values) - min(values) < 1e-9
-    paper = blp_measure(ChainParams(n_total=5), grid, PlusMinusPair())
+    paper = blp_measure(ChainParams(n_total=5), grid, PairFamily())
     assert abs(values[0] - paper.n_measure) < 1e-12
 
 
 def test_pair_swap_invariance():
     # the trace distance is symmetric in its two arguments
     chain = build_chain_model(ChainParams(n_total=4))
-    swapped = build_chain_model(chain.params, (chain.initial_pair[1], chain.initial_pair[0]))
+    swapped = dataclasses.replace(chain, initial_pair=(chain.initial_pair[1], chain.initial_pair[0]))
     grid = TimeGrid(t_max=3.0, n_steps=150)
     a = run_trajectory(chain, grid)
     b = run_trajectory(swapped, grid)
@@ -113,21 +113,31 @@ def test_measure_validates_hamiltonian_once(monkeypatch):
         return check(self)
 
     monkeypatch.setattr(Model, "__post_init__", counted)
-    report = blp_measure(ChainParams(n_total=6), TimeGrid(5.0, 50), EquatorialScan(4))
+    report = blp_measure(ChainParams(n_total=6), TimeGrid(5.0, 50), PairFamily("equatorial:4"))
     assert len(report.per_pair_values) == 4
     assert len(calls) == 1
 
 
 def test_random_pairs_reproducible():
     grid = TimeGrid(t_max=2.0, n_steps=100)
-    a = blp_measure(ChainParams(n_total=4), grid, RandomPairs(n=3, seed=5))
-    b = blp_measure(ChainParams(n_total=4), grid, RandomPairs(n=3, seed=5))
+    a = blp_measure(ChainParams(n_total=4), grid, PairFamily("random:3", seed=5))
+    b = blp_measure(ChainParams(n_total=4), grid, PairFamily("random:3", seed=5))
     assert a.per_pair_values == b.per_pair_values
-    c = blp_measure(ChainParams(n_total=4), grid, RandomPairs(n=3, seed=6))
+    c = blp_measure(ChainParams(n_total=4), grid, PairFamily("random:3", seed=6))
     assert a.per_pair_values != c.per_pair_values
     # Haar pairs never beat the antipodal optimum by construction
-    paper = blp_measure(ChainParams(n_total=4), grid, PlusMinusPair())
+    paper = blp_measure(ChainParams(n_total=4), grid, PairFamily())
     assert max(v for _, v in a.per_pair_values) <= paper.n_measure + 1e-9
+
+
+def test_qubit_pair_families_refuse_other_systems():
+    qutrit = random_generic_model(np.random.default_rng(1), d_environment=2, d_system=3)
+    grid = TimeGrid(t_max=1.0, n_steps=10)
+    assert blp_measure(qutrit, grid, PairFamily("file")).best_pair == "file"
+    assert len(blp_measure(qutrit, grid, PairFamily("random:2")).per_pair_values) == 2
+    for spec in ("paper", "equatorial:2"):
+        with pytest.raises(ValueError, match="need a qubit system"):
+            blp_measure(qutrit, grid, PairFamily(spec))
 
 
 def test_measure_grid_refinement(chain10_model, chain10_record):
@@ -170,5 +180,5 @@ def test_measure_peak_memory_stays_near_one_run(chain10_model):
             tracemalloc.stop()
 
     one_run = peak(lambda: run_trajectory(chain10_model, grid))
-    measure = peak(lambda: blp_measure(chain10_model, grid, EquatorialScan(3)))
+    measure = peak(lambda: blp_measure(chain10_model, grid, PairFamily("equatorial:3")))
     assert measure < 1.4 * one_run, (measure, one_run)
