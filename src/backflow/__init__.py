@@ -12,7 +12,6 @@ from .diagnostics import (
     correlation_distance,
     correlation_operator,
     distinguishability_bound,
-    env_indistinguishability,
     mutual_information,
     trace_distance,
 )
@@ -42,11 +41,8 @@ from .measure import (
 from .model import (
     ChainModel,
     ChainParams,
-    CorrelatedInitialStateError,
-    DimensionMismatchError,
     Model,
     ModelFileError,
-    NonHermitianHamiltonianError,
     build_chain_model,
     carrier_indices,
     load_generic_model,
@@ -64,12 +60,9 @@ __all__ = [
     "ChainModel",
     "ChainParams",
     "CheckResult",
-    "CorrelatedInitialStateError",
-    "DimensionMismatchError",
     "MeasureReport",
     "Model",
     "ModelFileError",
-    "NonHermitianHamiltonianError",
     "PairFamily",
     "TimeGrid",
     "TrajectoryRecord",
@@ -81,7 +74,6 @@ __all__ = [
     "correlation_operator",
     "distinguishability_bound",
     "down_up_crossings",
-    "env_indistinguishability",
     "evolve",
     "haar_random_state",
     "hermitian_eig",

@@ -218,12 +218,14 @@ def _check_common(values: dict, builds_chain: bool) -> None:
     if values["steps"] > 0 and values["t_max"] <= 0:
         raise ConfigError(f"t_max must be positive, got {values['t_max']}")
     if builds_chain:
-        # refuse a chain run that cannot fit in physical memory: only the dense
-        # path builds the 2^n H, and either path holds arrays of n times the grid
+        # refuse a chain run that cannot fit in physical memory: only the dense path
+        # builds the 2^n H, and every path builds the (2n)^2 carrier block of H and
+        # holds arrays of n times the grid
         n, steps = values["n_spins"], values["steps"]
         if values["path"] == "dense":
             _check_fits(chain_build_peak_bytes(n), f"n_spins={n}", "build the chain Hamiltonian")
-        _check_fits(chain_run_peak_bytes(n, steps), f"steps={steps}", "hold the run's states")
+        who = f"n_spins={n}, steps={steps}"
+        _check_fits(chain_run_peak_bytes(n, steps), who, "build the chain and hold the run's states")
 
 
 def _check_fits(need: int, who: str, what: str) -> None:
@@ -289,6 +291,9 @@ def _parse_sweep_config(path: str | None, overrides: dict) -> SweepConfig:
         if node is not None:
             if not isinstance(node, dict) or not {"min", "max", "count"} <= set(node):
                 raise ConfigError(f"sweep grid '{axis}' needs min, max and count")
+            unknown = sorted(set(node) - {"min", "max", "count"})
+            if unknown:
+                raise ConfigError(f"sweep grid '{axis}' has unknown key {', '.join(map(repr, unknown))}")
             grids[axis] = (node["min"], node["max"], node["count"])
         flag = overrides.pop(f"{axis}_grid", None)
         if flag is not None:
@@ -338,7 +343,7 @@ def run_scenario(cfg: RunConfig) -> tuple[int, dict]:
     family = _pair_family(cfg.pair, cfg.seed)
     if cfg.model_file is not None:
         model = load_generic_model(cfg.model_file)
-        d, ds = model.dimension, model.bipartition.d_system
+        d, ds = model.bipartition.d_joint, model.bipartition.d_system
         if family.needs_qubit and ds != 2:
             raise ConfigError(f"pair '{cfg.pair}' needs a qubit system, the model's d_S is {ds}")
         _check_fits(run_peak_bytes(cfg.steps, d, d), f"steps={cfg.steps}", "hold the run's states")

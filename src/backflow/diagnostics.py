@@ -31,7 +31,6 @@ __all__ = [
     "didt_from_generator",
     "bound_term1_branch",
     "bound_term1_from_couplings",
-    "env_indistinguishability",
     "correlation_distance",
     "mutual_information",
     "pair_step_series",
@@ -41,10 +40,10 @@ __all__ = [
 CHUNK_ELEMENTS = 500_000
 
 
-def trace_distance(r1, r2) -> float:
-    """Half the trace norm of the difference of two density operators."""
+def trace_distance(r1, r2):
+    """Half the trace norm of the difference of two density operators, or of each pair in stacks."""
     diff = np.asarray(r1, dtype=np.complex128) - np.asarray(r2, dtype=np.complex128)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+    return 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
 
 
 def correlation_operator(rho_se, bipartition: Bipartition) -> np.ndarray:
@@ -53,11 +52,6 @@ def correlation_operator(rho_se, bipartition: Bipartition) -> np.ndarray:
     rho_s = partial_trace(m, bipartition, "system")
     rho_e = partial_trace(m, bipartition, "environment")
     return m - _kron(rho_s, rho_e)
-
-
-def env_indistinguishability(rho1_env, rho2_env) -> float:
-    """1 - D(rho1_E, rho2_E); equals 1 when the environments cannot be told apart."""
-    return 1.0 - trace_distance(rho1_env, rho2_env)
 
 
 def correlation_distance(chi1: np.ndarray, chi2: np.ndarray):

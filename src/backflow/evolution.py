@@ -143,10 +143,6 @@ class TrajectoryRecord:
     chi2_ptrace_sys: np.ndarray
     chi2_ptrace_env: np.ndarray
 
-    @property
-    def n_times(self) -> int:
-        return self.times.size
-
 
 def run_trajectory(
     model: Model,

@@ -24,9 +24,6 @@ __all__ = [
     "ChainParams",
     "Model",
     "ModelFileError",
-    "NonHermitianHamiltonianError",
-    "DimensionMismatchError",
-    "CorrelatedInitialStateError",
     "pauli_on_site",
     "product_pair",
     "ChainModel",
@@ -49,18 +46,6 @@ PAULI = {
 
 class ModelFileError(ValueError):
     """A generic-model file could not be accepted."""
-
-
-class NonHermitianHamiltonianError(ModelFileError):
-    pass
-
-
-class DimensionMismatchError(ModelFileError):
-    pass
-
-
-class CorrelatedInitialStateError(ModelFileError):
-    pass
 
 
 def pauli_on_site(axis: str, site: int, n_total: int) -> np.ndarray:
@@ -114,8 +99,7 @@ def product_pair(pair, bipartition: Bipartition) -> tuple[ProductState, ProductS
 
     Returns the factors as contiguous complex128 arrays. Raises ValueError
     unless there are exactly two states whose factors have shapes
-    (d_system,) and (d_environment,) and unit norm within NORM_ATOL; a
-    wrong shape raises its subclass DimensionMismatchError.
+    (d_system,) and (d_environment,) and unit norm within NORM_ATOL.
     """
     if len(pair) != 2:
         raise ValueError("initial_pair must hold exactly two states")
@@ -134,7 +118,7 @@ def product_pair(pair, bipartition: Bipartition) -> tuple[ProductState, ProductS
         )
         for name, v, shape in zip(("system", "environment"), factors, shapes):
             if v.shape != shape:
-                raise DimensionMismatchError(
+                raise ValueError(
                     f"initial state {i + 1}: {name} factor shape {v.shape} does not match {shape}"
                 )
             norm = float(np.linalg.norm(v))
@@ -156,9 +140,7 @@ class Model:
     Hamiltonian must conserve it exactly, as Model checks. A run reads it
     only for the magnetization columns of its record; without it they are
     NaN. Nothing else about H is declared: every diagnostic reads H
-    itself. A wrong shape of H or of a state factor raises
-    DimensionMismatchError, a non-Hermitian H NonHermitianHamiltonianError;
-    both are ValueErrors.
+    itself. Every check it fails raises ValueError.
     """
 
     hamiltonian: np.ndarray
@@ -171,13 +153,11 @@ class Model:
         object.__setattr__(self, "hamiltonian", h)
         d = self.bipartition.d_joint
         if h.shape != (d, d):
-            raise DimensionMismatchError(
-                f"hamiltonian shape {h.shape} does not match bipartition dimension {d}"
-            )
+            raise ValueError(f"hamiltonian shape {h.shape} does not match bipartition dimension {d}")
         object.__setattr__(self, "initial_pair", product_pair(self.initial_pair, self.bipartition))
         asym = max_asymmetry(h)
         if asym > HERMITIAN_ATOL:
-            raise NonHermitianHamiltonianError(f"hamiltonian not Hermitian, max asymmetry {asym:.3e}")
+            raise ValueError(f"hamiltonian not Hermitian, max asymmetry {asym:.3e}")
         if self.sz_diagonal is not None:
             sz = np.asarray(self.sz_diagonal, dtype=np.float64)
             if sz.shape != (d,):
@@ -196,10 +176,6 @@ class Model:
                 leak = max(leak, float(np.max(np.abs(h[i : i + CHECK_TILE][off]))))
         if leak > 0.0:
             raise ValueError(f"hamiltonian leaks between sectors, max off-sector entry {leak:.3e}")
-
-    @property
-    def dimension(self) -> int:
-        return self.bipartition.d_joint
 
 
 def equatorial_states(phi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -244,13 +220,17 @@ def run_peak_bytes(n_steps: int, dim: int, block: int) -> int:
 
 
 def chain_run_peak_bytes(n_total: int, n_steps: int) -> int:
-    """run_peak_bytes of a chain run with n_steps intervals.
+    """Lower bound on the memory of a chain run with n_steps intervals.
 
-    Either path holds states on at most 2 n_total coordinates, the qubit
-    against the environment states its pair reaches, and factorizes at
-    most the n_total + 1 states of the 0- and 1-excitation sectors.
+    Every path builds the 2 n_total-square complex128 carrier block of H
+    and keeps it through the run. On top of it come the run_peak_bytes
+    of either path: it holds states on at most 2 n_total coordinates, the
+    qubit against the environment states its pair reaches, and
+    factorizes at most the n_total + 1 states of the 0- and 1-excitation
+    sectors.
     """
-    return run_peak_bytes(n_steps, 2 * n_total, n_total + 1)
+    carrier = np.dtype(np.complex128).itemsize * (2 * n_total) ** 2
+    return carrier + run_peak_bytes(n_steps, 2 * n_total, n_total + 1)
 
 
 def carrier_indices(n_total: int) -> np.ndarray:
@@ -429,7 +409,7 @@ def _product_from_joint(joint: np.ndarray, ds: int, de: int, path: str, where: s
     psi = joint.reshape(ds, de)
     u, s, vh = np.linalg.svd(psi)
     if s.size > 1 and s[1] > 1e-8 * max(s[0], 1.0):
-        raise CorrelatedInitialStateError(
+        raise ModelFileError(
             f"{path}: {where} carries system-environment correlations "
             f"(second Schmidt coefficient {s[1]:.3e}); only product initial states are allowed"
         )
@@ -441,6 +421,11 @@ def _normalized(v: np.ndarray, path: str, where: str) -> np.ndarray:
     if abs(norm - 1.0) > 1e-6:
         raise ModelFileError(f"{path}: {where} has norm {norm:.6g}, expected 1")
     return v / norm
+
+
+def _unknown_keys(node: dict, known) -> str:
+    """The keys of node outside known, sorted and quoted; empty when there are none."""
+    return ", ".join(repr(k) for k in sorted(set(node) - set(known)))
 
 
 def load_generic_model(path: str | Path) -> Model:
@@ -457,10 +442,10 @@ def load_generic_model(path: str | Path) -> Model:
           ]
         }
 
-    Any other top-level key is refused, so a file is never half-read. A
-    joint_state entry must be a product state; correlated input is
-    rejected because every downstream bound assumes uncorrelated initial
-    conditions.
+    Any other key is refused, and so is a state entry that gives both
+    forms, so a file is never half-read. A joint_state entry must be a
+    product state; correlated input is rejected because every downstream
+    bound assumes uncorrelated initial conditions.
     """
     path = str(path)
     try:
@@ -475,12 +460,15 @@ def load_generic_model(path: str | Path) -> Model:
     for key in keys:
         if key not in doc:
             raise ModelFileError(f"{path}: missing required key '{key}'")
-    unknown = sorted(set(doc) - set(keys))
+    unknown = _unknown_keys(doc, keys)
     if unknown:
-        raise ModelFileError(f"{path}: unknown key {', '.join(repr(k) for k in unknown)}")
+        raise ModelFileError(f"{path}: unknown key {unknown}")
     dims = doc["dims"]
     if not isinstance(dims, dict) or "system" not in dims or "environment" not in dims:
         raise ModelFileError(f"{path}: dims must carry 'system' and 'environment'")
+    unknown = _unknown_keys(dims, ("system", "environment"))
+    if unknown:
+        raise ModelFileError(f"{path}: dims has unknown key {unknown}")
     ds, de = dims["system"], dims["environment"]
     if any(isinstance(n, bool) or not isinstance(n, int) for n in (ds, de)):
         raise ModelFileError(f"{path}: dims entries must be integers, got ({ds!r}, {de!r})")
@@ -498,12 +486,16 @@ def load_generic_model(path: str | Path) -> Model:
         where = f"initial_states[{i}]"
         if not isinstance(entry, dict):
             raise ModelFileError(f"{path}: {where} must be an object")
+        unknown = _unknown_keys(entry, ("joint_state", "system_state", "environment_state"))
+        if unknown:
+            raise ModelFileError(f"{path}: {where} has unknown key {unknown}")
         if "joint_state" in entry:
+            if len(entry) > 1:
+                others = _unknown_keys(entry, ("joint_state",))
+                raise ModelFileError(f"{path}: {where} gives joint_state together with {others}")
             joint = _complex_array(entry["joint_state"], where, path).ravel()
             if joint.size != d:
-                raise DimensionMismatchError(
-                    f"{path}: {where} joint_state has dimension {joint.size}, expected {d}"
-                )
+                raise ModelFileError(f"{path}: {where} joint_state has dimension {joint.size}, expected {d}")
             joint = _normalized(joint, path, where)
             vs, ve = _product_from_joint(joint, ds, de, path, where)
         elif "system_state" in entry and "environment_state" in entry:
@@ -525,6 +517,4 @@ def load_generic_model(path: str | Path) -> Model:
             initial_pair=(pair[0], pair[1]),
         )
     except ValueError as exc:
-        # a ModelFileError subclass keeps its class; any other check becomes a ModelFileError
-        cls = type(exc) if isinstance(exc, ModelFileError) else ModelFileError
-        raise cls(f"{path}: {exc}") from exc
+        raise ModelFileError(f"{path}: {exc}") from exc

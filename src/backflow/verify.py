@@ -23,9 +23,10 @@ from .diagnostics import (
     distinguishability_bound,
     mutual_information,
     sigma_from_generator,
+    trace_distance,
 )
 from .evolution import TimeGrid, evolve, run_trajectory
-from .linalg import Bipartition, haar_random_state, trace_norm
+from .linalg import Bipartition, haar_random_state, partial_trace, trace_norm
 from .model import ChainModel, ChainParams, Model, build_chain_model
 from .output import TRAJECTORY_CSV
 
@@ -66,19 +67,17 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
 
 
-def random_generic_model(rng: np.random.Generator, d_environment: int, d_system: int = 2) -> Model:
-    """Dense Hermitian model with Haar-random product initial states.
+def random_generic_model(rng: np.random.Generator, d_environment: int) -> Model:
+    """Dense Hermitian qubit-environment model with Haar-random product initial states.
 
     Hamiltonian entries have unit variance; the two initial states draw
     independent system and environment factors.
     """
-    d = d_system * d_environment
+    d = 2 * d_environment
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = (a + a.conj().T) / 2.0
-    pair = tuple(
-        (haar_random_state(d_system, rng), haar_random_state(d_environment, rng)) for _ in range(2)
-    )
-    return Model(hamiltonian=h, bipartition=Bipartition(d_system, d_environment), initial_pair=pair)
+    pair = tuple((haar_random_state(2, rng), haar_random_state(d_environment, rng)) for _ in range(2))
+    return Model(hamiltonian=h, bipartition=Bipartition(2, d_environment), initial_pair=pair)
 
 
 def bound_suite(n_models: int = 50, seed: int = 7) -> tuple[list[CheckResult], float, list[dict]]:
@@ -155,7 +154,7 @@ def _sample_states(model: Model, record) -> tuple[np.ndarray, list[np.ndarray]]:
     there, whichever route took the record, so a carrier record is checked
     against the dense route. The checks of one record share them.
     """
-    idx = np.linspace(0, record.n_times - 1, 5).astype(int)
+    idx = np.linspace(0, record.times.size - 1, 5).astype(int)
     vectors = [np.kron(vs, ve) for vs, ve in model.initial_pair]
     return idx, evolve(model.hamiltonian, vectors, record.times[idx])
 
@@ -198,6 +197,8 @@ def _kernel_oracle_check(tag: str, model: Model, record, samples) -> CheckResult
     chi = [correlation_operator(r, bp) for r in rho_se]
     bound = distinguishability_bound(model, *rho_se)
     expected = {
+        "d_system": trace_distance(*(partial_trace(r, bp, "system") for r in rho_se)),
+        "d_env": trace_distance(*(partial_trace(r, bp, "environment") for r in rho_se)),
         "x_corr": correlation_distance(*chi),
         "chi1_norm": trace_norm(chi[0]),
         "chi2_norm": trace_norm(chi[1]),

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import backflow.cli as cli_mod
+from backflow import measure
 from backflow.cli import (
     ConfigError,
     RunConfig,
@@ -110,6 +111,22 @@ def test_infeasible_chain_size_exits_2_before_building(tmp_path, capsys, monkeyp
         assert str(chain_build_peak_bytes(n)) in capsys.readouterr().err
         assert run_cli(*sweep, *flags) == 2
         assert str(chain_build_peak_bytes(n)) in capsys.readouterr().err
+    # every path builds the (2n)^2 carrier block of H: a chain too long for it is refused
+    # naming n_spins, even on a one-step grid, and nothing is built
+    def never_build(params):
+        raise AssertionError("built a chain that cannot fit")
+
+    need = chain_run_peak_bytes(20000, 1)
+    assert need > 16 * 40000**2 > 2**33
+    with monkeypatch.context() as guard:
+        guard.setattr(cli_mod, "build_chain_model", never_build)
+        guard.setattr(measure, "build_chain_model", never_build)
+        for path in ("auto", "subspace"):
+            flags = ["--n-spins", "20000", "--steps", "1", "--path", path]
+            assert run_cli("run", "--scenario", "fig1a", *flags, "--out", str(out)) == 2
+            assert f"n_spins=20000, steps=1 needs an estimated {need} bytes" in capsys.readouterr().err
+            assert run_cli(*sweep, *flags) == 2
+            assert f"n_spins=20000, steps=1 needs an estimated {need} bytes" in capsys.readouterr().err
     # a grid whose states cannot fit is refused the same way, naming steps; a
     # model file is sized by its own dimension once it is loaded
     summary = tmp_path / "never.json"
@@ -195,12 +212,12 @@ def test_csv_fields_format_as_format_float(tmp_path):
 
     rec = run_trajectory(build_chain_model(ChainParams(n_total=4)), TimeGrid(3.0, 5), path="auto")
     special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1])
-    assert special.size == rec.n_times
+    assert special.size == rec.times.size
     rec = dataclasses.replace(rec, sigma=special, didt_1=-special)
     out = tmp_path / "t.csv"
     write_trajectory_csv(rec, out)
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    want = [[format_float(getattr(rec, name)[i]) for _, name in TRAJECTORY_CSV] for i in range(rec.n_times)]
+    want = [[format_float(getattr(rec, name)[i]) for _, name in TRAJECTORY_CSV] for i in range(rec.times.size)]
     assert rows == want
     assert [row[2] for row in rows] == ["nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "0.10000000000000001"]
 
@@ -811,3 +828,47 @@ def test_kernel_reuses_resident_heap_after_main():
     # unmapped and faulted in again, some 7000 pages a call
     counts = {mode: faults(mode) for mode in ("pin", "control")}
     assert counts["pin"] < 300 < counts["control"], counts
+
+
+@pytest.mark.parametrize(
+    "verb,doc,flags,message",
+    [
+        ("run", {"scenario": "fig1a", "field_on_system": "yes"}, [],
+         "key 'field_on_system' must be true or false, got 'yes'"),
+        ("run", {"scenario": "fig1a", "pair": 3}, [], "key 'pair' must be a string, got 3"),
+        ("run", ["fig1a"], [], "config file {config} must hold a JSON object"),
+        ("sweep", {"sweep": []}, [], "config key 'sweep' must be an object"),
+        ("sweep", {"sweep": {"j0": {"min": 0.5, "max": 1.0}, "b": {"min": 0.0, "max": 1.0, "count": 2}}},
+         [], "sweep grid 'j0' needs min, max and count"),
+        ("sweep", {"sweep": {}}, ["--j0-grid", "0", "1", "0", "--b-grid", "0", "1", "2"],
+         "sweep grid 'j0' count must be positive"),
+        # a grid entry the sweep does not read is refused, not skipped
+        ("sweep", {"sweep": {"j0": {"min": 0.5, "max": 1.0, "count": 2, "num": 7, "dense": True},
+                             "b": {"min": 0.0, "max": 1.0, "count": 2}}},
+         [], "sweep grid 'j0' has unknown key 'dense', 'num'"),
+    ],
+)
+def test_config_refusals_exit_2_and_write_nothing(tmp_path, capsys, verb, doc, flags, message):
+    config = write_json(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    outputs = ["--out", str(out_dir / "x.csv"), "--summary", str(out_dir / "x.json")]
+    assert run_cli(verb, "--config", config, *flags, *outputs) == 2
+    assert capsys.readouterr().err == f"error: {message.format(config=config)}\n"
+    assert not any(out_dir.iterdir())
+
+
+def test_module_entry_point(tmp_path):
+    # python -m backflow.cli runs entrypoint, the console script's target
+    env = {**os.environ, "PYTHONPATH": str(Path(cli_mod.__file__).parents[1])}
+
+    def cli(*args):
+        argv = [sys.executable, "-m", "backflow.cli", *args]
+        return subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path)
+
+    done = cli("--help")
+    assert done.returncode == 0 and "{run,sweep,verify}" in done.stdout
+    done = cli("run", "--scenario", "nope")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: unknown scenario 'nope' (known: ")
+    assert not any(tmp_path.iterdir())

@@ -12,7 +12,6 @@ from backflow.diagnostics import (
     correlation_operator,
     didt_from_generator,
     distinguishability_bound,
-    env_indistinguishability,
     mutual_information,
     pair_step_series,
     sigma_from_generator,
@@ -50,6 +49,18 @@ def test_trace_distance_values():
         assert abs(d - abs(p - q)) < 1e-12
 
 
+def test_trace_distance_takes_stacks():
+    # one pair gives a numpy scalar; a stack gives one distance per pair, the pair's own
+    rng = np.random.default_rng(2)
+    r1 = np.array([random_density(rng, 3) for _ in range(4)])
+    r2 = np.array([random_density(rng, 3) for _ in range(4)])
+    single = trace_distance(r1[0], r2[0])
+    assert isinstance(single, np.float64) and np.ndim(single) == 0
+    stacked = trace_distance(r1, r2)
+    assert stacked.shape == (4,)
+    assert np.array_equal(stacked, [trace_distance(a, b) for a, b in zip(r1, r2)])
+
+
 def test_trace_distance_contractivity():
     # discarding a subsystem never increases distinguishability
     rng = np.random.default_rng(1)
@@ -85,16 +96,6 @@ def test_correlation_operator_traceless_everywhere():
         chi = correlation_operator(rho, bp)
         assert np.max(np.abs(partial_trace(chi, bp, "system"))) < 1e-12
         assert np.max(np.abs(partial_trace(chi, bp, "environment"))) < 1e-12
-
-
-def test_env_indistinguishability_bounds():
-    rng = np.random.default_rng(3)
-    for _ in range(6):
-        r1 = random_density(rng, 4)
-        r2 = random_density(rng, 4)
-        e = env_indistinguishability(r1, r2)
-        assert -1e-12 <= e <= 1.0 + 1e-12
-    assert abs(env_indistinguishability(np.eye(4) / 4, np.eye(4) / 4) - 1.0) < 1e-14
 
 
 def test_mutual_information_bell_and_product():
@@ -255,7 +256,7 @@ def assert_kernel_matches_oracles(h, bp, s1, s2, sz_diagonal=None):
         expected = {
             "d_system": trace_distance(rs[0], rs[1]),
             "d_env": trace_distance(re[0], re[1]),
-            "e_indist": env_indistinguishability(re[0], re[1]),
+            "e_indist": 1.0 - trace_distance(re[0], re[1]),
             "x_corr": correlation_distance(chi[0], chi[1]),
             "bound_term1": bound.term1,
             "bound_term2": bound.term2,
@@ -304,6 +305,17 @@ def test_pair_step_series_matches_scalar_reference(monkeypatch):
     s2 = (v @ (phases * (v.conj().T @ psi2)).T).T
     monkeypatch.setattr(diagnostics, "CHUNK_ELEMENTS", 64)
     assert_kernel_matches_oracles(h, model.bipartition, s1, s2)
+
+
+def test_pair_step_series_refuses_mismatched_shapes():
+    rng = np.random.default_rng(4)
+    s1, s2 = haar_stack(rng, 6, 3), haar_stack(rng, 6, 3)
+    with pytest.raises(ValueError) as err:
+        pair_step_series(np.eye(4), 2, 3, s1, s2)
+    assert str(err.value) == "hamiltonian shape (4, 4) does not match dimensions (2, 3)"
+    with pytest.raises(ValueError) as err:
+        pair_step_series(np.eye(6), 2, 3, s1, s2[:2])
+    assert str(err.value) == "state stacks must share shape (n_times, d_system*d_environment)"
 
 
 def test_pair_step_series_matches_oracles_on_edge_shapes():

@@ -31,6 +31,9 @@ def test_time_grid():
         TimeGrid(t_max=-1.0, n_steps=10)
     with pytest.raises(ValueError):
         TimeGrid(t_max=1.0, n_steps=-1)
+    with pytest.raises(ValueError) as err:
+        TimeGrid(t_max=-1.0, n_steps=0)
+    assert str(err.value) == "t_max must be nonnegative, got -1.0"
 
 
 def test_propagator_identity_at_zero():
@@ -72,7 +75,7 @@ def test_carrier_indices_structure():
 def test_single_sample_grid():
     model = build_chain_model(ChainParams(n_total=3))
     rec = run_trajectory(model, TimeGrid(t_max=0.0, n_steps=0))
-    assert rec.n_times == 1
+    assert rec.times.size == 1
     assert abs(rec.d_system[0] - 1.0) < 1e-12
     assert abs(rec.chi1_norm[0]) < 1e-12
     assert abs(rec.mutual_info_1[0]) < 1e-12
@@ -112,7 +115,7 @@ def test_reduced_ranks_stay_low(chain6_records):
     model, dense, _ = chain6_records
     full = model.dense
     bp = full.bipartition
-    idx = np.linspace(0, dense.n_times - 1, 5).astype(int)
+    idx = np.linspace(0, dense.times.size - 1, 5).astype(int)
     (vs, ve), _ = full.initial_pair
     states, = evolve(full.hamiltonian, [np.kron(vs, ve)], dense.times[idx])
     for v in states:
@@ -137,6 +140,9 @@ def test_auto_path_selection():
     assert rec2.path_used == "dense"
     with pytest.raises(ValueError):
         run_trajectory(model2, TimeGrid(t_max=1.0, n_steps=10), path="subspace")
+    with pytest.raises(ValueError) as err:
+        run_trajectory(model2, TimeGrid(t_max=1.0, n_steps=10), path="sideways")
+    assert str(err.value) == "unknown path 'sideways'"
     # the route follows the pair of the run, not the pair the chain was built with
     rec3 = run_trajectory(model2, TimeGrid(t_max=1.0, n_steps=10), pair=chain.initial_pair)
     assert rec3.path_used == "subspace"

@@ -131,6 +131,15 @@ def test_hermitian_eig_rejects_asymmetry():
     hermitian_eig(h)
 
 
+def test_hermitian_eig_and_partial_trace_refusals():
+    with pytest.raises(ValueError) as err:
+        hermitian_eig(np.zeros((2, 3), dtype=complex))
+    assert str(err.value) == "expected a square matrix, got shape (2, 3)"
+    with pytest.raises(ValueError) as err:
+        partial_trace(np.eye(6) / 6, Bipartition(2, 3), keep="both")
+    assert str(err.value) == "keep must be 'system' or 'environment', got 'both'"
+
+
 def test_hermitian_eig_allocates_no_dense_temporary():
     # the eigenvector matrix is the only d x d array it may allocate
     d = 384

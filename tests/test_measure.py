@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from backflow.evolution import TimeGrid, run_trajectory
+from backflow.linalg import Bipartition, haar_random_state
 from backflow.measure import (
     PairFamily,
     blp_integral,
@@ -13,7 +14,6 @@ from backflow.measure import (
     interval_contributions,
 )
 from backflow.model import ChainParams, Model, build_chain_model
-from backflow.verify import random_generic_model
 
 
 def test_increasing_intervals_by_hand():
@@ -131,7 +131,11 @@ def test_random_pairs_reproducible():
 
 
 def test_qubit_pair_families_refuse_other_systems():
-    qutrit = random_generic_model(np.random.default_rng(1), d_environment=2, d_system=3)
+    # a dense qutrit-qubit model with Haar-random product initial states
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    pair = tuple((haar_random_state(3, rng), haar_random_state(2, rng)) for _ in range(2))
+    qutrit = Model((a + a.conj().T) / 2.0, Bipartition(3, 2), pair)
     grid = TimeGrid(t_max=1.0, n_steps=10)
     assert blp_measure(qutrit, grid, PairFamily("file")).best_pair == "file"
     assert len(blp_measure(qutrit, grid, PairFamily("random:2")).per_pair_values) == 2

@@ -11,11 +11,8 @@ from backflow.linalg import Bipartition, trace_norm
 from backflow.model import (
     PAULI,
     ChainParams,
-    CorrelatedInitialStateError,
-    DimensionMismatchError,
     Model,
     ModelFileError,
-    NonHermitianHamiltonianError,
     build_chain_model,
     carrier_indices,
     chain_build_peak_bytes,
@@ -23,6 +20,7 @@ from backflow.model import (
     load_generic_model,
     pauli_on_site,
     plus_minus_pair,
+    product_pair,
     total_sz_diagonal,
 )
 
@@ -33,6 +31,19 @@ def test_pauli_on_site_placement():
     assert np.array_equal(got, want)
     got = pauli_on_site("x", 0, 2)
     assert np.array_equal(got, np.kron(PAULI["x"], np.eye(2)))
+
+
+def test_pauli_on_site_and_product_pair_refusals():
+    with pytest.raises(ValueError) as err:
+        pauli_on_site("w", 0, 2)
+    assert str(err.value) == "axis must be one of 'x', 'y', 'z', got 'w'"
+    with pytest.raises(ValueError) as err:
+        pauli_on_site("x", 2, 2)
+    assert str(err.value) == "site 2 out of range for 2 spins"
+    state = plus_minus_pair(2)[0]
+    with pytest.raises(ValueError) as err:
+        product_pair((state, state, state), Bipartition(2, 2))
+    assert str(err.value) == "initial_pair must hold exactly two states"
 
 
 def test_total_sz_diagonal_values():
@@ -121,15 +132,17 @@ def test_model_rejects_nonhermitian():
     pair = plus_minus_pair(2)
     h = np.zeros((4, 4), dtype=complex)
     h[0, 1] = 1.0
-    with pytest.raises(NonHermitianHamiltonianError):
+    with pytest.raises(ValueError) as err:
         Model(h, Bipartition(2, 2), pair)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "hamiltonian not Hermitian, max asymmetry 1.000e+00"
 
 
 def test_model_rejects_sector_leak():
     # d = 512 spans two row blocks of the sector check; rows 257 and 300 sit in the second.
     # Conservation is exact: a leak of one unit in the last place is refused too
     chain = build_chain_model(ChainParams(n_total=9)).dense
-    d = chain.dimension
+    d = chain.bipartition.d_joint
     for i, j, size in ((0, d - 1, 1e-3), (300, 257, 5e-14), (300, 257, 5e-324)):
         h = chain.hamiltonian.copy()
         h[i, j] += size
@@ -156,14 +169,18 @@ def test_carrier_rejects_a_leak_between_its_sectors():
 
 def test_model_rejects_wrong_pair_dims():
     pair = plus_minus_pair(3)  # 2 x 3 carrier coordinates
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(ValueError) as err:
         Model(np.zeros((4, 4)), Bipartition(2, 2), pair)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "initial state 1: environment factor shape (3,) does not match (2,)"
 
 
 def test_model_rejects_wrong_hamiltonian_and_interaction_shapes():
     pair = plus_minus_pair(2)
-    with pytest.raises(DimensionMismatchError, match="hamiltonian shape"):
+    with pytest.raises(ValueError) as err:
         Model(np.zeros((6, 6)), Bipartition(2, 2), pair)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "hamiltonian shape (6, 6) does not match bipartition dimension 4"
 
 
 def test_chain_params_validation():
@@ -251,7 +268,7 @@ def test_load_generic_model_roundtrip(tmp_path):
     doc = _valid_doc()
     model = load_generic_model(_write_model(tmp_path, doc))
     assert model.bipartition == Bipartition(2, 3)
-    assert model.dimension == 6
+    assert model.bipartition.d_joint == 6
     want = np.array([row for row in doc["hamiltonian"]])
     got = model.hamiltonian
     assert got.shape == (6, 6)
@@ -281,22 +298,34 @@ def test_load_rejects_entangled_joint_state(tmp_path):
         {"joint_state": _vec(bell)},
         {"system_state": _vec([1, 0]), "environment_state": _vec([1, 0])},
     ]
-    with pytest.raises(CorrelatedInitialStateError):
-        load_generic_model(_write_model(tmp_path, doc))
+    path = _write_model(tmp_path, doc)
+    with pytest.raises(ModelFileError) as err:
+        load_generic_model(path)
+    assert type(err.value) is ModelFileError
+    assert str(err.value) == (
+        f"{path}: initial_states[0] carries system-environment correlations "
+        "(second Schmidt coefficient 7.071e-01); only product initial states are allowed"
+    )
 
 
 def test_load_rejects_nonhermitian(tmp_path):
     doc = _valid_doc()
     doc["hamiltonian"][0][1] = [doc["hamiltonian"][0][1][0] + 1e-3, doc["hamiltonian"][0][1][1]]
-    with pytest.raises(NonHermitianHamiltonianError):
-        load_generic_model(_write_model(tmp_path, doc))
+    path = _write_model(tmp_path, doc)
+    with pytest.raises(ModelFileError) as err:
+        load_generic_model(path)
+    assert type(err.value) is ModelFileError
+    assert str(err.value) == f"{path}: hamiltonian not Hermitian, max asymmetry 1.000e-03"
 
 
 def test_load_rejects_dimension_mismatch(tmp_path):
     doc = _valid_doc()
     doc["dims"] = {"system": 2, "environment": 4}
-    with pytest.raises(DimensionMismatchError):
-        load_generic_model(_write_model(tmp_path, doc))
+    path = _write_model(tmp_path, doc)
+    with pytest.raises(ModelFileError) as err:
+        load_generic_model(path)
+    assert type(err.value) is ModelFileError
+    assert str(err.value) == f"{path}: hamiltonian shape (6, 6) does not match bipartition dimension 8"
 
 
 def test_load_rejects_wrong_state_count(tmp_path):
@@ -374,22 +403,32 @@ def _set(*keys_and_value):
         (_set("dims", "system", 0), ModelFileError, "dims must be positive"),
         (_set("initial_states", 0, [[1.0, 0.0], [0.0, 0.0]]), ModelFileError, "must be an object"),
         (_set("initial_states", 0, {"system_state": _vec([1, 0])}), ModelFileError, "needs either"),
-        (_set("initial_states", 1, {"joint_state": _vec([1, 0, 0, 0])}), DimensionMismatchError,
-         "joint_state has dimension 4, expected 6"),
+        (_set("initial_states", 1, {"joint_state": _vec([1, 0, 0, 0])}), ModelFileError,
+         "initial_states[1] joint_state has dimension 4, expected 6"),
         (_set("hamiltonian", [[[1.0, 0.0, 0.0]]]), ModelFileError, "[re, im] pairs"),
         (_set("hamiltonian", "h"), ModelFileError, "[re, im] pairs"),
         (_set("initial_states", 0, "system_state", [[1.0, 0.0], [0.0]]), ModelFileError,
          "[re, im] pairs"),
         (_set("initial_states", 0, "environment_state", [["a", "b"]] * 3), ModelFileError,
          "[re, im] pairs"),
-        # the checks Model makes, re-raised with the file's path and their own class
-        (_set("dims", "environment", 4), DimensionMismatchError, "hamiltonian shape"),
-        (_set("hamiltonian", 0, 1, [5.0, 0.0]), NonHermitianHamiltonianError, "not Hermitian"),
-        (_set("initial_states", 0, "environment_state", _vec([1, 0])), DimensionMismatchError,
-         "environment factor shape (2,)"),
+        # the checks Model makes, re-raised with the file's path as a ModelFileError
+        (_set("dims", "environment", 4), ModelFileError,
+         "hamiltonian shape (6, 6) does not match bipartition dimension 8"),
+        (_set("hamiltonian", 0, 1, [5.0, 0.0]), ModelFileError,
+         "hamiltonian not Hermitian, max asymmetry 4.475e+00"),
+        (_set("initial_states", 0, "environment_state", _vec([1, 0])), ModelFileError,
+         "initial state 1: environment factor shape (2,) does not match (3,)"),
         # a dimension that is not a JSON integer is refused, not truncated by int()
         (_set("dims", {"system": 2.9, "environment": 4.5}), ModelFileError, "got (2.9, 4.5)"),
         (_set("dims", "system", True), ModelFileError, "got (True, 3)"),
+        # a key the loader does not read is refused at every level, so nothing is half-read
+        (_set("dims", "bath", 9), ModelFileError, "dims has unknown key 'bath'"),
+        (_set("dims", {"system": 2, "environment": 3, "bath": 9, "aux": 1}), ModelFileError,
+         "dims has unknown key 'aux', 'bath'"),
+        (_set("initial_states", 0, "weight", 0.3), ModelFileError,
+         "initial_states[0] has unknown key 'weight'"),
+        (_set("initial_states", 1, "joint_state", _vec(np.kron([0, 1], [0, 1, 0]))), ModelFileError,
+         "initial_states[1] gives joint_state together with 'environment_state', 'system_state'"),
     ],
 )
 def test_load_rejects_malformed_documents(tmp_path, edit, cls, message):

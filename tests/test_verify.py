@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 
+from backflow import verify
 from backflow.linalg import purity
 from backflow.verify import (
     bound_suite,
@@ -59,3 +62,15 @@ def test_check_line_format():
     line = checks[0].line()
     assert line.startswith("PASS") or line.startswith("FAIL")
     assert ":" in line
+
+
+def test_kernel_oracle_check_compares_both_distances(chain6_records):
+    # the paper's D(t) and D_env against trace_distance of the stacked reduced states
+    model, dense, _ = chain6_records
+    samples = verify._sample_states(model.dense, dense)
+    assert verify._kernel_oracle_check("n=6", model.dense, dense, samples).passed
+    for col in ("d_system", "d_env"):
+        shifted = dataclasses.replace(dense, **{col: getattr(dense, col) + 1e-10})
+        check = verify._kernel_oracle_check("n=6", model.dense, shifted, samples)
+        assert not check.passed
+        assert check.detail == f"max gap 1.000e-10 ({col})"
