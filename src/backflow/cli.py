@@ -170,6 +170,11 @@ def _keys(cls) -> list:
     return [f for f in dataclasses.fields(cls) if "coerce" in f.metadata]
 
 
+_RUN_KEYS = frozenset(f.name for f in _keys(RunConfig))
+# the keys a sweep reads from a config file's top level; out and summary name each verb's own files
+_SHARED_FILE_KEYS = ("n_spins", "t_max", "steps", "path")
+
+
 def _merge(cls, given: dict, what: str) -> dict:
     """Coerce the given key values over the defaults of cls.
 
@@ -281,9 +286,16 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 
 
 def _parse_sweep_config(path: str | None, overrides: dict) -> SweepConfig:
-    file_cfg = _load_config_file(path).get("sweep", {}) if path else {}
+    doc = _load_config_file(path) if path else {}
+    file_cfg = doc.pop("sweep", {})
     if not isinstance(file_cfg, dict):
         raise ConfigError("config key 'sweep' must be an object")
+    # the top level holds run keys; the sweep reads the chain keys among them, and its own
+    # section overrides those
+    for key in doc:
+        if key not in _RUN_KEYS:
+            raise ConfigError(f"unknown config key '{key}'")
+    file_cfg = {**{key: doc[key] for key in _SHARED_FILE_KEYS if key in doc}, **file_cfg}
     overrides = dict(overrides)
     grids = {}
     for axis in _GRID_AXES:

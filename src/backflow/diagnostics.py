@@ -38,6 +38,8 @@ __all__ = [
 
 # complex entries that the arrays of one pair_step_series chunk hold at most, 8 MB
 CHUNK_ELEMENTS = 500_000
+# a row of a chunk's R factor whose entries all stay below this times R's largest is rounding
+RANK_RTOL = 1e-13
 
 
 def trace_distance(r1, r2):
@@ -297,14 +299,21 @@ def pair_step_series(
     k = dim W <= 2 d_system: the R factor of f = Q R gives compressed
     coefficients c_j = R_j^T, so that rho_S^j = c_j c_j^dagger, rho_E^j
     = c_j^T c_j^* on W, and the correlation operators chi_j are w x w
-    with w = d_system * k. S(rho_E^j) = S(rho_S^j), as c_j c_j^dagger
+    with w = d_system * k. Each row of R is one direction of W, and a
+    row whose entries stay below RANK_RTOL (1e-13) times R's largest
+    entry over the whole chunk is rounding: it is dropped, which moves
+    every coefficient by at most its size. So k is W's numerical
+    dimension: 2 on a chain pair that shares the vacuum (1 at t = 0),
+    as the XX chain conserves excitations. An unpivoted QR can spread a
+    rank-deficient span over more rows; there k stays larger and nothing
+    is lost. S(rho_E^j) = S(rho_S^j), as c_j c_j^dagger
     and c_j^T c_j^* share their nonzero spectrum, and the rank-one joint
     state's entropy comes from its one eigenvalue ||c_j||^2, computed
     rather than assumed 1. The chi{j}_ptrace_* residuals are the largest
     entries of the partial traces of chi_j on C^d_system (x) W.
 
     For a qubit (d_system = 2) a chunk makes three LAPACK calls: the QR,
-    and the eigenvalues of Delta_E (k x k) and of chi_1 - chi_2 (8 x 8).
+    and the eigenvalues of Delta_E (k x k) and of chi_1 - chi_2 (2k x 2k).
     Every 2 x 2 Hermitian quantity (rho_S^j, d rho_S^j/dt, G_j, G_1 -
     G_2, Delta) is held as three arrays over time: half its trace t, half
     its diagonal difference h and its 01 entry o. Its eigenvalues are t
@@ -323,8 +332,10 @@ def pair_step_series(
     most CHUNK_ELEMENTS entries (but always at least one time). The count
     adds Z (2 d_system^3 d_environment entries per time), f, its
     conjugate and H psi_j (2 d_system d_environment each), and 4 w^2, twice
-    the chi_j stacks of both states. Z is freed before chi_j is built,
-    so the count is an upper bound.
+    the chi_j stacks of both states, with w at its structural bound
+    d_system min(d_environment, 2 d_system), since k is known only after
+    a chunk's QR. Z is freed before chi_j is built, so the count is an
+    upper bound.
     """
     h = np.asarray(h, dtype=np.complex128)
     s1 = np.atleast_2d(np.asarray(states_1, dtype=np.complex128))
@@ -355,6 +366,9 @@ def _chunk_series(h, ds, de, s1, s2, sz_diagonal) -> dict[str, np.ndarray]:
     ft = np.concatenate([s.reshape(n, ds, de) for s in (s1, s2)], axis=1)
     # [P_1^T, P_2^T] = Q R with orthonormal Q spanning both environment supports; only R is needed
     r = np.linalg.qr(ft.transpose(0, 2, 1), mode="r")
+    # each row of R is one direction of W; keep the ones the pair occupies, so k = dim W
+    row_max = np.abs(r).max(axis=(0, 2), initial=0.0)
+    r = r[:, row_max >= RANK_RTOL * row_max.max(initial=0.0)]
     k = r.shape[1]
     w = ds * k
     # f[b, (x, t, j)] = P_j[x, b] at time t

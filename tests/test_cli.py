@@ -354,6 +354,25 @@ def test_sweep_config_file(tmp_path):
         main(["sweep", "--config", cfg, "--j0-grid", "bad", "grid", "here"])
 
 
+def test_sweep_config_reads_the_shared_top_level_keys(tmp_path, capsys):
+    # the top level may hold any run key, and a sweep reads the chain keys among them
+    doc = {"steps": 7, "n_spins": 4, "scenario": "fig1a", "j0": 0.3, "out": "run.csv",
+           "sweep": {**SWEEP_GRIDS, "path": "dense"}}
+    cfg = _parse_sweep_config(write_json(tmp_path, doc), {})
+    assert (cfg.steps, cfg.n_spins, cfg.t_max, cfg.path, cfg.out) == (7, 4, 3.0, "dense", None)
+    # the sweep section overrides the top level, and flags override both
+    doc["sweep"]["steps"] = 9
+    assert _parse_sweep_config(write_json(tmp_path, doc), {}).steps == 9
+    assert _parse_sweep_config(write_json(tmp_path, doc), {"steps": 11}).steps == 11
+    # a top-level key that no verb reads is refused, as run refuses it
+    out = tmp_path / "never.csv"
+    doc = {"steps": 7, "n_spins": 4, "bogus": 1, "sweep": SWEEP_GRIDS}
+    for verb in (["sweep"], ["run", "--scenario", "fig1a"]):
+        assert main([*verb, "--config", write_json(tmp_path, doc), "--out", str(out)]) == 2
+        assert "unknown config key 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_missing_grid_is_config_error(capsys):
     assert run_cli("sweep", "--j0-grid", "1", "1", "1") == 2
     assert "b grid" in capsys.readouterr().err

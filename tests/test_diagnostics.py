@@ -523,18 +523,71 @@ def test_pair_step_series_chunk_bounds_every_per_time_array(chain10_model, chain
     assert peak < 5 * 2**20, peak
 
 
+def record_eigvalsh_shapes(monkeypatch) -> list:
+    """Wrap np.linalg.eigvalsh to record the shape of every stack it receives; returns the record."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return eigvalsh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return shapes
+
+
 def test_pair_step_series_chunking_invariant(monkeypatch):
     model = build_chain_model(ChainParams(n_total=3)).dense
     h = model.hamiltonian
     rng = np.random.default_rng(8)
-    s1 = np.array([haar_random_state(8, rng) for _ in range(7)])
-    s2 = np.array([haar_random_state(8, rng) for _ in range(7)])
-    monkeypatch.setattr(diagnostics, "CHUNK_ELEMENTS", 10**9)
-    a = pair_step_series(h, 2, 4, s1, s2)
-    monkeypatch.setattr(diagnostics, "CHUNK_ELEMENTS", 64)
-    b = pair_step_series(h, 2, 4, s1, s2)
-    for key in a:
-        ga, gb = a[key], b[key]
-        if np.all(np.isnan(ga)) and np.all(np.isnan(gb)):
-            continue
-        assert np.max(np.abs(ga - gb)) < 1e-12, key
+    haar = [np.array([haar_random_state(8, rng) for _ in range(7)]) for _ in range(2)]
+    # the chain's own pair shares the environment factor at t = 0, where W is one direction
+    chain = evolve(h, [np.kron(vs, ve) for vs, ve in model.initial_pair], np.linspace(0.0, 3.0, 7))
+    for (s1, s2), chunk_elements in ((haar, 64), (chain, 1)):
+        monkeypatch.setattr(diagnostics, "CHUNK_ELEMENTS", 10**9)
+        a = pair_step_series(h, 2, 4, s1, s2)
+        monkeypatch.setattr(diagnostics, "CHUNK_ELEMENTS", chunk_elements)
+        shapes = record_eigvalsh_shapes(monkeypatch)
+        b = pair_step_series(h, 2, 4, s1, s2)
+        monkeypatch.undo()
+        if chunk_elements == 1:
+            # one time per chunk: the t = 0 chunk runs at k = 1, every later one at k = 2
+            assert shapes[:2] == [(1, 1, 1), (1, 2, 2)]
+            assert set(shapes[2:]) == {(1, 2, 2), (1, 4, 4)}
+        for key in a:
+            ga, gb = a[key], b[key]
+            if np.all(np.isnan(ga)) and np.all(np.isnan(gb)):
+                continue
+            assert np.max(np.abs(ga - gb)) < 1e-12, key
+
+
+def test_chain_chunks_diagonalize_only_the_occupied_directions(monkeypatch, chain10_model, chain10_record):
+    # the XX chain conserves excitations, so a pair sharing its vacuum occupies two environment
+    # directions: k = 2, and the qubit chunk's stacks are Delta_E at 2 x 2 and chi_1 - chi_2 at 4 x 4
+    h = chain10_model.hamiltonian
+    chain = evolve(h, [np.kron(vs, ve) for vs, ve in chain10_model.initial_pair], chain10_record.times)
+    shapes = record_eigvalsh_shapes(monkeypatch)
+    pair_step_series(h, 2, 10, *chain)
+    assert {shape[1:] for shape in shapes} == {(2, 2), (4, 4)}
+    # a Haar-random pair fills W: k = 2 d_S = 4
+    rng = np.random.default_rng(21)
+    del shapes[:]
+    pair_step_series(random_hamiltonian(rng, 20), 2, 10, haar_stack(rng, 20), haar_stack(rng, 20))
+    assert {shape[1:] for shape in shapes} == {(4, 4), (8, 8)}
+
+
+@pytest.mark.parametrize("weight, k", [(1e-10, 3), (0.0, 2)])
+def test_kernel_keeps_every_occupied_direction(monkeypatch, weight, k):
+    # the pair spans e_0 and e_1, and the second state puts weight on e_2 too: without that
+    # direction of amplitude 1e-5, d_system would move by about 4e-11, past the 1e-12 compared
+    rng = np.random.default_rng(22)
+    env = np.linalg.qr(random_hamiltonian(rng, 4))[0].T
+    states = []
+    for extra in (0.0, weight):
+        coeffs = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        coeffs /= np.linalg.norm(coeffs, axis=(1, 2), keepdims=True)
+        psi = np.einsum("tab,be->tae", coeffs, env[:2]).reshape(3, 8)
+        states.append(np.sqrt(1.0 - extra) * psi + np.sqrt(extra) * np.kron([0.6, 0.8j], env[2]))
+    shapes = record_eigvalsh_shapes(monkeypatch)
+    assert_kernel_matches_oracles(random_hamiltonian(rng, 8), Bipartition(2, 4), *states)
+    assert shapes[:2] == [(3, k, k), (3, 2 * k, 2 * k)]

@@ -390,54 +390,71 @@ def _set(*keys_and_value):
     return edit
 
 
+def _row(edit, message, name):
+    # each id is written out, so tightening a row's message keeps its test's name
+    return pytest.param(edit, message, id=name)
+
+
 @pytest.mark.parametrize(
-    "edit,cls,message",
+    "edit,message",
     [
-        (lambda doc: [doc], ModelFileError, "top level must be an object"),
-        (_drop("dims"), ModelFileError, "missing required key 'dims'"),
-        (_drop("hamiltonian"), ModelFileError, "missing required key 'hamiltonian'"),
-        (_drop("initial_states"), ModelFileError, "missing required key 'initial_states'"),
-        (_set("dims", [2, 3]), ModelFileError, "dims must carry"),
-        (_set("dims", "system", "two"), ModelFileError, "dims entries must be integers"),
-        (_set("dims", "environment", None), ModelFileError, "dims entries must be integers"),
-        (_set("dims", "system", 0), ModelFileError, "dims must be positive"),
-        (_set("initial_states", 0, [[1.0, 0.0], [0.0, 0.0]]), ModelFileError, "must be an object"),
-        (_set("initial_states", 0, {"system_state": _vec([1, 0])}), ModelFileError, "needs either"),
-        (_set("initial_states", 1, {"joint_state": _vec([1, 0, 0, 0])}), ModelFileError,
-         "initial_states[1] joint_state has dimension 4, expected 6"),
-        (_set("hamiltonian", [[[1.0, 0.0, 0.0]]]), ModelFileError, "[re, im] pairs"),
-        (_set("hamiltonian", "h"), ModelFileError, "[re, im] pairs"),
-        (_set("initial_states", 0, "system_state", [[1.0, 0.0], [0.0]]), ModelFileError,
-         "[re, im] pairs"),
-        (_set("initial_states", 0, "environment_state", [["a", "b"]] * 3), ModelFileError,
-         "[re, im] pairs"),
+        _row(lambda doc: [doc], "top level must be an object",
+             "<lambda>-ModelFileError-top level must be an object"),
+        _row(_drop("dims"), "missing required key 'dims'", "edit-ModelFileError-missing required key 'dims'"),
+        _row(_drop("hamiltonian"), "missing required key 'hamiltonian'",
+             "edit-ModelFileError-missing required key 'hamiltonian'"),
+        _row(_drop("initial_states"), "missing required key 'initial_states'",
+             "edit-ModelFileError-missing required key 'initial_states'"),
+        _row(_set("dims", [2, 3]), "dims must carry", "edit-ModelFileError-dims must carry"),
+        _row(_set("dims", "system", "two"), "dims entries must be integers",
+             "edit-ModelFileError-dims entries must be integers0"),
+        _row(_set("dims", "environment", None), "dims entries must be integers",
+             "edit-ModelFileError-dims entries must be integers1"),
+        _row(_set("dims", "system", 0), "dims must be positive", "edit-ModelFileError-dims must be positive"),
+        _row(_set("initial_states", 0, [[1.0, 0.0], [0.0, 0.0]]), "must be an object",
+             "edit-ModelFileError-must be an object"),
+        _row(_set("initial_states", 0, {"system_state": _vec([1, 0])}), "needs either",
+             "edit-ModelFileError-needs either"),
+        _row(_set("initial_states", 1, {"joint_state": _vec([1, 0, 0, 0])}),
+             "initial_states[1] joint_state has dimension 4, expected 6",
+             "edit-ModelFileError-initial_states[1] joint_state has dimension 4, expected 6"),
+        _row(_set("hamiltonian", [[[1.0, 0.0, 0.0]]]), "[re, im] pairs", "edit-ModelFileError-[re, im] pairs0"),
+        _row(_set("hamiltonian", "h"), "[re, im] pairs", "edit-ModelFileError-[re, im] pairs1"),
+        _row(_set("initial_states", 0, "system_state", [[1.0, 0.0], [0.0]]), "[re, im] pairs",
+             "edit-ModelFileError-[re, im] pairs2"),
+        _row(_set("initial_states", 0, "environment_state", [["a", "b"]] * 3), "[re, im] pairs",
+             "edit-ModelFileError-[re, im] pairs3"),
         # the checks Model makes, re-raised with the file's path as a ModelFileError
-        (_set("dims", "environment", 4), ModelFileError,
-         "hamiltonian shape (6, 6) does not match bipartition dimension 8"),
-        (_set("hamiltonian", 0, 1, [5.0, 0.0]), ModelFileError,
-         "hamiltonian not Hermitian, max asymmetry 4.475e+00"),
-        (_set("initial_states", 0, "environment_state", _vec([1, 0])), ModelFileError,
-         "initial state 1: environment factor shape (2,) does not match (3,)"),
+        _row(_set("dims", "environment", 4), "hamiltonian shape (6, 6) does not match bipartition dimension 8",
+             "edit-ModelFileError-hamiltonian shape (6, 6) does not match bipartition dimension 8"),
+        _row(_set("hamiltonian", 0, 1, [5.0, 0.0]), "hamiltonian not Hermitian, max asymmetry 4.475e+00",
+             "edit-ModelFileError-hamiltonian not Hermitian, max asymmetry 4.475e+00"),
+        _row(_set("initial_states", 0, "environment_state", _vec([1, 0])),
+             "initial state 1: environment factor shape (2,) does not match (3,)",
+             "edit-ModelFileError-initial state 1: environment factor shape (2,) does not match (3,)"),
         # a dimension that is not a JSON integer is refused, not truncated by int()
-        (_set("dims", {"system": 2.9, "environment": 4.5}), ModelFileError, "got (2.9, 4.5)"),
-        (_set("dims", "system", True), ModelFileError, "got (True, 3)"),
+        _row(_set("dims", {"system": 2.9, "environment": 4.5}), "got (2.9, 4.5)",
+             "edit-ModelFileError-got (2.9, 4.5)"),
+        _row(_set("dims", "system", True), "got (True, 3)", "edit-ModelFileError-got (True, 3)"),
         # a key the loader does not read is refused at every level, so nothing is half-read
-        (_set("dims", "bath", 9), ModelFileError, "dims has unknown key 'bath'"),
-        (_set("dims", {"system": 2, "environment": 3, "bath": 9, "aux": 1}), ModelFileError,
-         "dims has unknown key 'aux', 'bath'"),
-        (_set("initial_states", 0, "weight", 0.3), ModelFileError,
-         "initial_states[0] has unknown key 'weight'"),
-        (_set("initial_states", 1, "joint_state", _vec(np.kron([0, 1], [0, 1, 0]))), ModelFileError,
-         "initial_states[1] gives joint_state together with 'environment_state', 'system_state'"),
+        _row(_set("dims", "bath", 9), "dims has unknown key 'bath'", "edit-ModelFileError-dims has unknown key 'bath'"),
+        _row(_set("dims", {"system": 2, "environment": 3, "bath": 9, "aux": 1}), "dims has unknown key 'aux', 'bath'",
+             "edit-ModelFileError-dims has unknown key 'aux', 'bath'"),
+        _row(_set("initial_states", 0, "weight", 0.3), "initial_states[0] has unknown key 'weight'",
+             "edit-ModelFileError-initial_states[0] has unknown key 'weight'"),
+        _row(_set("initial_states", 1, "joint_state", _vec(np.kron([0, 1], [0, 1, 0]))),
+             "initial_states[1] gives joint_state together with 'environment_state', 'system_state'",
+             "edit-ModelFileError-initial_states[1] gives joint_state together with 'environment_state', "
+             "'system_state'"),
     ],
 )
-def test_load_rejects_malformed_documents(tmp_path, edit, cls, message):
+def test_load_rejects_malformed_documents(tmp_path, edit, message):
     doc = _valid_doc()
     doc = edit(doc) or doc
     path = _write_model(tmp_path, doc)
     with pytest.raises(ModelFileError) as err:
         load_generic_model(path)
-    assert type(err.value) is cls
+    assert type(err.value) is ModelFileError
     assert str(err.value).startswith(f"{path}: ")
     assert message in str(err.value)
 
