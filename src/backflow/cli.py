@@ -79,8 +79,6 @@ _SCENARIO_OVERRIDES: dict[str, dict] = {
 
 _PATHS = ("auto", "dense", "subspace")
 
-_GRID_AXES = ("j0", "b")
-
 # lower bound on the memory of one sweep row: its dict of five entries and three floats
 _SWEEP_ROW_BYTES = 256
 
@@ -115,8 +113,36 @@ def _want_str(key: str, value) -> str:
     return value
 
 
-# argparse type of a flag, by the coercer of its key; a bool key is a switch
-_FLAG_TYPES = {_want_int: int, _want_float: float, _want_str: str}
+def _want_grid(key: str, value) -> dict:
+    if not isinstance(value, dict) or not {"min", "max", "count"} <= set(value):
+        raise ConfigError(f"sweep grid '{key}' needs min, max and count")
+    unknown = sorted(set(value) - {"min", "max", "count"})
+    if unknown:
+        raise ConfigError(f"sweep grid '{key}' has unknown key {', '.join(map(repr, unknown))}")
+    lo, hi = _want_float(f"{key}.min", value["min"]), _want_float(f"{key}.max", value["max"])
+    count = _want_int(f"{key}.count", value["count"])
+    if count < 1:
+        raise ConfigError(f"sweep grid '{key}' count must be positive")
+    return {"min": lo, "max": hi, "count": count}
+
+
+class _GridFlag(argparse.Action):
+    """Store MIN MAX COUNT as the object a config file holds; an integral COUNT is the count."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        lo, hi, count = values
+        count = int(count) if count.is_integer() else count
+        setattr(namespace, self.dest, {"min": lo, "max": hi, "count": count})
+
+
+# argparse arguments of a key's flag, by the key's coercer; a bool key is a switch
+_FLAG_ARGS = {
+    _want_int: {"type": int},
+    _want_float: {"type": float},
+    _want_str: {"type": str},
+    _want_bool: {"action": "store_true", "default": None},
+    _want_grid: {"action": _GridFlag, "nargs": 3, "type": float, "metavar": ("MIN", "MAX", "COUNT")},
+}
 
 
 def _key(coerce, default, help=None, choices=None):
@@ -157,20 +183,12 @@ class RunConfig(_ChainKeys):
 @dataclass(frozen=True)
 class SweepConfig(_ChainKeys):
     out: str | None = _key(_want_str, None, "sweep CSV path")
-    # the grids: config entries {"j0": {"min", "max", "count"}} and flags --j0-grid
-    j0_min: float = dataclasses.field(kw_only=True)
-    j0_max: float = dataclasses.field(kw_only=True)
-    j0_count: int = dataclasses.field(kw_only=True)
-    b_min: float = dataclasses.field(kw_only=True)
-    b_max: float = dataclasses.field(kw_only=True)
-    b_count: int = dataclasses.field(kw_only=True)
+    # the grids, each {"min", "max", "count"} with flag --j0-grid or --b-grid; both are required
+    j0: dict | None = _key(_want_grid, None, "grid of the coupling ratio j0/j")
+    b: dict | None = _key(_want_grid, None, "grid of the field ratio b/j")
 
 
-def _keys(cls) -> list:
-    return [f for f in dataclasses.fields(cls) if "coerce" in f.metadata]
-
-
-_RUN_KEYS = frozenset(f.name for f in _keys(RunConfig))
+_RUN_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig))
 # the keys a sweep reads from a config file's top level; out and summary name each verb's own files
 _SHARED_FILE_KEYS = ("n_spins", "t_max", "steps", "path")
 
@@ -178,19 +196,26 @@ _SHARED_FILE_KEYS = ("n_spins", "t_max", "steps", "path")
 def _merge(cls, given: dict, what: str) -> dict:
     """Coerce the given key values over the defaults of cls.
 
-    Unknown keys are refused, and so is null where the default is not null.
+    Unknown keys are refused, and so are null where the default is not
+    null and a value outside the key's choices.
     """
-    keys = {f.name: f for f in _keys(cls)}
+    keys = {f.name: f for f in dataclasses.fields(cls)}
     values = {name: f.default for name, f in keys.items()}
     for key, value in given.items():
         if key not in keys:
             raise ConfigError(f"unknown {what} '{key}'")
         nullable = value is None and keys[key].default is None
         values[key] = None if nullable else keys[key].metadata["coerce"](key, value)
+        choices = keys[key].metadata["choices"]
+        if choices is not None and values[key] not in choices:
+            raise ConfigError(f"{key} must be one of {choices}, got {values[key]!r}")
     return values
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str | None) -> tuple[dict, dict]:
+    """A config file's top-level run keys and its sweep section; both empty without a file."""
+    if path is None:
+        return {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -198,7 +223,13 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    return doc
+    section = doc.pop("sweep", {})
+    if not isinstance(section, dict):
+        raise ConfigError("config key 'sweep' must be an object")
+    for key in doc:
+        if key not in _RUN_KEYS:
+            raise ConfigError(f"unknown config key '{key}'")
+    return doc, section
 
 
 def _pair_family(spec: str, seed: int) -> PairFamily:
@@ -212,8 +243,6 @@ def _check_common(values: dict, builds_chain: bool) -> None:
     """Resolve t_max and check the keys of _ChainKeys, in place."""
     if values["t_max"] is None:
         values["t_max"] = float(values["n_spins"] - 1)
-    if values["path"] not in _PATHS:
-        raise ConfigError(f"path must be one of {_PATHS}, got {values['path']!r}")
     if values["n_spins"] < 2:
         raise ConfigError(f"n_spins must be at least 2, got {values['n_spins']}")
     if values["steps"] < 0:
@@ -250,9 +279,7 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     file entries, explicit overrides (CLI flags). Unknown keys and type
     mismatches are rejected with the offending key named.
     """
-    file_cfg = _load_config_file(path) if path else {}
-    file_cfg.pop("sweep", None)
-    given = {**file_cfg, **(overrides or {})}
+    given = {**_load_config_file(path)[0], **(overrides or {})}
     values = _merge(RunConfig, given, "config key")
 
     scenario = values["scenario"]
@@ -286,43 +313,14 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 
 
 def _parse_sweep_config(path: str | None, overrides: dict) -> SweepConfig:
-    doc = _load_config_file(path) if path else {}
-    file_cfg = doc.pop("sweep", {})
-    if not isinstance(file_cfg, dict):
-        raise ConfigError("config key 'sweep' must be an object")
-    # the top level holds run keys; the sweep reads the chain keys among them, and its own
-    # section overrides those
-    for key in doc:
-        if key not in _RUN_KEYS:
-            raise ConfigError(f"unknown config key '{key}'")
-    file_cfg = {**{key: doc[key] for key in _SHARED_FILE_KEYS if key in doc}, **file_cfg}
-    overrides = dict(overrides)
-    grids = {}
-    for axis in _GRID_AXES:
-        node = file_cfg.pop(axis, None)
-        if node is not None:
-            if not isinstance(node, dict) or not {"min", "max", "count"} <= set(node):
-                raise ConfigError(f"sweep grid '{axis}' needs min, max and count")
-            unknown = sorted(set(node) - {"min", "max", "count"})
-            if unknown:
-                raise ConfigError(f"sweep grid '{axis}' has unknown key {', '.join(map(repr, unknown))}")
-            grids[axis] = (node["min"], node["max"], node["count"])
-        flag = overrides.pop(f"{axis}_grid", None)
-        if flag is not None:
-            lo, hi, count = flag
-            # the flag parses COUNT as a float; an integral one is the count
-            grids[axis] = (lo, hi, int(count) if float(count).is_integer() else count)
-    values = _merge(SweepConfig, {**file_cfg, **overrides}, "sweep config key")
+    top, section = _load_config_file(path)
+    # the sweep reads the chain keys of the top level, and its own section overrides them
+    shared = {key: top[key] for key in _SHARED_FILE_KEYS if key in top}
+    values = _merge(SweepConfig, {**shared, **section, **overrides}, "sweep config key")
     _check_common(values, builds_chain=True)
-    if "j0" not in grids or "b" not in grids:
+    if values["j0"] is None or values["b"] is None:
         raise ConfigError("sweep needs both a j0 grid and a b grid")
-    for axis, (lo, hi, count) in grids.items():
-        values[f"{axis}_min"] = _want_float(f"{axis}.min", lo)
-        values[f"{axis}_max"] = _want_float(f"{axis}.max", hi)
-        values[f"{axis}_count"] = _want_int(f"{axis}.count", count)
-        if values[f"{axis}_count"] < 1:
-            raise ConfigError(f"sweep grid '{axis}' count must be positive")
-    j0_count, b_count = values["j0_count"], values["b_count"]
+    j0_count, b_count = values["j0"]["count"], values["b"]["count"]
     need = 8 * (j0_count + b_count) + _SWEEP_ROW_BYTES * j0_count * b_count
     _check_fits(need, f"j0.count={j0_count}, b.count={b_count}", "hold the sweep grid")
     return SweepConfig(**values)
@@ -340,7 +338,8 @@ def _write_summary(summary: dict, path: str | None, start: float | None = None) 
         _write_file(write_summary_json, summary, path)
 
 
-def _parameters_dict(cfg: RunConfig) -> dict:
+def _parameters_dict(cfg: RunConfig | SweepConfig) -> dict:
+    """The keys of cfg as a config file gives them, without the output paths."""
     skip = {"out", "summary"}
     return {k: v for k, v in dataclasses.asdict(cfg).items() if k not in skip}
 
@@ -455,8 +454,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[int, list[dict]]:
     """Measure over a row-major (j0 outer, b inner) parameter grid."""
     start = time.perf_counter()
     grid = TimeGrid(t_max=cfg.t_max, n_steps=cfg.steps)
-    j0_values = np.linspace(cfg.j0_min, cfg.j0_max, cfg.j0_count)
-    b_values = np.linspace(cfg.b_min, cfg.b_max, cfg.b_count)
+    j0_values = np.linspace(cfg.j0["min"], cfg.j0["max"], cfg.j0["count"])
+    b_values = np.linspace(cfg.b["min"], cfg.b["max"], cfg.b["count"])
     rows = []
     failed = False
     for j0 in j0_values:
@@ -481,7 +480,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[int, list[dict]]:
         _write_file(write_sweep_csv, rows, cfg.out)
     if cfg.summary is not None:
         summary = {
-            "parameters": dataclasses.asdict(cfg),
+            "parameters": _parameters_dict(cfg),
             "n_points": len(rows),
             "n_failed": sum(1 for r in rows if r["status"] != "ok"),
         }
@@ -509,22 +508,19 @@ def _run_verify(cfg: RunConfig) -> int:
 
 
 def _add_key_flags(parser: argparse.ArgumentParser, cls) -> None:
-    for f in _keys(cls):
-        flag = "--" + f.name.replace("_", "-")
-        coerce, help = f.metadata["coerce"], f.metadata["help"]
+    for f in dataclasses.fields(cls):
+        coerce, help, choices = (f.metadata[k] for k in ("coerce", "help", "choices"))
         if help is None:
             continue
-        if coerce is _want_bool:
-            parser.add_argument(flag, action="store_true", default=None, help=help)
-        else:
-            parser.add_argument(
-                flag, type=_FLAG_TYPES[coerce], choices=f.metadata["choices"], help=help
-            )
+        # a grid's flag takes MIN MAX COUNT, and its name says so
+        flag = "--" + f.name.replace("_", "-") + ("-grid" if coerce is _want_grid else "")
+        extra = {} if choices is None else {"choices": choices}
+        parser.add_argument(flag, dest=f.name, help=help, **_FLAG_ARGS[coerce], **extra)
 
 
 def _flag_values(args: argparse.Namespace, cls) -> dict:
     """The keys of cls that were set by flag; config-file-only keys have none."""
-    given = ((f.name, getattr(args, f.name, None)) for f in _keys(cls))
+    given = ((f.name, getattr(args, f.name, None)) for f in dataclasses.fields(cls))
     return {key: value for key, value in given if value is not None}
 
 
@@ -542,10 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="measure over a parameter grid")
     sweep_p.add_argument("--config", help="JSON config file with a 'sweep' section")
     _add_key_flags(sweep_p, SweepConfig)
-    for axis in _GRID_AXES:
-        sweep_p.add_argument(
-            f"--{axis}-grid", nargs=3, type=float, metavar=("MIN", "MAX", "COUNT")
-        )
 
     # verify runs the bound-check suite, so it takes that scenario's keys
     verify_p = sub.add_parser("verify", help="self-checks")
@@ -590,9 +582,7 @@ def main(argv=None) -> int:
             code, _ = run_scenario(parse_config(args.config, _flag_values(args, RunConfig)))
             return code
         if args.verb == "sweep":
-            overrides = _flag_values(args, SweepConfig)
-            overrides.update((f"{a}_grid", getattr(args, f"{a}_grid")) for a in _GRID_AXES)
-            code, _ = run_sweep(_parse_sweep_config(args.config, overrides))
+            code, _ = run_sweep(_parse_sweep_config(args.config, _flag_values(args, SweepConfig)))
             return code
         keys = {"seed": args.seed, "n_models": args.models, "summary": args.summary}
         return _run_verify(parse_config(overrides={"scenario": "bound-check", **keys}))

@@ -157,10 +157,11 @@ def run_trajectory(
     under the same, already validated, Hamiltonian.
 
     path is one of 'dense', 'subspace' or 'auto'. Auto takes the subspace
-    route whenever the model is a ChainModel and the pair sits inside its
-    lowest two excitation sectors, and falls back to dense otherwise. A
-    chain's dense route evolves ChainModel.dense, so the 2^n_total
-    Hamiltonian is built by that route alone.
+    route whenever the model is a ChainModel and the pair has no amplitude
+    outside the head of its carrier, the lowest two excitation sectors, and
+    falls back to dense otherwise. A chain's dense route evolves
+    ChainModel.dense, so the 2^n_total Hamiltonian is built by that route
+    alone.
     """
     if path not in ("auto", "dense", "subspace"):
         raise ValueError(f"unknown path {path!r}")
@@ -168,16 +169,13 @@ def run_trajectory(
     vectors = [np.kron(vs, ve) for vs, ve in pair]
     chain = isinstance(model, ChainModel)
     n = model.params.n_total if chain else 0
-    # the carrier's head, its first n + 1 slots, is closed: a pair inside it stays there
-    closed = chain and all(np.vdot(v[n + 1 :], v[n + 1 :]).real <= 1e-12 for v in vectors)
+    # the carrier's head, its first n + 1 slots, is closed: a pair with no amplitude past
+    # it stays there
+    closed = chain and not any(v[n + 1 :].any() for v in vectors)
     subspace = closed and path != "dense"
     if path == "subspace" and not subspace:
         raise ValueError("subspace path needs a chain model and a low-excitation initial pair")
-    if subspace:
-        # left in the 2-excitation slots, rounding would occupy a sector the carrier holds in part
-        for v in vectors:
-            v[n + 1 :] = 0.0
-    elif chain:
+    if chain and not subspace:
         vectors = [np.kron(vs, ve) for vs, ve in model.dense_pair(pair)]
         model = model.dense
     h, bp, sz, times = model.hamiltonian, model.bipartition, model.sz_diagonal, grid.times

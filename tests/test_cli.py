@@ -146,7 +146,7 @@ def test_infeasible_chain_size_exits_2_before_building(tmp_path, capsys, monkeyp
     assert f"steps=10000000000 needs an estimated {need} bytes" in capsys.readouterr().err
     assert not out.exists() and not summary.exists()
     assert parse_config(overrides={"scenario": "fig1a", "n_spins": 10}).n_spins == 10
-    grids = {"j0_grid": [0.5, 1.0, 2], "b_grid": [0.0, 1.0, 2]}
+    grids = {"j0": {"min": 0.5, "max": 1.0, "count": 2}, "b": {"min": 0.0, "max": 1.0, "count": 2}}
     assert _parse_sweep_config(None, {"n_spins": 10, **grids}).n_spins == 10
     # sizes only the dense path could not reach run on the subspace path
     for n, t_max in ((16, []), (100, ["--t-max", "9"])):
@@ -382,7 +382,8 @@ def test_sweep_missing_grid_is_config_error(capsys):
     assert "'j0.count'" in capsys.readouterr().err
     assert run_cli("sweep", *small, "--j0-grid", "0.5", "1", "2", "--b-grid", "0", "1", "2.5") == 2
     assert "'b.count'" in capsys.readouterr().err
-    assert _parse_sweep_config(None, {"j0_grid": [0.5, 1.0, 3.0], "b_grid": [0, 1, 2]}).j0_count == 3
+    args = cli_mod.build_parser().parse_args(["sweep", "--j0-grid", "0.5", "1.0", "3.0", "--b-grid", "0", "1", "2"])
+    assert _parse_sweep_config(None, cli_mod._flag_values(args, SweepConfig)).j0["count"] == 3
 
 
 def test_sweep_shares_run_checks(capsys):
@@ -411,8 +412,8 @@ def test_sweep_grid_too_large_exits_2_before_allocating(tmp_path, capsys, monkey
     need = 8 * 60 + cli_mod._SWEEP_ROW_BYTES * 900
     assert f"j0.count=30, b.count=30 needs an estimated {need} bytes" in capsys.readouterr().err
     assert not out.exists()
-    grids = {"j0_grid": [0.0, 1.0, 2], "b_grid": [0.0, 1.0, 2]}
-    assert _parse_sweep_config(None, {"n_spins": 2, "steps": 1, **grids}).j0_count == 2
+    grids = {"j0": {"min": 0.0, "max": 1.0, "count": 2}, "b": {"min": 0.0, "max": 1.0, "count": 2}}
+    assert _parse_sweep_config(None, {"n_spins": 2, "steps": 1, **grids}).j0["count"] == 2
 
 
 def test_null_stands_for_a_default_only_where_it_is_null(tmp_path, capsys):
@@ -507,19 +508,20 @@ KEY_SAMPLES = {
 }
 CONFIG_FILE_ONLY = {"model_file", "n_models"}
 SWEEP_GRIDS = {"j0": {"min": 0.5, "max": 1.5, "count": 3}, "b": {"min": 0.0, "max": 1.0, "count": 2}}
+# the sweep's keys j0 and b are its grids
+SWEEP_SAMPLES = {**KEY_SAMPLES, "j0": {"min": 0.25, "max": 0.75, "count": 2}, "b": {"min": 0.5, "max": 2.0, "count": 4}}
 
 
 @pytest.mark.parametrize(
     "verb,key",
     [("run", f.name) for f in dataclasses.fields(RunConfig)]
-    + [("sweep", f.name) for f in dataclasses.fields(SweepConfig)
-       if f.default is not dataclasses.MISSING],
+    + [("sweep", f.name) for f in dataclasses.fields(SweepConfig)],
 )
 def test_flag_and_config_key_agree(verb, key, tmp_path, monkeypatch):
     seen = []
     runner = "run_scenario" if verb == "run" else "run_sweep"
     monkeypatch.setattr(cli_mod, runner, lambda cfg: seen.append(cfg) or (0, None))
-    value = KEY_SAMPLES[key]
+    value = (KEY_SAMPLES if verb == "run" else SWEEP_SAMPLES)[key]
     if verb == "run":
         base_flags = [] if key == "scenario" else ["--scenario", "custom"]
         doc = {"scenario": "custom", key: value}
@@ -533,8 +535,28 @@ def test_flag_and_config_key_agree(verb, key, tmp_path, monkeypatch):
         with pytest.raises(SystemExit):
             main([verb, *base_flags, flag, str(value)])
         return
-    assert main([verb, *base_flags, *([flag] if value is True else [flag, str(value)])]) == 0
+    if isinstance(value, dict):  # a grid's flag takes MIN MAX COUNT
+        flag_args = [flag + "-grid", *(str(value[k]) for k in ("min", "max", "count"))]
+    else:
+        flag_args = [flag] if value is True else [flag, str(value)]
+    assert main([verb, *base_flags, *flag_args]) == 0
     assert seen[1] == seen[0]
+
+
+def test_summary_parameters_feed_back_as_a_config(tmp_path):
+    # a summary's parameters are a config that reproduces the run's CSV byte for byte
+    sweep = ["--n-spins", "4", "--steps", "30", "--t-max", "1.5",
+             "--j0-grid", "0.5", "1.0", "2", "--b-grid", "0.1", "0.3", "3"]
+    run = ["--scenario", "measure", "--pair", "equatorial:2", "--n-spins", "5", "--steps", "60",
+           "--j0", "0.6", "--b-field", "0.3", "--field-on-system"]
+    for verb, flags, as_config in (("sweep", sweep, lambda p: {"sweep": p}), ("run", run, lambda p: p)):
+        first, again = tmp_path / f"{verb}1", tmp_path / f"{verb}2"
+        assert main([verb, *flags, "--out", f"{first}.csv", "--summary", f"{first}.json"]) == 0
+        parameters = json.loads(Path(f"{first}.json").read_text())["parameters"]
+        config = write_json(tmp_path, as_config(parameters))
+        assert main([verb, "--config", config, "--out", f"{again}.csv", "--summary", f"{again}.json"]) == 0
+        assert Path(f"{again}.csv").read_bytes() == Path(f"{first}.csv").read_bytes()
+        assert json.loads(Path(f"{again}.json").read_text())["parameters"] == parameters
 
 
 def test_verify_quick(capsys, tmp_path):
@@ -865,6 +887,11 @@ def test_kernel_reuses_resident_heap_after_main():
         ("sweep", {"sweep": {"j0": {"min": 0.5, "max": 1.0, "count": 2, "num": 7, "dense": True},
                              "b": {"min": 0.0, "max": 1.0, "count": 2}}},
          [], "sweep grid 'j0' has unknown key 'dense', 'num'"),
+        # both verbs read a file's top level by one rule
+        ("run", {"scenario": "fig1a", "sweep": 3}, [], "config key 'sweep' must be an object"),
+        # a file gives a grid as an object; the flag's list form is refused there
+        ("sweep", {"sweep": {"j0": [0.5, 1.0, 2], "b": {"min": 0.0, "max": 1.0, "count": 2}}},
+         [], "sweep grid 'j0' needs min, max and count"),
     ],
 )
 def test_config_refusals_exit_2_and_write_nothing(tmp_path, capsys, verb, doc, flags, message):

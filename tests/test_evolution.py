@@ -147,6 +147,20 @@ def test_auto_path_selection():
     rec3 = run_trajectory(model2, TimeGrid(t_max=1.0, n_steps=10), pair=chain.initial_pair)
     assert rec3.path_used == "subspace"
     assert np.array_equal(rec3.d_system, rec.d_system)
+    # any amplitude past the head sends the pair dense, however small: an environment
+    # amplitude of 1e-7 on flip 3 (a weight near 1e-14) is not rounded away
+    chain8 = build_chain_model(ChainParams(n_total=8, b_field=0.3))
+    env = np.zeros(8, dtype=complex)
+    env[0], env[3] = 1.0, 1e-7
+    pair = tuple((vs, env / np.linalg.norm(env)) for vs in equatorial_states(0.0))
+    grid = TimeGrid(t_max=5.0, n_steps=400)
+    auto = run_trajectory(chain8, grid, pair=pair)
+    dense = run_trajectory(chain8, grid, path="dense", pair=pair)
+    assert auto.path_used == "dense"
+    for name in COLUMNS:
+        assert np.array_equal(getattr(auto, name), getattr(dense, name), equal_nan=True), name
+    with pytest.raises(ValueError):
+        run_trajectory(chain8, grid, path="subspace", pair=pair)
 
 
 def _plus_minus_closed_form(n_total, times):
