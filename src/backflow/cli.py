@@ -253,8 +253,8 @@ def _check_common(values: dict, builds_chain: bool) -> None:
         raise ConfigError(f"t_max must be positive, got {values['t_max']}")
     if builds_chain:
         # refuse a chain run that cannot fit in physical memory: only the dense path
-        # builds the 2^n H, and every path builds the (2n)^2 carrier block of H and
-        # holds arrays of n times the grid
+        # builds the 2^n H; every path builds the (2n)^2 carrier block of H, and a run
+        # adds the n^2 factors of the single-excitation block and arrays of the grid
         n, steps = values["n_spins"], values["steps"]
         if values["path"] == "dense":
             _check_fits(chain_build_peak_bytes(n), f"n_spins={n}", "build the chain Hamiltonian")

@@ -155,7 +155,9 @@ def blp_measure(
     prebuilt model. Every candidate pair runs under the same Hamiltonian,
     validated once (for a chain, the carrier block when it is built, and
     ChainModel.dense the first time a pair runs dense), and keeps the
-    model's environment preparation.
+    model's environment preparation. A chain's pairs against the vacuum
+    share one factorization, of the single-excitation block, made by the
+    first of them.
     """
     if isinstance(model_or_params, ChainParams):
         model = build_chain_model(model_or_params)

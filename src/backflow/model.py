@@ -220,17 +220,19 @@ def run_peak_bytes(n_steps: int, dim: int, block: int) -> int:
 
 
 def chain_run_peak_bytes(n_total: int, n_steps: int) -> int:
-    """Lower bound on the memory of a chain run with n_steps intervals.
+    """Lower bound on the memory of a chain run against the vacuum with n_steps intervals.
 
-    Every path builds the 2 n_total-square complex128 carrier block of H
-    and keeps it through the run. On top of it come the run_peak_bytes
-    of either path: it holds states on at most 2 n_total coordinates, the
-    qubit against the environment states its pair reaches, and
-    factorizes at most the n_total + 1 states of the 0- and 1-excitation
-    sectors.
+    The chain is built as the 2 n_total-square complex128 carrier block
+    of H, kept through the run. The run adds the complex128 eigenvectors
+    of the n_total-square single-excitation block and, per sample time,
+    the run_peak_bytes of states on 6 coordinates (the qubit against
+    three environment states, with no phases: the amplitudes are formed
+    in chunks) and the record's 25 float64 columns. A pair off the vacuum
+    runs on the dense H, which chain_build_peak_bytes sizes.
     """
-    carrier = np.dtype(np.complex128).itemsize * (2 * n_total) ** 2
-    return carrier + run_peak_bytes(n_steps, 2 * n_total, n_total + 1)
+    itemsize = np.dtype(np.complex128).itemsize
+    blocks = itemsize * ((2 * n_total) ** 2 + n_total**2)
+    return blocks + run_peak_bytes(n_steps, 6, 0) + (n_steps + 1) * 25 * 8
 
 
 def carrier_indices(n_total: int) -> np.ndarray:
@@ -322,11 +324,11 @@ class ChainModel(Model):
     environment vacuum and e_k chain site k flipped (carrier_indices).
     hamiltonian is the carrier block of H, bipartition is (2, n_total),
     the initial pair's environment factors are carrier coordinates and
-    sz_diagonal is the magnetization of each slot. The first n_total + 1
-    slots hold the 0- and 1-excitation sectors whole, so a pair inside
-    them runs on the carrier. The 2-excitation slots (1, k > 0) are a
-    fraction of their sector, so every other run reads `dense`, the only
-    place the 2^n_total space exists.
+    sz_diagonal is the magnetization of each slot. Slots 1..n_total hold
+    the single-excitation sector whole: a pair against the vacuum runs on
+    that block, whose factors a run keeps on the model the first time it
+    factorizes it. Every other pair runs on `dense`, the only place the
+    2^n_total space exists.
     """
 
     params: ChainParams = field(kw_only=True)

@@ -151,7 +151,7 @@ def _sample_states(model: Model, record) -> tuple[np.ndarray, list[np.ndarray]]:
     """Five evenly spaced sample indices of record, first and last included, and its states there.
 
     model is a chain's dense model. The states are its own pair evolved
-    there, whichever route took the record, so a carrier record is checked
+    there, whichever route took the record, so a subspace record is checked
     against the dense route. The checks of one record share them.
     """
     idx = np.linspace(0, record.times.size - 1, 5).astype(int)

@@ -1,18 +1,37 @@
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from backflow import evolution
+from backflow.diagnostics import (
+    bound_term1_branch,
+    correlation_distance,
+    correlation_operator,
+    didt_from_generator,
+    distinguishability_bound,
+    mutual_information,
+    sigma_from_generator,
+    trace_distance,
+)
 from backflow.evolution import TimeGrid, evolve, run_trajectory
-from backflow.linalg import partial_trace
+from backflow.linalg import (
+    Bipartition,
+    haar_random_state,
+    partial_trace,
+    purity,
+    trace_norm,
+    von_neumann_entropy,
+)
 from backflow.model import (
     ChainParams,
     Model,
     build_chain_model,
     carrier_indices,
+    chain_run_peak_bytes,
     equatorial_states,
     total_sz_diagonal,
 )
@@ -147,8 +166,8 @@ def test_auto_path_selection():
     rec3 = run_trajectory(model2, TimeGrid(t_max=1.0, n_steps=10), pair=chain.initial_pair)
     assert rec3.path_used == "subspace"
     assert np.array_equal(rec3.d_system, rec.d_system)
-    # any amplitude past the head sends the pair dense, however small: an environment
-    # amplitude of 1e-7 on flip 3 (a weight near 1e-14) is not rounded away
+    # any environment amplitude off the vacuum sends the pair dense, however small: an
+    # environment amplitude of 1e-7 on flip 3 (a weight near 1e-14) is not rounded away
     chain8 = build_chain_model(ChainParams(n_total=8, b_field=0.3))
     env = np.zeros(8, dtype=complex)
     env[0], env[3] = 1.0, 1e-7
@@ -161,6 +180,59 @@ def test_auto_path_selection():
         assert np.array_equal(getattr(auto, name), getattr(dense, name), equal_nan=True), name
     with pytest.raises(ValueError):
         run_trajectory(chain8, grid, path="subspace", pair=pair)
+
+
+def _vacuum_pair(n_total, system_states, phase=0.0):
+    env = np.zeros(n_total, dtype=complex)
+    env[0] = np.exp(1j * phase)
+    return tuple((vs, env) for vs in system_states)
+
+
+@pytest.mark.parametrize(
+    "params, grid, pair",
+    [
+        (ChainParams(n_total=2, j_sys=0.6, b_field=0.3), TimeGrid(5.0, 200), None),
+        (ChainParams(n_total=7, b_field=0.2), TimeGrid(0.0, 0), None),
+        (ChainParams(n_total=8, b_field=0.2), TimeGrid(7.0, 400), _vacuum_pair(8, equatorial_states(0.3), 0.7)),
+        (ChainParams(n_total=8, b_field=0.3, field_on_system=True), TimeGrid(7.0, 400), None),
+        (ChainParams(n_total=8, j_sys=0.4, b_field=0.1), TimeGrid(7.0, 400), None),
+        (
+            ChainParams(n_total=8, b_field=0.1),
+            TimeGrid(7.0, 400),
+            _vacuum_pair(8, [haar_random_state(2, np.random.default_rng(9)) for _ in range(2)]),
+        ),
+    ],
+    ids=["n2", "no-steps", "env-phase", "field-on-system", "j0-not-j", "haar-pair"],
+)
+def test_vacuum_pair_route_matches_the_dense_path(params, grid, pair):
+    # n_total = 2 has no r_hat direction: r is identically 0 and the kernel drops that row
+    model = build_chain_model(params)
+    rec = run_trajectory(model, grid, pair=pair)
+    ref = run_trajectory(model, grid, path="dense", pair=pair)
+    assert (rec.path_used, ref.path_used) == ("subspace", "dense")
+    for f in dataclasses.fields(rec):
+        if f.name != "path_used":
+            gap = np.max(np.abs(getattr(rec, f.name) - getattr(ref, f.name)))
+            assert gap <= 1e-12, f"{f.name}: {gap:.3e}"
+
+
+def test_a_head_pair_off_the_vacuum_runs_dense():
+    # |0> against chain site 1 flipped stays in the carrier's head, but its remainder
+    # leaves the three environment states of a vacuum pair
+    chain = build_chain_model(ChainParams(n_total=6, b_field=0.2))
+    flipped = np.zeros(6, dtype=complex)
+    flipped[1] = 1.0
+    zero = np.array([1.0, 0.0], dtype=complex)
+    pair = ((zero, flipped), (equatorial_states(0.0)[0], chain.initial_pair[0][1]))
+    grid = TimeGrid(5.0, 200)
+    auto = run_trajectory(chain, grid, pair=pair)
+    dense = run_trajectory(chain, grid, path="dense", pair=pair)
+    assert auto.path_used == "dense"
+    for name in COLUMNS:
+        assert np.array_equal(getattr(auto, name), getattr(dense, name), equal_nan=True), name
+    with pytest.raises(ValueError) as err:
+        run_trajectory(chain, grid, path="subspace", pair=pair)
+    assert str(err.value) == "subspace path needs a chain model and a low-excitation initial pair"
 
 
 def _plus_minus_closed_form(n_total, times):
@@ -224,6 +296,91 @@ def test_plus_minus_pair_follows_the_bessel_envelope(b_field, field_on_system):
     assert np.max(np.abs(rec.d_system[1:] - np.abs(special.j1(8.0 * t) / (4.0 * t)))) <= 1e-12
 
 
+def _closed_form_record(n_total, b_field, field_on_system, pair, times):
+    """Every numeric record field of a chain pair against the vacuum at j0 = j = 1, from sine sums.
+
+    With x_k = k pi/(n+1), n = n_total, U(t)|1, v> has the amplitude
+    a_m = (2/(n+1)) sum_k sin x_k sin((m+1) x_k) e^{8i cos x_k t} on chain
+    position m (the qubit is m = 0): f = a_0, g_1 = a_1, and r is the norm
+    of a_2..a_{n-1}. A uniform field only adds the phase e^{-4ib t} of one
+    flipped spin. The pair's two states are then 6-dim, the qubit against
+    the environment states (v, e_1, r_hat), and every field comes from the
+    full-matrix oracles under H_6 = H_S (x) 1 + H_I; the environment's own
+    part of H drops out of every Tr_E commutator.
+    """
+    x = np.arange(1, n_total + 1) * np.pi / (n_total + 1)
+    position = np.arange(n_total)
+    sums = np.exp(8j * np.outer(times, np.cos(x))) @ (
+        2.0 / (n_total + 1) * np.sin(x)[:, None] * np.sin(np.outer(x, position + 1))
+    )
+    f, g1 = sums[:, 0], sums[:, 1]
+    r = np.sqrt((np.abs(sums[:, 2:]) ** 2).sum(axis=1))
+    flip = np.exp(-4j * b_field * times)
+    h = np.zeros((6, 6), dtype=np.complex128)
+    h[3, 1] = h[1, 3] = -4.0
+    if field_on_system:
+        h += np.diag(np.repeat([-2.0 * b_field, 2.0 * b_field], 3))
+    bp = Bipartition(2, 3)
+    model = SimpleNamespace(hamiltonian=h, bipartition=bp)
+    sz = n_total - 2.0 * np.array([0, 1, 1, 1, 2, 2])
+    rho, rho_s, rho_e, chi, out = [], [], [], [], {}
+    for j, (vs, ve) in enumerate(pair, start=1):
+        alpha, beta = vs * ve[0]
+        psi = np.zeros((times.size, 6), dtype=np.complex128)
+        psi[:, 0] = alpha
+        psi[:, 1], psi[:, 2], psi[:, 3] = beta * flip * g1, beta * flip * r, beta * flip * f
+        rho.append(psi[:, :, None] * psi[:, None, :].conj())
+        rho_s.append(partial_trace(rho[-1], bp, "system"))
+        rho_e.append(partial_trace(rho[-1], bp, "environment"))
+        chi.append(correlation_operator(rho[-1], bp))
+        out[f"purity_{j}"] = np.array([purity(m) for m in rho[-1]])
+        out[f"magnetization_{j}"] = (np.abs(psi) ** 2) @ sz
+        out[f"svn_system_{j}"] = von_neumann_entropy(rho_s[-1])
+        out[f"mutual_info_{j}"] = mutual_information(rho[-1], bp)
+        out[f"chi{j}_norm"] = trace_norm(chi[-1])
+        out[f"chi{j}_ptrace_sys"] = np.abs(partial_trace(chi[-1], bp, "system")).max(axis=(1, 2))
+        out[f"chi{j}_ptrace_env"] = np.abs(partial_trace(chi[-1], bp, "environment")).max(axis=(1, 2))
+    bound = distinguishability_bound(model, *rho)
+    delta_e = rho_e[0] - rho_e[1]
+    out["d_system"] = trace_distance(*rho_s)
+    out["d_env"] = trace_distance(*rho_e)
+    out["e_indist"] = 1.0 - out["d_env"]
+    out["x_corr"] = correlation_distance(*chi)
+    out["sigma"] = sigma_from_generator(model, *rho)
+    out["bound_term1"], out["bound_term2"], out["bound_total"] = bound
+    out["term1_branch1"] = bound_term1_branch(model, rho_s[0], delta_e)
+    out["term1_branch2"] = bound_term1_branch(model, rho_s[1], delta_e)
+    out["didt_1"] = didt_from_generator(model, rho[0])
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_total, t_max, n_steps",
+    [(10, 40.0, 2000), (200, 60.0, 600), (1000, 9.0, 200)],
+    ids=["n10", "n200", "n1000"],
+)
+@pytest.mark.parametrize("b_field, field_on_system", [(0.0, False), (0.3, True)], ids=["b0", "field-on-system"])
+def test_every_field_of_a_vacuum_pair_matches_its_closed_form(n_total, t_max, n_steps, b_field, field_on_system):
+    params = ChainParams(n_total=n_total, b_field=b_field, field_on_system=field_on_system)
+    model = build_chain_model(params)
+    grid = TimeGrid(t_max, n_steps)
+    rng = np.random.default_rng(n_total)
+    (_, vacuum), _ = model.initial_pair
+    pairs = {"+-": model.initial_pair, "random": tuple((haar_random_state(2, rng), vacuum) for _ in range(2))}
+    for label, pair in pairs.items():
+        rec = run_trajectory(model, grid, pair=pair)
+        assert rec.path_used == "subspace"
+        expected = _closed_form_record(n_total, b_field, field_on_system, pair, rec.times)
+        fields = [f.name for f in dataclasses.fields(rec) if f.name not in ("times", "path_used")]
+        assert sorted(expected) == sorted(fields)
+        # the magnetization is a sum of weights times sz, about n_total, so the weights'
+        # rounding (a few 1e-16, as the factorization leaves them) reaches it times n_total
+        bounds = {"didt_1": 1e-11, "magnetization_1": 1e-14 * n_total, "magnetization_2": 1e-14 * n_total}
+        for name in fields:
+            gap = np.max(np.abs(getattr(rec, name) - expected[name]))
+            assert gap <= bounds.get(name, 1e-12), f"{label}, {name}: {gap:.3e}"
+
+
 @pytest.mark.parametrize(
     "n_total, n_steps, path",
     [(10, 50, "auto"), (10, 200, "auto"), (10, 2000, "auto"), (10, 20000, "auto"), (8, 200, "dense")],
@@ -247,6 +404,24 @@ def test_subspace_run_never_builds_the_dense_hamiltonian(n_total):
     assert rec.path_used == "subspace"
     assert peak <= 64 * 2**20, peak
     assert "dense" not in vars(model)
+
+
+@pytest.mark.parametrize("n_total", [200, 1000])
+def test_vacuum_pair_run_memory_meets_its_estimate(n_total):
+    # fig1a at 2000 steps; the carrier is built before the measurement
+    model = build_chain_model(ChainParams(n_total=n_total, b_field=0.0))
+    tracemalloc.start()
+    try:
+        rec = run_trajectory(model, TimeGrid(9.0, 2000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.path_used == "subspace"
+    # a lower bound, so the command line never refuses a run that fits
+    assert chain_run_peak_bytes(n_total, 2000) <= peak + model.hamiltonian.nbytes
+    # the amplitudes are formed a chunk of times at a time: all 2001 times of one
+    # n-coordinate amplitude stack would take 31 MiB at n = 1000
+    assert peak < 48 * 2**20, peak
 
 
 def _sector_blocked_h(rng, sz):
@@ -325,10 +500,10 @@ def test_hand_built_model_with_sz_diagonal_records_magnetization(monkeypatch):
         assert np.max(np.abs(getattr(rec, col) - getattr(ref, col))) <= 1e-12, col
 
 
-@pytest.mark.parametrize("path", ["dense", "subspace"])
-def test_one_factorization_and_one_kernel_call_per_trajectory(path, monkeypatch):
-    # and one search for the block: the dense route slices H to it, and the slice is
-    # not searched again
+@pytest.mark.parametrize("path, searches", [("dense", 1), ("subspace", 0)], ids=["dense", "subspace"])
+def test_one_factorization_and_one_kernel_call_per_trajectory(path, searches, monkeypatch):
+    # and one search for the block on the dense route, which slices H to it and does not
+    # search the slice again; the subspace route knows its block and searches nothing
     calls = {"_reached": 0, "hermitian_eig": 0, "pair_step_series": 0}
     for name in calls:
         original = getattr(evolution, name)
@@ -341,7 +516,7 @@ def test_one_factorization_and_one_kernel_call_per_trajectory(path, monkeypatch)
     model = build_chain_model(ChainParams(n_total=5))
     rec = run_trajectory(model, TimeGrid(t_max=2.0, n_steps=40), path=path)
     assert rec.path_used == path
-    assert calls == {"_reached": 1, "hermitian_eig": 1, "pair_step_series": 1}
+    assert calls == {"_reached": searches, "hermitian_eig": 1, "pair_step_series": 1}
 
 
 def test_dense_chain_run_reduces_to_the_block_h_reaches(monkeypatch):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from backflow import evolution
 from backflow.evolution import TimeGrid, run_trajectory
 from backflow.linalg import Bipartition, haar_random_state
 from backflow.measure import (
@@ -116,6 +117,21 @@ def test_measure_validates_hamiltonian_once(monkeypatch):
     report = blp_measure(ChainParams(n_total=6), TimeGrid(5.0, 50), PairFamily("equatorial:4"))
     assert len(report.per_pair_values) == 4
     assert len(calls) == 1
+
+
+def test_measure_factorizes_a_chain_once(monkeypatch):
+    # every pair against the vacuum reads the same single-excitation amplitudes, so the
+    # n-square block is factorized once per model, not once per pair or per measure
+    calls = []
+    original = evolution.hermitian_eig
+    monkeypatch.setattr(evolution, "hermitian_eig", lambda m: calls.append(m.shape) or original(m))
+    chain = build_chain_model(ChainParams(n_total=10))
+    grid = TimeGrid(9.0, 200)
+    report = blp_measure(chain, grid, PairFamily("equatorial:12"))
+    assert len(report.per_pair_values) == 12
+    assert calls == [(10, 10)]
+    blp_measure(chain, grid, PairFamily("random:3", seed=1))
+    assert calls == [(10, 10)]
 
 
 def test_random_pairs_reproducible():
